@@ -224,12 +224,17 @@ def cmd_simulate(config: RunConfig) -> int:
         payload = {name: data.tolist() for name, data in columns}
         _emit(config, json.dumps(payload) + "\n")
         return 0
-    header = ",".join(name for name, _ in columns)
-    rows = [header]
-    for i in range(times.size):
-        rows.append(",".join(f"{data[i]:.16e}" for _, data in columns))
-    _emit(config, "\n".join(rows) + "\n")
+    _emit(config, _csv_text(columns))
     return 0
+
+
+def _csv_text(columns: list[tuple[str, np.ndarray]]) -> str:
+    """Header plus one row per sample, every value as %.16e."""
+    table = np.column_stack([data for _, data in columns])
+    row_format = ",".join(["%.16e"] * len(columns))
+    rows = [",".join(name for name, _ in columns)]
+    rows.extend(row_format % tuple(row.tolist()) for row in table)
+    return "\n".join(rows) + "\n"
 
 
 def cmd_reduce(config: RunConfig) -> int:

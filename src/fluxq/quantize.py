@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -58,12 +59,13 @@ class HamiltonianSystem:
         return len(self.labels)
 
     def mass_factor(self) -> np.ndarray:
-        """A matrix F with M = F F^T (not necessarily triangular-lower)."""
+        """The lower Cholesky factor F of M, so M = F F^T."""
         if self._chol_m is not None:
             return self._chol_m
         r = np.linalg.cholesky(self.minv)
-        # minv = r r^T  =>  M = r^{-T} r^{-1}, so F = r^{-T}
-        return scipy.linalg.solve_triangular(r, np.eye(self.dim), lower=True).T
+        # minv = r r^T  =>  M = r^{-T} r^{-1}
+        r_inv = scipy.linalg.solve_triangular(r, np.eye(self.dim), lower=True)
+        return np.linalg.cholesky(r_inv.T @ r_inv)
 
     def mass_matrix(self) -> np.ndarray:
         f = self.mass_factor()
@@ -86,8 +88,15 @@ class ModeDecomposition:
         return len(self.omegas)
 
     def momentum_modes(self) -> np.ndarray:
-        """Columns M v_k, i.e. V^{-T}; maps mode momenta to coordinates."""
-        return np.linalg.solve(self.modes.T, np.eye(self.dim))
+        """Columns M v_k, i.e. V^{-T}; maps mode momenta to coordinates.
+        Solved once per decomposition and returned read-only."""
+        return self._momentum_modes
+
+    @cached_property
+    def _momentum_modes(self) -> np.ndarray:
+        u = np.linalg.solve(self.modes.T, np.eye(self.dim))
+        u.flags.writeable = False
+        return u
 
 
 @dataclass(frozen=True)
@@ -245,30 +254,16 @@ def normal_modes(h: HamiltonianSystem) -> ModeDecomposition:
     are legal zero modes, not errors; their count is the corank of K
     (M is positive definite here, so nonzero modes = rank K)."""
     f = h.mass_factor()
-    kt = scipy.linalg.solve_triangular(f, h.k, lower=True) if _is_lower(f) else (
-        np.linalg.solve(f, h.k)
-    )
-    kt = (
-        scipy.linalg.solve_triangular(f, kt.T, lower=True).T
-        if _is_lower(f)
-        else np.linalg.solve(f, kt.T).T
-    )
+    kt = scipy.linalg.solve_triangular(f, h.k, lower=True)
+    kt = scipy.linalg.solve_triangular(f, kt.T, lower=True).T
     kt = 0.5 * (kt + kt.T)
     evals, u = np.linalg.eigh(kt)
-    v = (
-        scipy.linalg.solve_triangular(f.T, u, lower=False)
-        if _is_lower(f)
-        else np.linalg.solve(f.T, u)
-    )
+    v = scipy.linalg.solve_triangular(f.T, u, lower=False)
     zero_count = h.dim - _potential_rank(h.k)
     clipped = np.clip(evals, 0.0, None)
     clipped[:zero_count] = 0.0
     omegas = np.sqrt(clipped)
     return ModeDecomposition(omegas=omegas, modes=v, zero_mode_count=zero_count)
-
-
-def _is_lower(f: np.ndarray) -> bool:
-    return bool(np.allclose(f, np.tril(f)))
 
 
 def ground_state(modes: ModeDecomposition, h: HamiltonianSystem) -> GaussianState:
@@ -283,20 +278,13 @@ def ground_state(modes: ModeDecomposition, h: HamiltonianSystem) -> GaussianStat
             stacklevel=2,
         )
     dim = modes.dim
-    u = modes.momentum_modes()
-    cov_x = np.zeros((dim, dim))
-    cov_p = np.zeros((dim, dim))
-    for k in range(dim):
-        w = modes.omegas[k]
-        if w == 0.0:
-            continue
-        vk = modes.modes[:, k]
-        uk = u[:, k]
-        cov_x += (h.hbar / (2.0 * w)) * np.outer(vk, vk)
-        cov_p += (h.hbar * w / 2.0) * np.outer(uk, uk)
+    osc = modes.omegas > 0.0
+    w = modes.omegas[osc]
+    vs = modes.modes[:, osc] * np.sqrt(h.hbar / (2.0 * w))
+    us = modes.momentum_modes()[:, osc] * np.sqrt(h.hbar * w / 2.0)
     cov = np.zeros((2 * dim, 2 * dim))
-    cov[:dim, :dim] = cov_x
-    cov[dim:, dim:] = cov_p
+    cov[:dim, :dim] = vs @ vs.T
+    cov[dim:, dim:] = us @ us.T
     return GaussianState(mean=np.zeros(2 * dim), cov=cov)
 
 

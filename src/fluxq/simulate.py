@@ -132,6 +132,20 @@ def _mode_coordinates(modes: ModeDecomposition, x0, p0):
     return xt0, pt0
 
 
+def _mode_rotation(omegas: np.ndarray, t):
+    """Per-mode entries (c, a, b) of the symplectic map [[c, a], [b, c]]
+    that carries mode coordinates (x~, p~) over time t: cos wt, sin(wt)/w,
+    -w sin wt for oscillators and 1, t, 0 for zero modes.  For an array of
+    times each entry has shape (n_modes, n_times)."""
+    t = np.asarray(t, dtype=float)
+    w = omegas.reshape(omegas.shape + (1,) * t.ndim)
+    osc = w > 0.0
+    phase = w * t
+    sin = np.sin(phase)
+    a = np.where(osc, sin / np.where(osc, w, 1.0), t)
+    return np.cos(phase), a, -w * sin
+
+
 def evolve_modes(
     h: HamiltonianSystem,
     modes: ModeDecomposition,
@@ -151,31 +165,15 @@ def evolve_modes(
     t = np.asarray(times, dtype=float)
     w = modes.omegas
     osc = w > 0.0
-
-    xt = np.empty((modes.dim, t.size))
-    vt = np.empty_like(xt)
-    at = np.empty_like(xt)
-    pt = np.empty_like(xt)
-
-    phase = np.outer(w[osc], t)
-    cos, sin = np.cos(phase), np.sin(phase)
-    wk = w[osc][:, None]
-    xt[osc] = xt0[osc][:, None] * cos + (pt0[osc] / w[osc])[:, None] * sin
-    pt[osc] = -wk * xt0[osc][:, None] * sin + pt0[osc][:, None] * cos
-    vt[osc] = pt[osc]
-    at[osc] = -(wk**2) * xt[osc]
-
-    free = ~osc
-    xt[free] = xt0[free][:, None] + pt0[free][:, None] * t
-    pt[free] = np.repeat(pt0[free][:, None], t.size, axis=1)
-    vt[free] = pt[free]
-    at[free] = 0.0
+    c, a, b = _mode_rotation(w, t)
+    xt = c * xt0[:, None] + a * pt0[:, None]
+    pt = b * xt0[:, None] + c * pt0[:, None]
 
     v = modes.modes
     u = modes.momentum_modes()
     coords = v @ xt
-    velocities = v @ vt
-    accelerations = v @ at
+    velocities = v @ pt
+    accelerations = v @ (-(w[:, None] ** 2) * xt)
     momenta = u @ pt
     energy = 0.5 * np.sum(pt**2 + (w[:, None] * xt) ** 2, axis=0)
 
@@ -189,8 +187,8 @@ def evolve_modes(
         omegas=w.copy(),
         amplitudes=amplitude,
         phases=theta,
-        drift_offset=np.where(free, xt0, 0.0),
-        drift_rate=np.where(free, pt0, 0.0),
+        drift_offset=np.where(osc, 0.0, xt0),
+        drift_rate=np.where(osc, 0.0, pt0),
     )
     return Trajectory(
         times=t,
@@ -227,43 +225,20 @@ def evolve_leapfrog(
             f"dt={dt:.3e} exceeds 2*pi/(20*omega_max)={2.0 * np.pi / (20.0 * wmax):.3e}"
         )
     dim = h.dim
+    half_kick = np.eye(2 * dim)
+    half_kick[dim:, :dim] = -0.5 * dt * h.k
+    drift = np.eye(2 * dim)
+    drift[:dim, dim:] = dt * h.minv
+    # a kick-drift-kick step is linear in (x, p), so `stride` steps are one
+    # matrix power and the loop runs once per record, not once per step
+    record_map = np.linalg.matrix_power(half_kick @ drift @ half_kick, stride)
     n_rec = steps // stride + 1
-    coords = np.empty((dim, n_rec))
-    momenta = np.empty((dim, n_rec))
-    times = np.empty(n_rec)
-
-    if dim == 1:
-        k = float(h.k[0, 0])
-        minv = float(h.minv[0, 0])
-        x = float(x0[0])
-        p = float(p0[0])
-        half = 0.5 * dt
-        coords[0, 0], momenta[0, 0], times[0] = x, p, 0.0
-        rec = 1
-        for step in range(1, steps + 1):
-            p -= half * k * x
-            x += dt * minv * p
-            p -= half * k * x
-            if step % stride == 0:
-                coords[0, rec] = x
-                momenta[0, rec] = p
-                times[rec] = step * dt
-                rec += 1
-    else:
-        x = np.array(x0, dtype=float)
-        p = np.array(p0, dtype=float)
-        half = 0.5 * dt
-        coords[:, 0], momenta[:, 0], times[0] = x, p, 0.0
-        rec = 1
-        for step in range(1, steps + 1):
-            p -= half * (h.k @ x)
-            x += dt * (h.minv @ p)
-            p -= half * (h.k @ x)
-            if step % stride == 0:
-                coords[:, rec] = x
-                momenta[:, rec] = p
-                times[rec] = step * dt
-                rec += 1
+    states = np.empty((2 * dim, n_rec))
+    states[:, 0] = np.concatenate([x0, p0])
+    for rec in range(1, n_rec):
+        states[:, rec] = record_map @ states[:, rec - 1]
+    coords, momenta = states[:dim], states[dim:]
+    times = np.arange(n_rec) * stride * dt
 
     velocities = h.minv @ momenta
     accelerations = -(h.minv @ (h.k @ coords))
@@ -316,28 +291,12 @@ def evolution_matrix(
 ) -> np.ndarray:
     """Analytic phase-space map Phi(t) over stacked (x..., p...); it is
     symplectic: Phi^T J Phi = J."""
-    dim = modes.dim
     v = modes.modes
     u = modes.momentum_modes()
-    blocks = np.zeros((2 * dim, 2 * dim))
-    for k in range(dim):
-        w = modes.omegas[k]
-        if w > 0.0:
-            c, s = np.cos(w * t), np.sin(w * t)
-            rot = np.array([[c, s / w], [-w * s, c]])
-        else:
-            rot = np.array([[1.0, t], [0.0, 1.0]])
-        blocks[k, k] = rot[0, 0]
-        blocks[k, dim + k] = rot[0, 1]
-        blocks[dim + k, k] = rot[1, 0]
-        blocks[dim + k, dim + k] = rot[1, 1]
-    basis = np.zeros((2 * dim, 2 * dim))
-    basis[:dim, :dim] = v
-    basis[dim:, dim:] = u
-    basis_inv = np.zeros_like(basis)
-    basis_inv[:dim, :dim] = u.T
-    basis_inv[dim:, dim:] = v.T
-    return basis @ blocks @ basis_inv
+    c, a, b = _mode_rotation(modes.omegas, t)
+    return np.block(
+        [[(v * c) @ u.T, (v * a) @ v.T], [(u * b) @ u.T, (u * c) @ v.T]]
+    )
 
 
 def propagate_covariance(
@@ -346,10 +305,30 @@ def propagate_covariance(
     state: GaussianState,
     times: np.ndarray,
 ) -> np.ndarray:
-    """Covariance matrices cov(t) = Phi(t) cov Phi(t)^T, shape (nt, 2n, 2n)."""
+    """Covariance matrices cov(t) = Phi(t) cov Phi(t)^T, shape (nt, 2n, 2n).
+
+    The covariance is moved into mode coordinates once; there each time
+    point only scales the xx, xp and pp blocks by the per-mode 2x2 maps,
+    and the result is mapped back with V and U = V^{-T}."""
     t = np.asarray(times, dtype=float)
-    out = np.empty((t.size, *state.cov.shape))
-    for i, ti in enumerate(t):
-        phi = evolution_matrix(modes, h, float(ti))
-        out[i] = phi @ state.cov @ phi.T
+    n = modes.dim
+    v = modes.modes
+    u = modes.momentum_modes()
+    cov = state.cov
+    sxx = u.T @ cov[:n, :n] @ u
+    sxp = u.T @ cov[:n, n:] @ v
+    spx = sxp.T
+    spp = v.T @ cov[n:, n:] @ v
+    c_t, a_t, b_t = _mode_rotation(modes.omegas, t)
+    out = np.empty((t.size, *cov.shape))
+    for i in range(t.size):
+        # R S R^T with R = [[C, A], [B, C]]: rows first, then columns
+        c, a, b = c_t[:, i, None], a_t[:, i, None], b_t[:, i, None]
+        rxx, rxp = c * sxx + a * spx, c * sxp + a * spp
+        rpx, rpp = b * sxx + c * spx, b * sxp + c * spp
+        c, a, b = c.T, a.T, b.T
+        out[i, :n, :n] = v @ (rxx * c + rxp * a) @ v.T
+        out[i, :n, n:] = v @ (rxx * b + rxp * c) @ u.T
+        out[i, n:, :n] = out[i, :n, n:].T
+        out[i, n:, n:] = u @ (rpx * b + rpp * c) @ u.T
     return out

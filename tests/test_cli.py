@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fluxq.cli import main
+from fluxq.cli import _csv_text, main
 
 NETLISTS = Path(__file__).resolve().parent.parent / "netlists"
 PASSIVE = str(NETLISTS / "passive_lc.cir")
@@ -126,6 +126,21 @@ def test_simulate_17_significant_digits(capsys):
     mantissa = cell.split("e")[0]
     digits = mantissa.replace("-", "").replace(".", "")
     assert len(digits) == 17
+
+
+def test_csv_text_matches_per_value_formatting():
+    values = np.array([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, 1.0 / 3.0])
+    rng = np.random.default_rng(5)
+    columns = [("t_s", values)] + [
+        (f"c{i}_V", rng.permutation(values) * rng.choice([1.0, -1.0], values.size))
+        for i in range(4)
+    ]
+    rows = [",".join(name for name, _ in columns)]
+    for i in range(values.size):
+        rows.append(",".join(f"{data[i]:.16e}" for _, data in columns))
+    expected = "\n".join(rows) + "\n"
+    assert _csv_text(columns) == expected
+    assert "-0.0000000000000000e+00" in expected
 
 
 def test_parse_failure_exit_code(tmp_path, capsys):

@@ -9,6 +9,7 @@ from fluxq import (
     HBAR,
     GeometricMode,
     GeometricPolicy,
+    HamiltonianSystem,
     SingularKineticMatrix,
     augment_geometric,
     build_spanning_tree,
@@ -165,6 +166,22 @@ def test_mode_shape_invariants(passive_lc):
             modes.omegas[k] ** 2 * (m @ modes.modes[:, k])
         )
         assert np.linalg.norm(residual[:, k]) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("name", ["passive_lc", "active_lc", "wheel"])
+def test_modes_without_cached_mass_factor(name, request):
+    """A HamiltonianSystem built from (M^-1, K) alone must give the same
+    modes as the one legendre_transform returns with chol(M) attached."""
+    _, lag = augmented_node(request.getfixturevalue(name))
+    h = legendre_transform(lag)
+    bare = HamiltonianSystem(h.labels, h.minv, h.k)
+    factor = bare.mass_factor()
+    assert np.array_equal(factor, np.tril(factor))
+    assert np.abs(factor @ factor.T - lag.M).max() <= 1e-12 * np.abs(lag.M).max()
+    ref, modes = normal_modes(h), normal_modes(bare)
+    assert np.abs(modes.omegas - ref.omegas).max() <= 1e-12 * ref.omegas.max()
+    gram = modes.modes.T @ lag.M @ modes.modes
+    assert np.abs(gram - np.eye(lag.dim)).max() <= 1e-12
 
 
 def test_zero_modes_are_legal():

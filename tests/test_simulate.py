@@ -1,9 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fluxq import (
+    GaussianState,
     GeometricMode,
     GeometricPolicy,
     InconsistentInitialConditions,
@@ -24,6 +27,7 @@ from fluxq import (
     node_lagrangian,
     normal_modes,
     observables,
+    parse_netlist,
     propagate_covariance,
     topology_report,
 )
@@ -141,6 +145,29 @@ def test_leapfrog_matches_modes_reduced(reduced_lc):
     assert dev <= 1.05e-4
 
 
+def test_leapfrog_matches_per_step_loop(passive_lc):
+    """The recorded states equal plain kick-drift-kick stepping, here on the
+    stiff augmented system with a stride that skips most steps."""
+    _, lag, h, modes = augmented_node_setup(passive_lc)
+    x0, p0 = initial_state(_, lag, {"C1": 2e-3, "C2": 2e-3})
+    dt = 2 * np.pi / modes.omegas[-1] / 500
+    lf = evolve_leapfrog(h, x0, p0, dt, 3000, lagrangian=lag, stride=7)
+    x, p = x0.copy(), p0.copy()
+    coords, momenta = [x.copy()], [p.copy()]
+    for step in range(1, 3001):
+        p -= 0.5 * dt * (h.k @ x)
+        x += dt * (h.minv @ p)
+        p -= 0.5 * dt * (h.k @ x)
+        if step % 7 == 0:
+            coords.append(x.copy())
+            momenta.append(p.copy())
+    coords, momenta = np.array(coords).T, np.array(momenta).T
+    assert lf.coords.shape == coords.shape
+    assert np.abs(lf.coords - coords).max() <= 1e-10 * np.abs(coords).max()
+    assert np.abs(lf.momenta - momenta).max() <= 1e-10 * np.abs(momenta).max()
+    assert np.array_equal(lf.times, np.arange(coords.shape[1]) * 7 * dt)
+
+
 def test_leapfrog_zero_state(reduced_lc):
     lag, h, _ = node_setup(reduced_lc)
     lf = evolve_leapfrog(h, np.zeros(1), np.zeros(1), 1e-12, 100, lagrangian=lag)
@@ -227,6 +254,54 @@ def test_evolution_matrix_symplectic(passive_lc):
     for t in (0.0, 1.3e-10, 2.2e-9):
         phi = evolution_matrix(modes, h, t)
         assert np.abs(phi.T @ J @ phi - J).max() <= 1e-10
+
+
+# node 2 reaches ground only through capacitors: its flux is a zero mode
+ZERO_MODE_NETLIST = "C1 1 0 1pF\nL1 1 0 1nH\nC2 2 0 2pF\nC3 2 1 0.5pF\n"
+
+
+@pytest.mark.parametrize("name", ["reduced_lc", "active_lc", "zero_mode"])
+def test_covariance_of_moving_state_matches_expm(name, request):
+    """A non-stationary covariance (vacuum plus a random PSD term) against
+    Phi(t) = expm(t [[0, M^-1], [-K, 0]]); every block to 1e-10 of its
+    own scale.  The symplectic form is checked on the same circuits."""
+    if name == "zero_mode":
+        circuit = parse_netlist(ZERO_MODE_NETLIST)
+    else:
+        circuit = request.getfixturevalue(name)
+    lag, h, modes = node_setup(circuit)
+    dim = lag.dim
+    assert modes.zero_mode_count == (name == "zero_mode")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zero modes have no vacuum
+        vacuum = ground_state(modes, h).cov
+    rng = np.random.default_rng(11)
+    spread_x = np.sqrt(np.abs(vacuum[:dim, :dim]).max())
+    spread_p = np.sqrt(np.abs(vacuum[dim:, dim:]).max())
+    spread = np.repeat([spread_x, spread_p], dim)
+    g = rng.standard_normal((2 * dim, 2 * dim)) * spread[:, None]
+    cov0 = vacuum + g @ g.T
+    state = GaussianState(mean=np.zeros(2 * dim), cov=cov0)
+    generator = np.block(
+        [[np.zeros((dim, dim)), h.minv], [-h.k, np.zeros((dim, dim))]]
+    )
+    J = np.block(
+        [[np.zeros((dim, dim)), np.eye(dim)], [-np.eye(dim), np.zeros((dim, dim))]]
+    )
+    times = np.array([0.0, 3.7e-11, 1.3e-9, 4e-9])
+    covs = propagate_covariance(modes, h, state, times)
+    blocks = [np.s_[:dim, :dim], np.s_[:dim, dim:], np.s_[dim:, :dim], np.s_[dim:, dim:]]
+    for cov, t in zip(covs, times):
+        phi = scipy.linalg.expm(t * generator)
+        expected = phi @ cov0 @ phi.T
+        for blk in blocks:
+            scale = np.abs(expected[blk]).max()
+            assert np.abs(cov[blk] - expected[blk]).max() <= 1e-10 * scale
+        phi_modes = evolution_matrix(modes, h, t)
+        for blk in blocks:
+            scale = np.abs(phi[blk]).max()
+            assert np.abs(phi_modes[blk] - phi[blk]).max() <= 1e-10 * scale
+        assert np.abs(phi_modes.T @ J @ phi_modes - J).max() <= 1e-10
 
 
 def test_flux_law_node_rep(passive_lc):
