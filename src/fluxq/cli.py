@@ -1,12 +1,19 @@
 """Command-line entry point: analyze / modes / simulate / reduce.
 
-Exit codes: 0 ok, 1 parse failure, 2 validation failure, 3 unquantizable
-under the requested configuration, 4 inconsistent initial conditions.
+Exit codes, each with a message on stderr and no traceback:
+
+0  ok
+1  the netlist cannot be read or parsed
+2  invalid circuit (validation failure) or invalid option value: --cg or
+   --lg not positive and finite while augmenting, --samples below 1
+3  unquantizable under the requested configuration
+4  inconsistent initial conditions
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,14 +76,33 @@ class RunConfig:
     format: str = "json"
 
 
+class _CliError(Exception):
+    """A documented failure with its exit code and a one-line message."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
 def _policy(config: RunConfig) -> GeometricPolicy:
+    if config.geometric is not GeometricMode.OFF:
+        for flag, value in (("--cg", config.cg), ("--lg", config.lg)):
+            if not (value > 0.0 and math.isfinite(value)):
+                raise _CliError(
+                    2,
+                    f"invalid option: {flag} must be positive and finite when "
+                    f"augmenting, got {value!r}",
+                )
     return GeometricPolicy(
         cap_mode=config.geometric, default_cg=config.cg, default_lg=config.lg
     )
 
 
 def _load_circuit(config: RunConfig) -> Circuit:
-    text = config.netlist.read_text()
+    try:
+        text = config.netlist.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _CliError(1, f"cannot read netlist: {exc}") from exc
     circuit = parse_netlist(text)
     violations = validate_circuit(circuit)
     if violations:
@@ -196,6 +222,10 @@ def _default_ics(circuit: Circuit) -> dict[str, float]:
 
 
 def cmd_simulate(config: RunConfig) -> int:
+    if config.samples < 1:
+        raise _CliError(
+            2, f"invalid option: --samples must be at least 1, got {config.samples}"
+        )
     circuit = _load_circuit(config)
     lag, obs_circuit = _build_lagrangian(circuit, config)
     h = legendre_transform(lag)
@@ -305,6 +335,9 @@ _COMMANDS = {
 def run(config: RunConfig) -> int:
     try:
         return _COMMANDS[config.subcommand](config)
+    except _CliError as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
     except NetlistError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1

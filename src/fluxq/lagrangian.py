@@ -124,10 +124,7 @@ class QuadraticLagrangian:
         return row
 
     def assignment_matrix(self, cids) -> np.ndarray:
-        ids = list(cids)
-        return np.array([self.assignment_row(cid) for cid in ids]).reshape(
-            len(ids), self.dim
-        )
+        return _signed_rows([self.flux_assignment[cid] for cid in cids], self.labels)
 
     def to_json_dict(self) -> dict:
         return {
@@ -154,8 +151,33 @@ def _difference_vector(a: str, b: str) -> dict[str, float]:
     return {k: v for k, v in combo.items() if v != 0.0}
 
 
-def _accumulate(mat: np.ndarray, row: np.ndarray, weight: float) -> None:
-    mat += weight * np.outer(row, row)
+def _signed_rows(
+    combos: list[dict[str, float]], labels: tuple[str, ...]
+) -> np.ndarray:
+    """One row per signed combination of coordinates, columns in label order."""
+    index = {lbl: i for i, lbl in enumerate(labels)}
+    rows = np.zeros((len(combos), len(labels)))
+    for r, combo in enumerate(combos):
+        for lbl, coeff in combo.items():
+            rows[r, index[lbl]] = coeff
+    return rows
+
+
+def _gram_matrices(
+    components: tuple[Component, ...],
+    assignment: dict[str, dict[str, float]],
+    labels: tuple[str, ...],
+    kinetic_kind: ComponentKind,
+) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """M = A_kin^T diag(value) A_kin and K = A_pot^T diag(1/value) A_pot over
+    the signed assignment matrix A (components x coordinates); the kinetic
+    rows are the components of kinetic_kind, whose ids are returned too."""
+    a = _signed_rows([assignment[c.id] for c in components], labels)
+    values = np.array([c.value for c in components], dtype=float)
+    kin = np.array([c.kind is kinetic_kind for c in components], dtype=bool)
+    M = (a[kin].T * values[kin]) @ a[kin]
+    K = (a[~kin].T * (1.0 / values[~kin])) @ a[~kin]
+    return M, K, tuple(c.id for c in components if c.kind is kinetic_kind)
 
 
 def node_lagrangian(circuit: Circuit, tree: SpanningTree) -> QuadraticLagrangian:
@@ -163,25 +185,12 @@ def node_lagrangian(circuit: Circuit, tree: SpanningTree) -> QuadraticLagrangian
     inductance matrix, both over node-flux differences; loop fluxes are
     held constant (zero), so the assignment ignores the tree."""
     labels = _node_labels(circuit)
-    index = {lbl: i for i, lbl in enumerate(labels)}
-    dim = len(labels)
-    M = np.zeros((dim, dim))
-    K = np.zeros((dim, dim))
-    assignment: dict[str, dict[str, float]] = {}
-    kinetic = []
-    for c in circuit.components:
-        combo = _difference_vector(c.a, c.b)
-        assignment[c.id] = combo
-        row = np.zeros(dim)
-        for lbl, coeff in combo.items():
-            row[index[lbl]] = coeff
-        if c.kind is ComponentKind.CAPACITOR:
-            _accumulate(M, row, c.value)
-            kinetic.append(c.id)
-        else:
-            _accumulate(K, row, 1.0 / c.value)
+    assignment = {c.id: _difference_vector(c.a, c.b) for c in circuit.components}
+    M, K, kinetic = _gram_matrices(
+        circuit.components, assignment, labels, ComponentKind.CAPACITOR
+    )
     return QuadraticLagrangian(
-        Representation.NODE_FLUX, labels, M, K, assignment, tuple(kinetic)
+        Representation.NODE_FLUX, labels, M, K, assignment, kinetic
     )
 
 
@@ -202,25 +211,18 @@ def loop_lagrangian(
     carries its exact loop-space support for the structural diagnosis."""
     labels = loop_labels(loops)
     dim = len(labels)
-    participation: dict[str, np.ndarray] = {}
-    for i, loop in enumerate(loops):
+    assignment: dict[str, dict[str, float]] = {c.id: {} for c in circuit.components}
+    for lbl, loop in zip(labels, loops):
         for cid, sign in loop.path:
-            row = participation.setdefault(cid, np.zeros(dim))
-            row[i] += sign
-    M = np.zeros((dim, dim))
-    K = np.zeros((dim, dim))
-    assignment: dict[str, dict[str, float]] = {}
-    kinetic = []
-    for c in circuit.components:
-        row = participation.get(c.id, np.zeros(dim))
-        assignment[c.id] = {
-            labels[i]: float(row[i]) for i in range(dim) if row[i] != 0.0
-        }
-        if c.kind is ComponentKind.INDUCTOR:
-            _accumulate(M, row, c.value)
-            kinetic.append(c.id)
-        else:
-            _accumulate(K, row, 1.0 / c.value)
+            combo = assignment[cid]
+            combo[lbl] = combo.get(lbl, 0.0) + sign
+    assignment = {
+        cid: {k: v for k, v in combo.items() if v != 0.0}
+        for cid, combo in assignment.items()
+    }
+    M, K, kinetic = _gram_matrices(
+        circuit.components, assignment, labels, ComponentKind.INDUCTOR
+    )
     if loop_inductance is not None:
         extra = np.asarray(loop_inductance, dtype=float)
         if extra.shape != (dim, dim):
@@ -231,7 +233,7 @@ def loop_lagrangian(
         for row in loop_kinetic_rows
     )
     return QuadraticLagrangian(
-        Representation.LOOP_CHARGE, labels, M, K, assignment, tuple(kinetic), forms
+        Representation.LOOP_CHARGE, labels, M, K, assignment, kinetic, forms
     )
 
 
@@ -388,8 +390,6 @@ def extended_node_lagrangian(
         ]
     phi_labels = _node_labels(circuit)
     ext_labels = phi_labels + tuple(f"Phi_{i + 1}" for i in dynamic)
-    index = {lbl: i for i, lbl in enumerate(ext_labels)}
-    dim = len(ext_labels)
 
     chord_loop = {loop.chord: i for i, loop in enumerate(loops)}
     assignment: dict[str, dict[str, float]] = {}
@@ -407,27 +407,15 @@ def extended_node_lagrangian(
                 combo[lbl] = combo.get(lbl, 0.0) + direction * coeff
         assignment[c.id] = {k: v for k, v in combo.items() if v != 0.0}
 
-    M = np.zeros((dim, dim))
-    K = np.zeros((dim, dim))
-    kinetic = []
-    for c in augmented.components:
-        row = np.zeros(dim)
-        for lbl, coeff in assignment[c.id].items():
-            row[index[lbl]] = coeff
-        if c.kind is ComponentKind.CAPACITOR:
-            _accumulate(M, row, c.value)
-            kinetic.append(c.id)
-        else:
-            _accumulate(K, row, 1.0 / c.value)
+    M, K, kinetic = _gram_matrices(
+        augmented.components, assignment, ext_labels, ComponentKind.CAPACITOR
+    )
     if dynamic:
+        # the Phi coordinates come last, in the order of `dynamic`
         block = record.loop_inductance[np.ix_(dynamic, dynamic)]
-        inv_block = np.linalg.inv(block)
-        offset = len(phi_labels)
-        for a in range(len(dynamic)):
-            for b in range(len(dynamic)):
-                K[offset + a, offset + b] += inv_block[a, b]
+        K[len(phi_labels) :, len(phi_labels) :] += np.linalg.inv(block)
     return QuadraticLagrangian(
-        Representation.EXTENDED_NODE_FLUX, ext_labels, M, K, assignment, tuple(kinetic)
+        Representation.EXTENDED_NODE_FLUX, ext_labels, M, K, assignment, kinetic
     )
 
 

@@ -11,12 +11,14 @@ Grammar (UTF-8, line oriented):
                                         unit F (capacitors) or H (inductors)
     directive := '.ic' ID value         unit V (capacitors) or A (inductors)
 
-Bare numbers are SI.  Component values must be positive and the two
+Bare numbers are SI.  Component values must be positive and finite (a
+value that overflows, such as 1e400, fails validation) and the two
 terminals distinct.  Inline comments ('C1 2 0 2pF  # tank cap') are allowed.
 """
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -224,6 +226,8 @@ def validate_circuit(circuit: Circuit) -> list[str]:
         seen.add(c.id)
         if not c.value > 0.0:
             violations.append(f"component {c.id!r} has non-positive value {c.value!r}")
+        elif not math.isfinite(c.value):
+            violations.append(f"component {c.id!r} has non-finite value {c.value!r}")
         if c.a == c.b:
             violations.append(f"component {c.id!r} connects node {c.a!r} to itself")
         for n in c.terminals:

@@ -4,25 +4,29 @@ ground states for quadratic circuit Lagrangians.
 A representation is quantizable exactly when its kinetic matrix M is
 nonsingular: every coordinate then owns a conjugate momentum p = M xdot.
 M is a positively weighted Gram matrix of the kinetic components' branch
-assignment vectors, so its null space is the exact (rational) null space
-of those vectors; the numeric singular values only confirm it.
+assignment vectors, so its null space is the null space of those
+small-integer vectors, found by row reduction without the SI weights; the
+numeric rank of the equilibrated M only confirms it.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .lagrangian import QuadraticLagrangian, Representation
+from .lagrangian import QuadraticLagrangian, Representation, _signed_rows
 
 HBAR = 1.054571817e-34  # J s
 
-_NUMERIC_TOL = 1e-12
+# relative singular-value thresholds of the equilibrated M and K
+_M_RANK_TOL = 1e-12
+_K_RANK_TOL = 1e-10
+# zero threshold of the row reduction, relative to the largest entry
+_RREF_TOL = 1e-9
 
 
 class SingularKineticMatrix(ValueError):
@@ -107,37 +111,59 @@ class GaussianState:
     cov: np.ndarray
 
 
-def _exact_nullspace(rows: list[list[Fraction]], dim: int) -> list[list[Fraction]]:
-    """Null-space basis of a rational matrix by Gauss-Jordan elimination."""
-    matrix = [list(r) for r in rows]
+def _rref_nullspace(rows: np.ndarray) -> np.ndarray:
+    """Null-space basis (one row per free column) of a small-integer matrix.
+
+    Gauss-Jordan with partial pivoting, one numpy elimination per column.
+    The reduced row echelon form does not depend on the pivot chosen, so
+    this is the exact rational basis up to rounding; on totally unimodular
+    rows (incidence and fundamental-loop rows) every pivot is +-1 and the
+    arithmetic is exact."""
+    m = np.array(rows, dtype=float)
+    dim = m.shape[1]
+    tol = _RREF_TOL * max(1.0, np.abs(m).max(initial=0.0))
     pivots: list[int] = []
-    rank = 0
     for col in range(dim):
-        pivot_row = None
-        for r in range(rank, len(matrix)):
-            if matrix[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
+        rank = len(pivots)
+        if rank == m.shape[0]:
+            break
+        pivot_row = rank + int(np.argmax(np.abs(m[rank:, col])))
+        if abs(m[pivot_row, col]) <= tol:
             continue
-        matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
-        pv = matrix[rank][col]
-        matrix[rank] = [x / pv for x in matrix[rank]]
-        for r in range(len(matrix)):
-            if r != rank and matrix[r][col] != 0:
-                factor = matrix[r][col]
-                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[rank])]
+        m[[rank, pivot_row]] = m[[pivot_row, rank]]
+        m[rank] /= m[rank, col]
+        # incidence-like rows are sparse: touch only rows with an entry here
+        hit = np.flatnonzero(m[:, col])
+        hit = hit[hit != rank]
+        m[hit] -= np.outer(m[hit, col], m[rank])
         pivots.append(col)
-        rank += 1
-    free = [c for c in range(dim) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * dim
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -matrix[r][fc]
-        basis.append(vec)
+    m[np.abs(m) <= tol] = 0.0
+    free = np.setdiff1d(np.arange(dim), pivots)
+    basis = np.zeros((free.size, dim))
+    basis[np.arange(free.size), free] = 1.0
+    basis[:, pivots] = 0.0 - m[: len(pivots), free].T
     return basis
+
+
+def _equilibrated_rank(mat: np.ndarray, rel_tol: float) -> int:
+    """Numeric rank of a PSD matrix, independent of the SI scale of its rows.
+
+    Symmetric equilibration to unit diagonal keeps structurally zero
+    directions at machine-zero singular values, while physically tiny but
+    nonzero entries (a geometric Cg or Lg far below the design values) stay
+    O(1); a plain threshold against the largest singular value would
+    swallow them in stiff augmented circuits."""
+    if mat.shape[0] == 0:
+        return 0
+    diag = np.diag(mat)
+    # PSD: a zero diagonal entry forces a zero row, so scaling it by 1 is safe
+    scale = np.where(diag > 0.0, 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0)), 1.0)
+    # singular values of a symmetric matrix are its absolute eigenvalues
+    svals = np.abs(np.linalg.eigvalsh(mat * np.outer(scale, scale)))
+    smax = svals.max()
+    if smax == 0.0:
+        return 0
+    return int(np.sum(svals > rel_tol * smax))
 
 
 def _describe_null_vector(
@@ -158,37 +184,19 @@ def _describe_null_vector(
 
 
 def diagnose_quantizability(lagrangian: QuadraticLagrangian) -> QuantizabilityDiagnosis:
-    """Null space of M, computed exactly from the kinetic components'
-    assignment vectors and confirmed against the singular values of M."""
-    dim = lagrangian.dim
-    index = {lbl: i for i, lbl in enumerate(lagrangian.labels)}
-    rows: list[list[Fraction]] = []
-    for cid in lagrangian.kinetic_components:
-        row = [Fraction(0)] * dim
-        for lbl, coeff in lagrangian.flux_assignment[cid].items():
-            row[index[lbl]] = Fraction(coeff).limit_denominator(10**9)
-        rows.append(row)
-    for form in lagrangian.kinetic_forms:
-        row = [Fraction(0)] * dim
-        for lbl, coeff in form.items():
-            row[index[lbl]] = Fraction(coeff).limit_denominator(10**9)
-        rows.append(row)
-    basis = _exact_nullspace(rows, dim)
+    """Null space of M, computed from the kinetic components' small-integer
+    assignment rows and confirmed against the numeric rank of M."""
+    combos = [lagrangian.flux_assignment[cid] for cid in lagrangian.kinetic_components]
+    rows = _signed_rows(combos + list(lagrangian.kinetic_forms), lagrangian.labels)
 
     null_vectors = []
-    for vec in basis:
-        arr = np.array([float(x) for x in vec])
-        arr = arr / np.linalg.norm(arr)
-        lead = np.flatnonzero(arr)[0]
-        if arr[lead] < 0:
+    for vec in _rref_nullspace(rows):
+        arr = vec / np.linalg.norm(vec)
+        if arr[np.flatnonzero(arr)[0]] < 0:
             arr = -arr
         null_vectors.append(arr)
 
-    svals = np.linalg.svd(lagrangian.M, compute_uv=False) if dim else np.zeros(0)
-    smax = svals.max() if svals.size else 0.0
-    numeric_null = (
-        int(np.sum(svals < _NUMERIC_TOL * smax)) if smax > 0 else dim
-    )
+    numeric_null = lagrangian.dim - _equilibrated_rank(lagrangian.M, _M_RANK_TOL)
     if numeric_null != len(null_vectors):
         raise RuntimeError(
             f"structural null space dimension {len(null_vectors)} disagrees with "
@@ -227,27 +235,6 @@ def legendre_transform(lagrangian: QuadraticLagrangian) -> HamiltonianSystem:
     )
 
 
-def _potential_rank(k: np.ndarray) -> int:
-    """Numeric rank of the PSD potential matrix, robust to stiff scales.
-
-    Symmetric equilibration to unit diagonal keeps structurally zero
-    directions at machine-zero singular values, while physically tiny but
-    nonzero stiffnesses stay O(1); a plain threshold against the largest
-    eigenvalue of K would swallow them in stiff augmented circuits."""
-    dim = k.shape[0]
-    if dim == 0:
-        return 0
-    diag = np.diag(k)
-    # PSD: a zero diagonal entry forces a zero row, so scaling it by 1 is safe
-    scale = np.where(diag > 0.0, 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0)), 1.0)
-    ks = k * np.outer(scale, scale)
-    svals = np.linalg.svd(ks, compute_uv=False)
-    smax = svals.max() if svals.size else 0.0
-    if smax == 0.0:
-        return 0
-    return int(np.sum(svals > 1e-10 * smax))
-
-
 def normal_modes(h: HamiltonianSystem) -> ModeDecomposition:
     """Solve K v = omega^2 M v by symmetric reduction: factor M = F F^T,
     eigendecompose F^{-1} K F^{-T}, back-transform.  Zero eigenvalues of K
@@ -259,7 +246,7 @@ def normal_modes(h: HamiltonianSystem) -> ModeDecomposition:
     kt = 0.5 * (kt + kt.T)
     evals, u = np.linalg.eigh(kt)
     v = scipy.linalg.solve_triangular(f.T, u, lower=False)
-    zero_count = h.dim - _potential_rank(h.k)
+    zero_count = h.dim - _equilibrated_rank(h.k, _K_RANK_TOL)
     clipped = np.clip(evals, 0.0, None)
     clipped[:zero_count] = 0.0
     omegas = np.sqrt(clipped)

@@ -2,6 +2,7 @@
 loop basis, passive-variable detection and series/parallel reduction."""
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,37 +59,43 @@ class TopologyReport:
 def build_spanning_tree(circuit: Circuit) -> SpanningTree:
     """Grow a deterministic tree from ground: at every step the eligible
     component with a capacitor preferred over an inductor is taken, ties
-    broken by declaration order.  Raises ValueError on disconnected input."""
+    broken by declaration order.  Prim's algorithm over a heap of the
+    components touching the tree, stale entries dropped when popped.
+    Raises ValueError on disconnected input."""
     if not circuit.components:
         return SpanningTree((), ())
     root = GROUND if GROUND in circuit.nodes else circuit.nodes[0]
+    comps = circuit.components
+    # heap key: capacitor before inductor, then declaration order
+    incident: dict[str, list[tuple[int, int, str]]] = {}
+    for i, c in enumerate(comps):
+        kind = 0 if c.kind is ComponentKind.CAPACITOR else 1
+        incident.setdefault(c.a, []).append((kind, i, c.b))
+        incident.setdefault(c.b, []).append((kind, i, c.a))
     visited = {root}
+    heap = list(incident.get(root, ()))
+    heapq.heapify(heap)
     tree: list[str] = []
     parent_node: dict[str, str] = {}
     parent_component: dict[str, str] = {}
-    order = {c.id: i for i, c in enumerate(circuit.components)}
-
-    def key(c: Component) -> tuple[int, int]:
-        return (0 if c.kind is ComponentKind.CAPACITOR else 1, order[c.id])
-
     while len(visited) < len(circuit.nodes):
-        best = None
-        for c in circuit.components:
-            ina, inb = c.a in visited, c.b in visited
-            if ina == inb:
-                continue
-            if best is None or key(c) < key(best):
-                best = c
-        if best is None:
+        if not heap:
             raise ValueError("circuit is not connected; no spanning tree exists")
-        child, parent = (best.b, best.a) if best.a in visited else (best.a, best.b)
+        _kind, i, child = heapq.heappop(heap)
+        if child in visited:
+            continue
+        best = comps[i]
+        parent = best.a if child == best.b else best.b
         visited.add(child)
         tree.append(best.id)
         parent_node[child] = parent
         parent_component[child] = best.id
+        for entry in incident[child]:
+            if entry[2] not in visited:
+                heapq.heappush(heap, entry)
 
     tree_set = set(tree)
-    chords = tuple(c.id for c in circuit.components if c.id not in tree_set)
+    chords = tuple(c.id for c in comps if c.id not in tree_set)
     return SpanningTree(tuple(tree), chords, parent_node, parent_component)
 
 
@@ -387,10 +394,10 @@ def topology_report(circuit: Circuit) -> TopologyReport:
     tree = build_spanning_tree(circuit)
     loops = fundamental_loops(circuit, tree)
     deficiency, witnesses = passive_loop_deficiency(circuit, loops)
-    reduced = reduce_circuit(circuit)
-    reducible = [c.id for c in reduced.components] != [
-        c.id for c in circuit.components
-    ]
+    # every reduction step changes the component ids, so one step decides
+    reducible = (
+        _merge_parallel(circuit) is not None or _eliminate_series(circuit) is not None
+    )
     return TopologyReport(
         n=len(circuit.nodes),
         c=len(circuit.components),

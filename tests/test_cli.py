@@ -219,3 +219,57 @@ def test_parser_defaults():
     assert args.lg == pytest.approx(1e-15)
     assert args.tmax == pytest.approx(4e-9)
     assert args.samples == 2000
+
+
+@pytest.mark.parametrize(
+    "args, dim",
+    [
+        (("--cg", "1e-27"), 2),
+        (("--rep", "loop", "--lg", "1e-30"), 2),
+        (("--rep", "extended", "--cg", "1e-27", "--lg", "1e-30"), 3),
+    ],
+)
+def test_modes_extreme_parasitic_ratio(capsys, args, dim):
+    # Cg/C ~ 1e-15 and Lg/L ~ 1e-21: the diagnosis cross-check must not
+    # mistake the tiny parasitic for a null direction of M
+    code, out, err = run(capsys, "modes", PASSIVE, "--format", "json", *args)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["zero_modes"] == 0
+    freqs = np.array(payload["frequencies_ghz"])
+    assert freqs.shape == (dim,)
+    assert np.all(np.isfinite(freqs)) and np.all(freqs > 0.0)
+    # the low mode is the reduced 6 pF / 4 nH tank
+    assert freqs[0] == pytest.approx(1.0273407, rel=1e-6)
+
+
+def test_nonfinite_value_exit_code(tmp_path, capsys):
+    netlist = tmp_path / "huge.cir"
+    netlist.write_text("C1 1 0 1e400\nL1 1 0 1nH\n")
+    code, _, err = run(capsys, "modes", str(netlist))
+    assert code == 2
+    assert "non-finite value" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("modes", PASSIVE, "--cg", "0"), "--cg"),
+        (("modes", PASSIVE, "--rep", "loop", "--lg", "0"), "--lg"),
+        (("simulate", PASSIVE, "--samples", "0"), "--samples"),
+    ],
+)
+def test_invalid_option_exit_code(capsys, args, flag):
+    code, out, err = run(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"invalid option: {flag} ")
+    assert err.count("\n") == 1
+
+
+def test_missing_netlist_exit_code(tmp_path, capsys):
+    code, _, err = run(capsys, "modes", str(tmp_path / "missing.cir"))
+    assert code == 1
+    assert err.startswith("cannot read netlist: ")
+    assert err.count("\n") == 1

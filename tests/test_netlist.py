@@ -145,3 +145,10 @@ def test_round_trip_property(circuit):
 def test_parse_is_deterministic(circuit):
     text = serialize_netlist(circuit)
     assert parse_netlist(text) == parse_netlist(text)
+
+
+def test_validate_rejects_overflowing_value():
+    circuit = parse_netlist("C1 1 0 1e400\nL1 1 0 1nH")
+    assert circuit.components[0].value == float("inf")
+    violations = validate_circuit(circuit)
+    assert violations == ["component 'C1' has non-finite value inf"]

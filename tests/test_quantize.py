@@ -265,3 +265,81 @@ def test_reduction_spectrum_consistency(passive_lc):
     modes_aug = normal_modes(legendre_transform(lag_aug))
     for w in modes_red.omegas:
         assert np.min(np.abs(modes_aug.omegas - w)) <= 0.01 * w
+
+
+def _fraction_nullspace_reference(rows, dim):
+    """The exact rational Gauss-Jordan (first nonzero pivot) that the
+    diagnosis used before it moved to floating-point row reduction."""
+    from fractions import Fraction
+
+    matrix = [[Fraction(int(x)) for x in row] for row in rows]
+    pivots = []
+    rank = 0
+    for col in range(dim):
+        pivot_row = next(
+            (r for r in range(rank, len(matrix)) if matrix[r][col] != 0), None
+        )
+        if pivot_row is None:
+            continue
+        matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
+        pv = matrix[rank][col]
+        matrix[rank] = [x / pv for x in matrix[rank]]
+        for r in range(len(matrix)):
+            if r != rank and matrix[r][col] != 0:
+                factor = matrix[r][col]
+                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[rank])]
+        pivots.append(col)
+        rank += 1
+    basis = []
+    for fc in (c for c in range(dim) if c not in pivots):
+        vec = [Fraction(0)] * dim
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -matrix[r][fc]
+        basis.append([float(x) for x in vec])
+    return np.array(basis).reshape(len(basis), dim)
+
+
+def _random_integer_rows(rng):
+    rows, dim = int(rng.integers(1, 15)), int(rng.integers(1, 18))
+    kind = rng.integers(0, 3)
+    if kind == 0:  # full random, generically of full rank
+        return rng.integers(-3, 4, size=(rows, dim))
+    if kind == 1:  # rank-deficient: sums of a few -3..3 rows
+        base = rng.integers(-3, 4, size=(int(rng.integers(1, 5)), dim))
+        return rng.integers(0, 2, size=(rows, len(base))) @ base
+    # sparse, with repeated and zero rows
+    mat = rng.integers(-3, 4, size=(rows, dim)) * (rng.random((rows, dim)) < 0.3)
+    mat[rng.integers(0, rows)] = mat[rng.integers(0, rows)]
+    return mat
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_nullspace_matches_fraction_reference(seed):
+    from fluxq.quantize import _rref_nullspace
+
+    rows = _random_integer_rows(np.random.default_rng(seed))
+    expected = _fraction_nullspace_reference(rows, rows.shape[1])
+    got = _rref_nullspace(rows.astype(float))
+    assert got.shape == expected.shape
+    scale = max(1.0, np.abs(expected).max(initial=0.0))
+    assert np.abs(got - expected).max(initial=0.0) <= 1e-12 * scale
+    # exact zeros stay exact: the diagnosis names a null vector's support
+    assert np.array_equal(got != 0.0, expected != 0.0)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_nullspace_of_incidence_rows_is_exact(seed):
+    # node-incidence rows (ground column dropped) are totally unimodular:
+    # every pivot is +-1, so the basis must equal the rational one exactly
+    from fluxq.quantize import _rref_nullspace
+
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 12))
+    rows = np.zeros((int(rng.integers(1, 2 * dim)), dim + 1))
+    for row in rows:
+        a, b = rng.choice(dim + 1, size=2, replace=False)
+        row[a], row[b] = 1.0, -1.0
+    rows = rows[:, 1:]
+    expected = _fraction_nullspace_reference(rows, dim)
+    assert np.array_equal(_rref_nullspace(rows), expected)

@@ -11,7 +11,7 @@ from fluxq import (
     reduce_circuit,
     topology_report,
 )
-from fluxq.netlist import Circuit, ComponentKind
+from fluxq.netlist import Circuit, Component, ComponentKind
 
 from conftest import random_active_circuit
 
@@ -195,3 +195,78 @@ def test_reduce_sums_parallel_inductor_currents():
     merged = next(c for c in reduced.components if c.kind is ComponentKind.INDUCTOR)
     # Lc is declared in the opposite direction, so its current subtracts
     assert reduced.ics[merged.id] == pytest.approx(1e-6 + 2e-6 - 3e-6)
+
+
+def _greedy_tree_reference(circuit):
+    """The O(N*C) tree growth build_spanning_tree replaced: scan every
+    component per added node for the least (kind, declaration order) one
+    with exactly one visited terminal."""
+    root = "0" if "0" in circuit.nodes else circuit.nodes[0]
+    visited = {root}
+    tree, parent_node, parent_component = [], {}, {}
+    order = {c.id: i for i, c in enumerate(circuit.components)}
+
+    def key(c):
+        return (0 if c.kind is ComponentKind.CAPACITOR else 1, order[c.id])
+
+    while len(visited) < len(circuit.nodes):
+        best = None
+        for c in circuit.components:
+            if (c.a in visited) == (c.b in visited):
+                continue
+            if best is None or key(c) < key(best):
+                best = c
+        child, parent = (best.b, best.a) if best.a in visited else (best.a, best.b)
+        visited.add(child)
+        tree.append(best.id)
+        parent_node[child] = parent
+        parent_component[child] = best.id
+    chords = tuple(c.id for c in circuit.components if c.id not in set(tree))
+    return tuple(tree), chords, parent_node, parent_component
+
+
+def _random_multigraph(rng):
+    """Connected LC multigraph in shuffled declaration order, with parallel
+    same-kind components and capacitor/inductor pairs on the same nodes."""
+    n = int(rng.integers(2, 12))
+    nodes = ["0"] + [f"n{i}" for i in range(1, n)]
+    pairs = [(nodes[i], nodes[int(rng.integers(0, i))]) for i in range(1, n)]
+    for _ in range(int(rng.integers(0, 3 * n))):
+        if pairs and rng.random() < 0.4:
+            pairs.append(pairs[int(rng.integers(0, len(pairs)))])
+        else:
+            a, b = rng.choice(n, size=2, replace=False)
+            pairs.append((nodes[int(a)], nodes[int(b)]))
+    comps = []
+    for k, idx in enumerate(rng.permutation(len(pairs))):
+        a, b = pairs[int(idx)]
+        if rng.random() < 0.5:
+            a, b = b, a
+        kind = ComponentKind.CAPACITOR if rng.random() < 0.5 else ComponentKind.INDUCTOR
+        comps.append(Component(f"{kind.value}{k}", kind, 1e-12, (a, b)))
+    return Circuit(tuple(nodes), tuple(comps))
+
+
+def _as_tuple(tree):
+    return tree.tree, tree.chords, tree.parent_node, tree.parent_component
+
+
+def test_tree_matches_greedy_reference_on_netlists(
+    passive_lc, reduced_lc, wheel, active_lc
+):
+    for circuit in (passive_lc, reduced_lc, wheel, active_lc):
+        assert _as_tuple(build_spanning_tree(circuit)) == _greedy_tree_reference(circuit)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_tree_matches_greedy_reference_on_multigraphs(seed):
+    circuit = _random_multigraph(np.random.default_rng(seed))
+    assert _as_tuple(build_spanning_tree(circuit)) == _greedy_tree_reference(circuit)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_report_reducible_matches_full_reduction(seed):
+    circuit = _random_multigraph(np.random.default_rng(seed))
+    reduced = reduce_circuit(circuit)
+    changed = [c.id for c in reduced.components] != [c.id for c in circuit.components]
+    assert topology_report(circuit).reducible is changed
