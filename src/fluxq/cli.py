@@ -1,5 +1,13 @@
 """Command-line entry point: analyze / modes / simulate / reduce.
 
+Each subcommand accepts only the output formats it writes, the first being
+its default; argparse rejects any other with exit 2:
+
+analyze   json
+modes     table, json
+simulate  csv, json  (CSV values are written as %.16e)
+reduce    text, json
+
 Exit codes, each with a message on stderr and no traceback:
 
 0  ok
@@ -126,12 +134,12 @@ def _emit(config: RunConfig, text: str) -> None:
 def _build_lagrangian(circuit: Circuit, config: RunConfig):
     """Returns (lagrangian, circuit used for observables)."""
     policy = _policy(config)
-    tree = build_spanning_tree(circuit)
     report = topology_report(circuit)
     if config.rep is Representation.NODE_FLUX:
         augmented, _record = augment_geometric(circuit, report, policy)
         lag = node_lagrangian(augmented, build_spanning_tree(augmented))
         return lag, augmented
+    tree = build_spanning_tree(circuit)
     if config.rep is Representation.LOOP_CHARGE:
         loops = fundamental_loops(circuit, tree)
         _aug, record = augment_geometric(circuit, report, policy)
@@ -258,13 +266,107 @@ def cmd_simulate(config: RunConfig) -> int:
     return 0
 
 
+# The CSV writer produces exactly Python's "%.16e" from whole-array numpy
+# work.  Each value x is scaled to y = |x|·10**(16 - e) in long double, so
+# that its 17 significant digits are the integer part of y rounded on the
+# fraction.  y carries at most two roundings (the table entry and the
+# product), so where the fraction lies within 4u·y of one half (u the unit
+# roundoff of long double) the rounding is not decided, and Python formats
+# that value; so too non-finite values and zeros.  Where long double is
+# plain double, the margin exceeds one half and Python formats every value.
+# Exact fixed-precision conversion: Adams, "Ryū revisited: printf floating
+# point conversion", PLDI 2019.
+_EXP_MIN, _EXP_MAX = -330, 330  # covers every double's decimal exponent
+# 10**(16 - e) for each exponent e, correctly rounded by the string parser
+_POW10 = np.array(
+    ["1e%d" % (16 - e) for e in range(_EXP_MIN, _EXP_MAX + 1)], dtype=np.longdouble
+)
+_HALF_MARGIN = 4.0 * float(np.finfo(np.longdouble).eps / 2)
+# A value fills a 28-byte slot, seven native uint32 words of ASCII: NUL,
+# sign or NUL, lead digit, "." | 16 fraction digits | "e", exponent sign,
+# hundreds digit or NUL, tens digit | units digit, separator, NUL, NUL.
+# The NULs are deleted once the block is written.
+_SLOT, _SEP = 28, 25  # slot size and the separator's byte offset
+_CSV_BLOCK_VALUES = 16384  # values per block: temporaries stay near 1 MB
+
+
+def _ascii_words(strings) -> np.ndarray:
+    return np.frombuffer("".join(strings).encode("ascii"), dtype=np.uint32)
+
+
+_LEAD_WORDS = _ascii_words(f"\0{sign}{d}." for sign in ("\0", "-") for d in range(10))
+# "0000" … "9999": the ASCII digits of each i < 10000, four bytes per word
+_DIGIT_WORDS = (
+    (ord("0") + np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10)
+    .astype(np.uint8)
+    .view(np.uint32)
+    .ravel()
+)
+_EXP_WORDS = _ascii_words(
+    "e" + ("-" if e < 0 else "+") + (str(abs(e) // 100) if abs(e) >= 100 else "\0")
+    + str(abs(e) // 10 % 10)
+    for e in range(_EXP_MIN, _EXP_MAX + 1)
+)
+_EXP_TAIL_WORDS = _ascii_words(f"{abs(e) % 10},\0\0" for e in range(_EXP_MIN, _EXP_MAX + 1))
+
+
+def _decimal_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(digits, exponent, exact) per value of a 1-D float64 array: |x|
+    rounded to nearest is digits·10**(exponent - 16), digits an int64 in
+    [1e16, 1e17).  Where `exact` is set the digits are undecided (or x is
+    zero or not finite) and the value must be formatted by Python."""
+    ax = np.abs(np.where(np.isfinite(x), x, 0.0))
+    exp10 = np.floor(np.log10(np.where(ax > 0.0, ax, 1.0))).astype(np.intp)
+    y = ax * _POW10[exp10 - _EXP_MIN]
+    in_range = (y >= 1e16) & (y < 1e17)
+    shift = np.flatnonzero(~in_range)
+    if shift.size:  # log10 rounded across a power of ten, or x is zero
+        exp10[shift] += np.where(y[shift] < 1e16, -1, 1)
+        y[shift] = ax[shift] * _POW10[exp10[shift] - _EXP_MIN]
+        in_range[shift] = (y[shift] >= 1e16) & (y[shift] < 1e17)
+        y[~in_range] = 1e16
+    digits = y.astype(np.int64)
+    # y - digits is exact, and float64 keeps which side of one half it lies on
+    frac = (y - digits).astype(np.float64)
+    exact = ~in_range | (np.abs(frac - 0.5) <= _HALF_MARGIN * y.astype(np.float64))
+    digits += frac > 0.5
+    carry = digits == 10**17
+    digits[carry] = 10**16
+    exp10[carry] += 1
+    return digits, exp10, exact
+
+
+def _csv_rows(block: np.ndarray) -> str:
+    """A (rows, columns) float64 block as CSV rows of %.16e values."""
+    x = block.ravel()
+    digits, exp10, exact = _decimal_digits(x)
+    high, low = np.divmod(digits, 10**8)
+    lead, high = np.divmod(high, 10**8)
+    words = np.empty((x.size, _SLOT // 4), dtype=np.uint32)
+    words[:, 0] = _LEAD_WORDS[10 * np.signbit(x) + lead]
+    words[:, 1], words[:, 2] = (_DIGIT_WORDS[part] for part in np.divmod(high, 10**4))
+    words[:, 3], words[:, 4] = (_DIGIT_WORDS[part] for part in np.divmod(low, 10**4))
+    words[:, 5] = _EXP_WORDS[exp10 - _EXP_MIN]
+    words[:, 6] = _EXP_TAIL_WORDS[exp10 - _EXP_MIN]
+    slots = words.view(np.uint8).reshape(block.shape + (_SLOT,))
+    slots[:, -1, _SEP] = ord("\n")
+    fallback = np.flatnonzero(exact)
+    if fallback.size:
+        text = b"".join((b"%.16e" % v).ljust(_SEP, b"\0") for v in x[fallback].tolist())
+        slots.reshape(-1, _SLOT)[fallback, :_SEP] = np.frombuffer(
+            text, dtype=np.uint8
+        ).reshape(-1, _SEP)
+    return slots.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _csv_text(columns: list[tuple[str, np.ndarray]]) -> str:
     """Header plus one row per sample, every value as %.16e."""
-    table = np.column_stack([data for _, data in columns])
-    row_format = ",".join(["%.16e"] * len(columns))
-    rows = [",".join(name for name, _ in columns)]
-    rows.extend(row_format % tuple(row.tolist()) for row in table)
-    return "\n".join(rows) + "\n"
+    data = [values for _, values in columns]
+    step = max(1, _CSV_BLOCK_VALUES // len(data))
+    parts = [",".join(name for name, _ in columns) + "\n"]
+    for start in range(0, len(data[0]), step):
+        parts.append(_csv_rows(np.column_stack([d[start : start + step] for d in data])))
+    return "".join(parts)
 
 
 def cmd_reduce(config: RunConfig) -> int:
@@ -289,13 +391,22 @@ def cmd_reduce(config: RunConfig) -> int:
     return 0
 
 
+# the output formats each subcommand writes; the first is its default
+_FORMATS = {
+    "analyze": ("json",),
+    "modes": ("table", "json"),
+    "simulate": ("csv", "json"),
+    "reduce": ("text", "json"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fluxq",
         description="Quantize and simulate lumped-element LC circuits",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in ("analyze", "modes", "simulate", "reduce"):
+    for name, formats in _FORMATS.items():
         p = sub.add_parser(name)
         p.add_argument("netlist", type=Path)
         p.add_argument(
@@ -313,14 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tmax", type=float, default=4e-9)
         p.add_argument("--samples", type=int, default=2000)
         p.add_argument("--out", type=Path, default=None)
-        default_format = "csv" if name == "simulate" else "json"
-        if name in ("modes", "reduce"):
-            default_format = "table" if name == "modes" else "text"
-        p.add_argument(
-            "--format",
-            choices=["json", "csv", "table", "text"],
-            default=default_format,
-        )
+        p.add_argument("--format", choices=formats, default=formats[0])
     return parser
 
 

@@ -18,6 +18,7 @@ terminals distinct.  Inline comments ('C1 2 0 2pF  # tank cap') are allowed.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -89,10 +90,13 @@ class Circuit:
     ics: dict[str, float] = field(default_factory=dict)
 
     def component(self, cid: str) -> Component:
-        for c in self.components:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
+        return self._by_id[cid]
+
+    @functools.cached_property
+    def _by_id(self) -> dict[str, Component]:
+        # reversed, so a duplicate id resolves to its first declaration as a
+        # scan would; the index assumes `components` is never reassigned
+        return {c.id: c for c in reversed(self.components)}
 
     @property
     def non_ground_nodes(self) -> tuple[str, ...]:

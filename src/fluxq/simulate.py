@@ -203,11 +203,6 @@ def evolve_modes(
     )
 
 
-def max_frequency(h: HamiltonianSystem) -> float:
-    modes = normal_modes(h)
-    return float(modes.omegas.max()) if modes.dim else 0.0
-
-
 def evolve_leapfrog(
     h: HamiltonianSystem,
     x0: np.ndarray,
@@ -219,7 +214,8 @@ def evolve_leapfrog(
 ) -> Trajectory:
     """Kick-drift-kick stepping of H, recorded every `stride` steps.  Used
     as a cross-validation oracle against evolve_modes."""
-    wmax = max_frequency(h)
+    omegas = normal_modes(h).omegas
+    wmax = float(omegas.max()) if omegas.size else 0.0
     if wmax > 0.0 and dt > 2.0 * np.pi / (20.0 * wmax):
         raise StepTooLarge(
             f"dt={dt:.3e} exceeds 2*pi/(20*omega_max)={2.0 * np.pi / (20.0 * wmax):.3e}"

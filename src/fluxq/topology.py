@@ -3,6 +3,7 @@ loop basis, passive-variable detection and series/parallel reduction."""
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,6 +212,12 @@ def capacitor_only_cycles(
     fundamental-loop basis.  These span the null space of the loop-space
     inductance form."""
     caps = [c for c in circuit.components if c.kind is ComponentKind.CAPACITOR]
+    # each node's capacitors in declaration order, so the breadth-first
+    # forest is the one a scan over all capacitors per node would grow
+    node_caps: dict[str, list[Component]] = {}
+    for c in caps:
+        node_caps.setdefault(c.a, []).append(c)
+        node_caps.setdefault(c.b, []).append(c)
     parent_node: dict[str, str] = {}
     parent_comp: dict[str, Component] = {}
     visited: set[str] = set()
@@ -219,12 +226,10 @@ def capacitor_only_cycles(
         if start in visited:
             continue
         visited.add(start)
-        frontier = [start]
+        frontier = deque([start])
         while frontier:
-            node = frontier.pop(0)
-            for c in caps:
-                if node not in c.terminals:
-                    continue
+            node = frontier.popleft()
+            for c in node_caps.get(node, ()):
                 other = c.b if c.a == node else c.a
                 if other in visited:
                     continue

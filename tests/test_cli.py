@@ -1,15 +1,20 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from fluxq.cli import _csv_text, main
+from fluxq import cli
+from fluxq.cli import _csv_text, _decimal_digits, main
 
 NETLISTS = Path(__file__).resolve().parent.parent / "netlists"
 PASSIVE = str(NETLISTS / "passive_lc.cir")
 REDUCED = str(NETLISTS / "reduced_lc.cir")
 WHEEL = str(NETLISTS / "wheel.cir")
+ACTIVE = str(NETLISTS / "active_lc.cir")
 
 
 def run(capsys, *args):
@@ -273,3 +278,137 @@ def test_missing_netlist_exit_code(tmp_path, capsys):
     assert code == 1
     assert err.startswith("cannot read netlist: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "subcommand, fmt",
+    [("simulate", "table"), ("simulate", "text"), ("analyze", "csv"), ("analyze", "table")],
+)
+def test_format_not_written_by_subcommand_exits_2(capsys, subcommand, fmt):
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, PASSIVE, "--format", fmt])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_parser_default_formats():
+    from fluxq.cli import build_parser
+
+    parser = build_parser()
+    defaults = {
+        name: parser.parse_args([name, "x.cir"]).format
+        for name in ("analyze", "modes", "simulate", "reduce")
+    }
+    assert defaults == {
+        "analyze": "json",
+        "modes": "table",
+        "simulate": "csv",
+        "reduce": "text",
+    }
+
+
+def _per_value_csv(columns):
+    rows = [",".join(name for name, _ in columns)]
+    for i in range(len(columns[0][1])):
+        rows.append(",".join("%.16e" % float(data[i]) for _, data in columns))
+    return "\n".join(rows) + "\n"
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(_ANY_FLOAT, min_size=n, max_size=n), min_size=1, max_size=30)
+    )
+)
+def test_csv_text_property_matches_per_value_formatting(rows):
+    table = np.array(rows, dtype=np.float64)
+    columns = [(f"c{j}", table[:, j]) for j in range(table.shape[1])]
+    assert _csv_text(columns) == _per_value_csv(columns)
+
+
+def _adversarial_values(rng):
+    powers = np.array([float(f"1e{k}") for k in range(-320, 309)])
+    halfway = (rng.integers(0, 2**52, 4000) + 0.5) * 2.0 ** rng.integers(-60, 60, 4000)
+    ties = (rng.integers(10**15, 2**52, 4000) + 0.5) / 2.0  # 18 digits ending in 5
+    return np.concatenate(
+        [
+            rng.integers(0, 2**64, 60000, dtype=np.uint64).view(np.float64),
+            powers,
+            np.nextafter(powers, 0.0),
+            np.nextafter(powers, np.inf),
+            -powers,
+            halfway,
+            ties,
+            rng.integers(10**16, 10**18, 4000).astype(np.float64),
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308],
+        ]
+    )
+
+
+def test_csv_text_adversarial_values_match_per_value_formatting():
+    values = _adversarial_values(np.random.default_rng(11))
+    values = values[: values.size // 6 * 6]
+    table = values.reshape(-1, 6)  # several blocks of rows
+    columns = [(f"c{j}", table[:, j]) for j in range(6)]
+    assert _csv_text(columns) == _per_value_csv(columns)
+    _digits, _exp, exact = _decimal_digits(values)
+    assert exact.any()
+    if np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant:
+        assert not exact.all()
+
+
+@pytest.mark.parametrize("toward", [0.0, np.inf])
+def test_decimal_digits_near_powers_of_ten(toward):
+    # log10 rounds across the power of ten for many of these, so the
+    # exponent must be corrected in either direction, not left to Python
+    values = np.nextafter(np.array([float(f"1e{k}") for k in range(-320, 309)]), toward)
+    digits, exp10, exact = _decimal_digits(values)
+    decided = [
+        f"{d // 10**16}.{d % 10**16:016d}e{e:+03d}"
+        for d, e in zip(digits[~exact].tolist(), exp10[~exact].tolist())
+    ]
+    assert decided == ["%.16e" % v for v in values[~exact].tolist()]
+    if np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant:
+        assert exact.mean() < 0.1
+
+
+def test_csv_text_with_double_precision_scaling(monkeypatch):
+    # where long double is plain double the guard must send every value
+    # to Python's formatting, and the text stays the same
+    exps = range(cli._EXP_MIN, cli._EXP_MAX + 1)
+    pow10 = np.array(["1e%d" % (16 - e) for e in exps], dtype=np.float64)
+    monkeypatch.setattr(cli, "_POW10", pow10)
+    monkeypatch.setattr(cli, "_HALF_MARGIN", 4.0 * float(np.finfo(np.float64).eps / 2))
+    values = _adversarial_values(np.random.default_rng(12))[-20000:]
+    assert _decimal_digits(values)[2].all()
+    columns = [("a", values[:10000]), ("b", values[10000:])]
+    assert _csv_text(columns) == _per_value_csv(columns)
+
+
+def test_power_of_ten_table_is_correctly_rounded():
+    for e, entry in zip(range(cli._EXP_MIN, cli._EXP_MAX + 1), cli._POW10):
+        exact = Fraction(10) ** (16 - e)
+        half_ulp = Fraction(*np.spacing(entry).as_integer_ratio()) / 2
+        assert abs(Fraction(*entry.as_integer_ratio()) - exact) <= half_ulp
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (PASSIVE,),
+        (PASSIVE, "--rep", "loop"),
+        (PASSIVE, "--rep", "extended", "--geometric", "allpairs"),
+        (ACTIVE,),
+    ],
+)
+def test_simulate_csv_matches_json_values(capsys, args):
+    # JSON floats round-trip exactly, so this reference does not depend on
+    # the CSV writer
+    code, csv_out, _ = run(capsys, "simulate", *args, "--samples", "300")
+    assert code == 0
+    code, json_out, _ = run(capsys, "simulate", *args, "--samples", "300", "--format", "json")
+    assert code == 0
+    columns = [(name, np.array(values)) for name, values in json.loads(json_out).items()]
+    assert csv_out == _per_value_csv(columns)

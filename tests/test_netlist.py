@@ -152,3 +152,17 @@ def test_validate_rejects_overflowing_value():
     assert circuit.components[0].value == float("inf")
     violations = validate_circuit(circuit)
     assert violations == ["component 'C1' has non-finite value inf"]
+
+
+def test_component_lookup_matches_declaration_scan():
+    comps = (
+        Component("C1", ComponentKind.CAPACITOR, 1e-12, ("1", "0")),
+        Component("L1", ComponentKind.INDUCTOR, 1e-9, ("1", "0")),
+        Component("C1", ComponentKind.CAPACITOR, 2e-12, ("1", "0")),
+    )
+    circuit = Circuit(("0", "1"), comps)
+    # a duplicate id (which validation reports) resolves to its first declaration
+    assert circuit.component("C1") is comps[0]
+    assert circuit.component("L1") is comps[1]
+    with pytest.raises(KeyError):
+        circuit.component("L2")

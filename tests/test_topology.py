@@ -12,6 +12,7 @@ from fluxq import (
     topology_report,
 )
 from fluxq.netlist import Circuit, Component, ComponentKind
+from fluxq.topology import _forest_steps, capacitor_only_cycles
 
 from conftest import random_active_circuit
 
@@ -270,3 +271,64 @@ def test_report_reducible_matches_full_reduction(seed):
     reduced = reduce_circuit(circuit)
     changed = [c.id for c in reduced.components] != [c.id for c in circuit.components]
     assert topology_report(circuit).reducible is changed
+
+
+def _capacitor_cycles_reference(circuit, loops):
+    """The O(N*C) traversal capacitor_only_cycles replaced: a breadth-first
+    forest grown with a list frontier, scanning every capacitor for each
+    visited node, then one witness per capacitor outside the forest."""
+    caps = [c for c in circuit.components if c.kind is ComponentKind.CAPACITOR]
+    parent_node, parent_comp, visited, forest = {}, {}, set(), set()
+    for start in circuit.nodes:
+        if start in visited:
+            continue
+        visited.add(start)
+        frontier = [start]
+        while frontier:
+            node = frontier.pop(0)
+            for c in caps:
+                if node not in c.terminals:
+                    continue
+                other = c.b if c.a == node else c.a
+                if other in visited:
+                    continue
+                visited.add(other)
+                forest.add(c.id)
+                parent_node[other] = node
+                parent_comp[other] = c
+                frontier.append(other)
+    loop_index = {loop.chord: i for i, loop in enumerate(loops)}
+    witnesses = []
+    for c in caps:
+        if c.id in forest:
+            continue
+        cycle = {c.id: +1}
+        for comp, u, v in _forest_steps(parent_node, parent_comp, c.b, c.a):
+            sign = +1 if comp.terminals == (u, v) else -1
+            cycle[comp.id] = cycle.get(comp.id, 0) + sign
+        w = [0] * len(loops)
+        for cid, sign in cycle.items():
+            if cid in loop_index:
+                w[loop_index[cid]] = sign
+        witnesses.append(tuple(w))
+    return tuple(witnesses)
+
+
+def _assert_cycles_match_reference(circuit):
+    loops = fundamental_loops(circuit, build_spanning_tree(circuit))
+    assert capacitor_only_cycles(circuit, loops) == _capacitor_cycles_reference(
+        circuit, loops
+    )
+
+
+def test_capacitor_cycles_match_scan_reference_on_netlists(
+    passive_lc, reduced_lc, wheel, active_lc
+):
+    for circuit in (passive_lc, reduced_lc, wheel, active_lc):
+        _assert_cycles_match_reference(circuit)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_capacitor_cycles_match_scan_reference_on_multigraphs(seed):
+    circuit = _random_multigraph(np.random.default_rng(seed))
+    _assert_cycles_match_reference(circuit)
