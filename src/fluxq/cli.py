@@ -13,7 +13,8 @@ Exit codes, each with a message on stderr and no traceback:
 0  ok
 1  the netlist cannot be read or parsed
 2  invalid circuit (validation failure) or invalid option value: --cg or
-   --lg not positive and finite while augmenting, --samples below 1
+   --lg not positive and finite while augmenting, --samples below 1,
+   --tmax not positive and finite
 3  unquantizable under the requested configuration
 4  inconsistent initial conditions
 """
@@ -55,9 +56,9 @@ from .quantize import (
 )
 from .simulate import (
     InconsistentInitialConditions,
+    _series,
     evolve_modes,
     initial_state,
-    observables,
 )
 from .topology import (
     build_spanning_tree,
@@ -234,6 +235,10 @@ def cmd_simulate(config: RunConfig) -> int:
         raise _CliError(
             2, f"invalid option: --samples must be at least 1, got {config.samples}"
         )
+    if not (config.tmax > 0.0 and math.isfinite(config.tmax)):
+        raise _CliError(
+            2, f"invalid option: --tmax must be positive and finite, got {config.tmax!r}"
+        )
     circuit = _load_circuit(config)
     lag, obs_circuit = _build_lagrangian(circuit, config)
     h = legendre_transform(lag)
@@ -241,52 +246,89 @@ def cmd_simulate(config: RunConfig) -> int:
     x0, p0 = initial_state(obs_circuit, lag, _default_ics(circuit))
     times = np.linspace(0.0, config.tmax, config.samples)
     trajectory = evolve_modes(h, modes, x0, p0, times, lagrangian=lag)
-    series = observables(obs_circuit, lag, trajectory)
+    voltage, current = _series(obs_circuit, lag, trajectory)
+    # the observed circuit lists the design components first, in order
+    design = circuit.components
+    voltage, current = voltage[: len(design)], current[: len(design)]
 
-    design = [c.id for c in circuit.components]
-    inductors = [c.id for c in circuit.components if c.kind is ComponentKind.INDUCTOR]
-    capacitors = [c.id for c in circuit.components if c.kind is ComponentKind.CAPACITOR]
-
-    columns: list[tuple[str, np.ndarray]] = [("t_s", times)]
-    for cid in design:
-        columns.append((f"{cid}_V", series[cid].voltage))
-        columns.append((f"{cid}_A", series[cid].current))
-    if len(inductors) > 1:
-        total = np.sum([series[cid].voltage for cid in inductors], axis=0)
-        columns.append(("".join(inductors) + "_sum_V", total))
-    if len(capacitors) > 1:
-        total = np.sum([series[cid].current for cid in capacitors], axis=0)
-        columns.append(("".join(capacitors) + "_sum_A", total))
+    sums = []
+    for kind, rows, suffix in (
+        (ComponentKind.INDUCTOR, voltage, "_sum_V"),
+        (ComponentKind.CAPACITOR, current, "_sum_A"),
+    ):
+        picked = [i for i, c in enumerate(design) if c.kind is kind]
+        if len(picked) > 1:
+            name = "".join(design[i].id for i in picked) + suffix
+            sums.append((name, np.sum(rows[picked], axis=0)))
 
     if config.format == "json":
-        payload = {name: data.tolist() for name, data in columns}
+        payload = {"t_s": times.tolist()}
+        for i, c in enumerate(design):
+            payload[f"{c.id}_V"] = voltage[i].tolist()
+            payload[f"{c.id}_A"] = current[i].tolist()
+        payload.update((name, total.tolist()) for name, total in sums)
         _emit(config, json.dumps(payload) + "\n")
         return 0
-    _emit(config, _csv_text(columns))
+
+    names = ["t_s", *(f"{c.id}_{q}" for c in design for q in "VA")]
+    names += [name for name, _ in sums]
+    end = 2 * len(design) + 1  # the column after the last V/A pair
+
+    def blocks(step: int):
+        for start in range(0, times.size, step):
+            window = slice(start, start + step)
+            block = np.empty((times[window].size, len(names)))
+            block[:, 0] = times[window]
+            block[:, 1:end:2] = voltage[:, window].T
+            block[:, 2:end:2] = current[:, window].T
+            for j, (_, total) in enumerate(sums, start=end):
+                block[:, j] = total[window]
+            yield block
+
+    _emit(config, _csv_table(names, blocks))
     return 0
 
 
 # The CSV writer produces exactly Python's "%.16e" from whole-array numpy
 # work.  Each value x is scaled to y = |x|·10**(16 - e) in long double, so
 # that its 17 significant digits are the integer part of y rounded on the
-# fraction.  y carries at most two roundings (the table entry and the
-# product), so where the fraction lies within 4u·y of one half (u the unit
-# roundoff of long double) the rounding is not decided, and Python formats
-# that value; so too non-finite values and zeros.  Where long double is
-# plain double, the margin exceeds one half and Python formats every value.
-# Exact fixed-precision conversion: Adams, "Ryū revisited: printf floating
-# point conversion", PLDI 2019.
+# fraction.  The table entry's own rounding is taken out of the fraction
+# with its exact relative residual, so the fraction is off by at most the
+# product's rounding, u·y (u the unit roundoff of long double).  Where it
+# lies within twice that of one half the rounding is not decided, and
+# Python formats the value; so too non-finite values, zeros and
+# three-digit exponents.  Where long double is plain double, the margin
+# exceeds one half and Python formats every value.  Exact fixed-precision
+# conversion: Adams, "Ryū revisited: printf floating point conversion",
+# PLDI 2019.
 _EXP_MIN, _EXP_MAX = -330, 330  # covers every double's decimal exponent
 # 10**(16 - e) for each exponent e, correctly rounded by the string parser
 _POW10 = np.array(
     ["1e%d" % (16 - e) for e in range(_EXP_MIN, _EXP_MAX + 1)], dtype=np.longdouble
 )
-_HALF_MARGIN = 4.0 * float(np.finfo(np.longdouble).eps / 2)
-# A value fills a 28-byte slot, seven native uint32 words of ASCII: NUL,
-# sign or NUL, lead digit, "." | 16 fraction digits | "e", exponent sign,
-# hundreds digit or NUL, tens digit | units digit, separator, NUL, NUL.
-# The NULs are deleted once the block is written.
-_SLOT, _SEP = 28, 25  # slot size and the separator's byte offset
+_HALF_MARGIN = 2.0 * float(np.finfo(np.longdouble).eps / 2)
+
+
+def _relative_residuals(table: np.ndarray) -> np.ndarray:
+    """(10**(16 - e) - P) / P for each entry P, rounded once from exact
+    integer arithmetic."""
+    out = []
+    for k, entry in zip(range(16 - _EXP_MIN, 15 - _EXP_MAX, -1), table):
+        num, den = entry.as_integer_ratio()  # 10**k / P = power / rounded
+        power, rounded = (10**k * den, num) if k >= 0 else (den, num * 10**-k)
+        out.append((power - rounded) / rounded)
+    return np.array(out)
+
+
+_POW10_RESIDUAL = _relative_residuals(_POW10)
+# A value fills a 24-byte slot, six native uint32 words of ASCII:
+#   sign or NUL, lead digit, ".", digit 1 | digits 2-5 | digits 6-9 |
+#   digits 10-13 | digits 14-16, "e" | exponent sign, tens, units, separator
+# The sign byte of a positive value is the only NUL; the NULs are deleted
+# once the block is written.  Where Python formats a value, its text fills
+# the first 23 bytes, padded with NUL.  The one longer text, a negative
+# value with a three-digit exponent, is spliced into the written bytes.
+_SLOT = 24
 _CSV_BLOCK_VALUES = 16384  # values per block: temporaries stay near 1 MB
 
 
@@ -294,7 +336,10 @@ def _ascii_words(strings) -> np.ndarray:
     return np.frombuffer("".join(strings).encode("ascii"), dtype=np.uint32)
 
 
-_LEAD_WORDS = _ascii_words(f"\0{sign}{d}." for sign in ("\0", "-") for d in range(10))
+# indexed by 100·sign + the two leading digits
+_HEAD_WORDS = _ascii_words(
+    f"{sign}{i // 10}.{i % 10}" for sign in ("\0", "-") for i in range(100)
+)
 # "0000" … "9999": the ASCII digits of each i < 10000, four bytes per word
 _DIGIT_WORDS = (
     (ord("0") + np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10)
@@ -302,12 +347,9 @@ _DIGIT_WORDS = (
     .view(np.uint32)
     .ravel()
 )
-_EXP_WORDS = _ascii_words(
-    "e" + ("-" if e < 0 else "+") + (str(abs(e) // 100) if abs(e) >= 100 else "\0")
-    + str(abs(e) // 10 % 10)
-    for e in range(_EXP_MIN, _EXP_MAX + 1)
-)
-_EXP_TAIL_WORDS = _ascii_words(f"{abs(e) % 10},\0\0" for e in range(_EXP_MIN, _EXP_MAX + 1))
+_TAIL_WORDS = _ascii_words(f"{i:03d}e" for i in range(1000))
+# a three-digit exponent's word is cut short; Python writes such values
+_EXP_WORDS = _ascii_words(f"{e:+03d}"[:3] + "," for e in range(_EXP_MIN, _EXP_MAX + 1))
 
 
 def _decimal_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -326,9 +368,10 @@ def _decimal_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         in_range[shift] = (y[shift] >= 1e16) & (y[shift] < 1e17)
         y[~in_range] = 1e16
     digits = y.astype(np.int64)
-    # y - digits is exact, and float64 keeps which side of one half it lies on
-    frac = (y - digits).astype(np.float64)
-    exact = ~in_range | (np.abs(frac - 0.5) <= _HALF_MARGIN * y.astype(np.float64))
+    # y - digits is exact; y·residual restores the table entry's rounding
+    yf = y.astype(np.float64)
+    frac = (y - digits).astype(np.float64) + yf * _POW10_RESIDUAL[exp10 - _EXP_MIN]
+    exact = ~in_range | (np.abs(frac - 0.5) <= _HALF_MARGIN * yf)
     digits += frac > 0.5
     carry = digits == 10**17
     digits[carry] = 10**16
@@ -340,33 +383,54 @@ def _csv_rows(block: np.ndarray) -> str:
     """A (rows, columns) float64 block as CSV rows of %.16e values."""
     x = block.ravel()
     digits, exp10, exact = _decimal_digits(x)
-    high, low = np.divmod(digits, 10**8)
-    lead, high = np.divmod(high, 10**8)
+    exact |= np.abs(exp10) > 99
+    # the 17 digits in groups of 2, 4, 4, 4 and 3 (// beats np.divmod)
+    groups, rest = [], digits
+    for scale in (10**15, 10**11, 10**7, 10**3):
+        groups.append(rest // scale)
+        rest = rest - groups[-1] * scale
+    head, *quads = groups
     words = np.empty((x.size, _SLOT // 4), dtype=np.uint32)
-    words[:, 0] = _LEAD_WORDS[10 * np.signbit(x) + lead]
-    words[:, 1], words[:, 2] = (_DIGIT_WORDS[part] for part in np.divmod(high, 10**4))
-    words[:, 3], words[:, 4] = (_DIGIT_WORDS[part] for part in np.divmod(low, 10**4))
+    words[:, 0] = _HEAD_WORDS[100 * np.signbit(x) + head]
+    for j, quad in enumerate(quads, start=1):
+        words[:, j] = _DIGIT_WORDS[quad]
+    words[:, 4] = _TAIL_WORDS[rest]
     words[:, 5] = _EXP_WORDS[exp10 - _EXP_MIN]
-    words[:, 6] = _EXP_TAIL_WORDS[exp10 - _EXP_MIN]
     slots = words.view(np.uint8).reshape(block.shape + (_SLOT,))
-    slots[:, -1, _SEP] = ord("\n")
-    fallback = np.flatnonzero(exact)
-    if fallback.size:
-        text = b"".join((b"%.16e" % v).ljust(_SEP, b"\0") for v in x[fallback].tolist())
-        slots.reshape(-1, _SLOT)[fallback, :_SEP] = np.frombuffer(
-            text, dtype=np.uint8
-        ).reshape(-1, _SEP)
-    return slots.tobytes().translate(None, b"\0").decode("ascii")
+    slots[:, -1, -1] = ord("\n")
+    slots = slots.reshape(-1, _SLOT)
+    fallback = np.flatnonzero(exact).tolist()
+    texts = [b"%.16e" % v for v in x[fallback].tolist()]
+    if texts:
+        padded = b"".join(text[: _SLOT - 1].ljust(_SLOT - 1, b"\0") for text in texts)
+        slots[fallback, :-1] = np.frombuffer(padded, dtype=np.uint8).reshape(-1, _SLOT - 1)
+    out = slots.tobytes()
+    pieces, start = [], 0
+    for i, text in zip(fallback, texts):
+        if len(text) >= _SLOT:  # replaces the cut copy, keeps the separator
+            pieces += (out[start : i * _SLOT], text)
+            start = (i + 1) * _SLOT - 1
+    if pieces:
+        out = b"".join(pieces + [out[start:]])
+    return out.replace(b"\0", b"").decode("ascii")
+
+
+def _csv_table(names: list[str], blocks) -> str:
+    """Header plus the rows of each (rows, len(names)) block that
+    blocks(step) yields, step rows at a time, every value as %.16e."""
+    step = max(1, _CSV_BLOCK_VALUES // len(names))
+    return "".join([",".join(names) + "\n", *map(_csv_rows, blocks(step))])
 
 
 def _csv_text(columns: list[tuple[str, np.ndarray]]) -> str:
     """Header plus one row per sample, every value as %.16e."""
     data = [values for _, values in columns]
-    step = max(1, _CSV_BLOCK_VALUES // len(data))
-    parts = [",".join(name for name, _ in columns) + "\n"]
-    for start in range(0, len(data[0]), step):
-        parts.append(_csv_rows(np.column_stack([d[start : start + step] for d in data])))
-    return "".join(parts)
+
+    def blocks(step: int):
+        for start in range(0, len(data[0]), step):
+            yield np.column_stack([d[start : start + step] for d in data])
+
+    return _csv_table([name for name, _ in columns], blocks)
 
 
 def cmd_reduce(config: RunConfig) -> int:

@@ -419,6 +419,24 @@ def extended_node_lagrangian(
     )
 
 
+def _signed_sums(lag: QuadraticLagrangian, laws, trajectory) -> np.ndarray:
+    """One row per law, a list of (component id, sign) terms: the signed
+    sum of the branch quantities over the trajectory grid, computed as
+    (signs @ A) @ coords.  The small-integer rows of signs @ A combine
+    exactly before they touch the coordinates, so telescoping sums of
+    node-flux differences cancel exactly."""
+    cids = list(dict.fromkeys(cid for terms in laws for cid, _ in terms))
+    for cid in cids:
+        if cid not in lag.flux_assignment:
+            raise ValueError(f"trajectory does not cover component {cid!r}")
+    column = {cid: j for j, cid in enumerate(cids)}
+    signs = np.zeros((len(laws), len(cids)))
+    for i, terms in enumerate(laws):
+        for cid, sign in terms:
+            signs[i, column[cid]] += sign
+    return (signs @ lag.assignment_matrix(cids)) @ trajectory.coords
+
+
 def flux_law_residual(circuit: Circuit, tree: SpanningTree, trajectory) -> np.ndarray:
     """Signed sum of branch fluxes around each fundamental loop, one row
     per loop over the trajectory grid.  Identically zero in the node
@@ -428,17 +446,7 @@ def flux_law_residual(circuit: Circuit, tree: SpanningTree, trajectory) -> np.nd
     if lag.representation is Representation.LOOP_CHARGE:
         raise ValueError("flux law applies to flux-type trajectories")
     loops = fundamental_loops(circuit, tree)
-    residual = np.zeros((len(loops), len(trajectory.times)))
-    for i, loop in enumerate(loops):
-        # combine the small-integer coefficients first so the telescoping
-        # sum of node-flux differences cancels exactly
-        combined = np.zeros(lag.dim)
-        for cid, sign in loop.path:
-            if cid not in lag.flux_assignment:
-                raise ValueError(f"trajectory does not cover component {cid!r}")
-            combined += sign * lag.assignment_row(cid)
-        residual[i] = combined @ trajectory.coords
-    return residual
+    return _signed_sums(lag, [loop.path for loop in loops], trajectory)
 
 
 def charge_law_residual(
@@ -450,17 +458,12 @@ def charge_law_residual(
     lag = _trajectory_lagrangian(trajectory)
     if lag.representation is not Representation.LOOP_CHARGE:
         raise ValueError("charge law applies to loop-charge trajectories")
-    nodes = [n for n in circuit.nodes if n != GROUND]
-    residual = np.zeros((len(nodes), len(trajectory.times)))
-    for i, node in enumerate(nodes):
-        combined = np.zeros(lag.dim)
-        for c in circuit.incident(node):
-            if c.id not in lag.flux_assignment:
-                raise ValueError(f"trajectory does not cover component {c.id!r}")
-            sign = +1 if c.a == node else -1
-            combined += sign * lag.assignment_row(c.id)
-        residual[i] = combined @ trajectory.coords
-    return residual
+    laws = [
+        [(c.id, +1 if c.a == node else -1) for c in circuit.incident(node)]
+        for node in circuit.nodes
+        if node != GROUND
+    ]
+    return _signed_sums(lag, laws, trajectory)
 
 
 def _trajectory_lagrangian(trajectory) -> QuadraticLagrangian:

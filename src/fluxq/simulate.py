@@ -99,15 +99,14 @@ def initial_state(
         circuit.component(cid)  # KeyError on unknown ids
 
     def constraint(kinds: tuple[ComponentKind, ...], target):
-        rows, rhs = [], []
-        for c in circuit.components:
-            if c.kind not in kinds:
-                continue
-            if c.geometric and c.id not in declared:
-                continue
-            rows.append(lagrangian.assignment_row(c.id))
-            rhs.append(target(c, declared.get(c.id, 0.0)))
-        return np.array(rows).reshape(len(rows), lagrangian.dim), np.array(rhs)
+        pinned = [
+            c
+            for c in circuit.components
+            if c.kind in kinds and (not c.geometric or c.id in declared)
+        ]
+        rows = lagrangian.assignment_matrix([c.id for c in pinned])
+        rhs = np.array([target(c, declared.get(c.id, 0.0)) for c in pinned])
+        return rows, rhs
 
     if _is_flux_type(lagrangian.representation):
         rows_x, rhs_x = constraint(
@@ -143,7 +142,7 @@ def _mode_rotation(omegas: np.ndarray, t):
     phase = w * t
     sin = np.sin(phase)
     a = np.where(osc, sin / np.where(osc, w, 1.0), t)
-    return np.cos(phase), a, -w * sin
+    return np.cos(phase, out=phase), a, np.multiply(-w, sin, out=sin)
 
 
 def evolve_modes(
@@ -166,16 +165,23 @@ def evolve_modes(
     w = modes.omegas
     osc = w > 0.0
     c, a, b = _mode_rotation(w, t)
-    xt = c * xt0[:, None] + a * pt0[:, None]
-    pt = b * xt0[:, None] + c * pt0[:, None]
+    # x~ = c x~0 + a p~0 and p~ = b x~0 + c p~0, built in the rotation's
+    # own arrays; c is free for reuse once both are done
+    xt = np.multiply(a, pt0[:, None], out=a)
+    xt += c * xt0[:, None]
+    pt = np.multiply(b, xt0[:, None], out=b)
+    pt += np.multiply(c, pt0[:, None], out=c)
 
     v = modes.modes
     u = modes.momentum_modes()
     coords = v @ xt
     velocities = v @ pt
-    accelerations = v @ (-(w[:, None] ** 2) * xt)
     momenta = u @ pt
-    energy = 0.5 * np.sum(pt**2 + (w[:, None] * xt) ** 2, axis=0)
+    wx = w[:, None] * xt
+    per_mode = np.square(pt, out=c)
+    per_mode += np.square(wx, out=wx)
+    energy = 0.5 * np.sum(per_mode, axis=0)
+    accelerations = v @ np.multiply(-(w[:, None] ** 2), xt, out=wx)
 
     amplitude = np.where(osc, np.hypot(xt0, np.divide(pt0, w, out=np.zeros_like(w), where=osc)), 0.0)
     theta = np.where(
@@ -254,30 +260,44 @@ def evolve_leapfrog(
     )
 
 
+def _series(
+    circuit: Circuit, lagrangian: QuadraticLagrangian, trajectory: Trajectory
+) -> tuple[np.ndarray, np.ndarray]:
+    """(voltage, current), each (components, times) in circuit order.
+
+    The branch rate A @ velocities is the voltage (flux types) or the
+    current (loop charge).  The other quantity is the branch value
+    A @ coords over the value where the component stores the coordinate
+    (inductor flux, capacitor charge), else the value times
+    A @ accelerations."""
+    if trajectory.lagrangian is not None and trajectory.lagrangian is not lagrangian:
+        if trajectory.lagrangian.labels != lagrangian.labels:
+            raise ValueError("trajectory does not match this coordinate system")
+    for c in circuit.components:
+        if c.id not in lagrangian.flux_assignment:
+            raise ValueError(f"component {c.id!r} missing from the assignment")
+    a = lagrangian.assignment_matrix([c.id for c in circuit.components])
+    values = np.array([c.value for c in circuit.components], dtype=float)
+    flux_type = _is_flux_type(lagrangian.representation)
+    stored = ComponentKind.INDUCTOR if flux_type else ComponentKind.CAPACITOR
+    by_value = np.array([c.kind is stored for c in circuit.components], dtype=bool)
+    rate = a @ trajectory.velocities
+    other = np.empty_like(rate)
+    other[by_value] = (a[by_value] @ trajectory.coords) / values[by_value, None]
+    other[~by_value] = values[~by_value, None] * (a[~by_value] @ trajectory.accelerations)
+    return (rate, other) if flux_type else (other, rate)
+
+
 def observables(
     circuit: Circuit, lagrangian: QuadraticLagrangian, trajectory: Trajectory
 ) -> dict[str, ComponentSeries]:
     """Per-component voltage (V) and current (A) series from the branch
     assignments and the analytic trajectory derivatives."""
-    if trajectory.lagrangian is not None and trajectory.lagrangian is not lagrangian:
-        if trajectory.lagrangian.labels != lagrangian.labels:
-            raise ValueError("trajectory does not match this coordinate system")
-    out: dict[str, ComponentSeries] = {}
-    flux_type = _is_flux_type(lagrangian.representation)
-    for c in circuit.components:
-        if c.id not in lagrangian.flux_assignment:
-            raise ValueError(f"component {c.id!r} missing from the assignment")
-        row = lagrangian.assignment_row(c.id)
-        value = row @ trajectory.coords
-        rate = row @ trajectory.velocities
-        accel = row @ trajectory.accelerations
-        if flux_type:
-            voltage = rate
-            current = value / c.value if c.kind is ComponentKind.INDUCTOR else c.value * accel
-        else:
-            current = rate
-            voltage = value / c.value if c.kind is ComponentKind.CAPACITOR else c.value * accel
-        out[c.id] = ComponentSeries(voltage=voltage, current=current)
+    voltage, current = _series(circuit, lagrangian, trajectory)
+    out = {
+        c.id: ComponentSeries(voltage=voltage[i], current=current[i])
+        for i, c in enumerate(circuit.components)
+    }
     trajectory.observables.update(out)
     return out
 

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fluxq import cli
+from fluxq import (
+    ComponentKind,
+    cli,
+    evolve_modes,
+    initial_state,
+    legendre_transform,
+    normal_modes,
+    observables,
+)
 from fluxq.cli import _csv_text, _decimal_digits, main
 
 NETLISTS = Path(__file__).resolve().parent.parent / "netlists"
@@ -412,3 +420,125 @@ def test_simulate_csv_matches_json_values(capsys, args):
     assert code == 0
     columns = [(name, np.array(values)) for name, values in json.loads(json_out).items()]
     assert csv_out == _per_value_csv(columns)
+
+
+@pytest.mark.parametrize("tmax", ["nan", "inf", "-1", "0"])
+def test_simulate_tmax_must_be_positive_and_finite(capsys, tmax):
+    code, out, err = run(capsys, "simulate", PASSIVE, "--tmax", tmax)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid option: --tmax ")
+    assert err.count("\n") == 1
+
+
+def _simulate_columns_from_dict(args):
+    """The columns of `fluxq simulate` assembled one component at a time
+    from the `observables` dict, as the writer once did."""
+    netlist, rep, geometric = args
+    config = cli.RunConfig(
+        "simulate",
+        Path(netlist),
+        rep=cli.Representation(rep),
+        geometric=cli.GeometricMode(geometric),
+        samples=64,
+    )
+    circuit = cli._load_circuit(config)
+    lag, obs_circuit = cli._build_lagrangian(circuit, config)
+    h = legendre_transform(lag)
+    x0, p0 = initial_state(obs_circuit, lag, cli._default_ics(circuit))
+    times = np.linspace(0.0, config.tmax, config.samples)
+    traj = evolve_modes(h, normal_modes(h), x0, p0, times, lagrangian=lag)
+    series = observables(obs_circuit, lag, traj)
+    columns = [("t_s", times)]
+    for c in circuit.components:
+        columns += [(f"{c.id}_V", series[c.id].voltage), (f"{c.id}_A", series[c.id].current)]
+    for kind, quantity, suffix in (
+        (ComponentKind.INDUCTOR, "voltage", "_sum_V"),
+        (ComponentKind.CAPACITOR, "current", "_sum_A"),
+    ):
+        ids = [c.id for c in circuit.components if c.kind is kind]
+        if len(ids) > 1:
+            total = np.sum([getattr(series[cid], quantity) for cid in ids], axis=0)
+            columns.append(("".join(ids) + suffix, total))
+    return columns
+
+
+@pytest.mark.parametrize("netlist", [PASSIVE, REDUCED, WHEEL, ACTIVE], ids=lambda p: Path(p).stem)
+@pytest.mark.parametrize("rep", ["node", "loop", "extended"])
+@pytest.mark.parametrize("geometric", ["off", "minimal", "allpairs"])
+def test_simulate_output_matches_per_component_columns(capsys, netlist, rep, geometric):
+    args = (netlist, "--rep", rep, "--geometric", geometric, "--samples", "64")
+    code, csv_out, csv_err = run(capsys, "simulate", *args)
+    json_code, json_out, json_err = run(capsys, "simulate", *args, "--format", "json")
+    assert (json_code, json_err) == (code, csv_err)
+    if code != 0:
+        assert csv_out == json_out == ""
+        return
+    columns = _simulate_columns_from_dict((netlist, rep, geometric))
+    assert csv_out == _per_value_csv(columns)
+    assert json_out == json.dumps({name: data.tolist() for name, data in columns}) + "\n"
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+def test_csv_text_negative_three_digit_exponent_is_spliced(position):
+    # "-1.2345678901234567e-123" is one byte longer than a slot holds
+    long_values = np.array(
+        [-1.2345678901234567e-123, -9.87e250, -5e-324, -1.7976931348623157e308]
+    )
+    table = np.array([[1.5, -2.25e-7, 3.0e12]] * long_values.size)
+    column = {"first": 0, "middle": 1, "last": 2}[position]
+    table[:, column] = long_values
+    table[1, (column + 1) % 3] = -1e-100  # a second spliced value in the row
+    columns = [(f"c{j}", table[:, j]) for j in range(3)]
+    assert _csv_text(columns) == _per_value_csv(columns)
+
+
+def test_csv_text_all_fallback_block():
+    # zeros, non-finite values and three-digit exponents all go to Python
+    values = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e100, -1e-100, 1e-300, 2.5e-310, -0.0])
+    columns = [(f"c{j}", np.roll(values, j)) for j in range(4)]
+    _digits, exp10, exact = _decimal_digits(values)
+    assert (exact | (np.abs(exp10) > 99)).all()
+    assert _csv_text(columns) == _per_value_csv(columns)
+
+
+@pytest.mark.parametrize("last", [np.nan, np.inf, -np.inf, -0.0, 0.0])
+def test_csv_text_special_value_in_last_column(last):
+    table = np.array(
+        [[1.0, -2.0, last], [-0.0, 3.5e-5, last], [7.0e99, -9.999999999999999e99, last]]
+    )
+    columns = [(f"c{j}", table[:, j]) for j in range(3)]
+    text = _csv_text(columns)
+    assert text == _per_value_csv(columns)
+    assert text.endswith(("%.16e" % last) + "\n")
+
+
+def test_csv_text_exponent_carries_to_three_digits():
+    # rounding to 17 digits carries 9.99…e99 to 1.0e+100, one byte longer
+    values = np.array(
+        [9.9999999999999999e99, -9.9999999999999999e99, 9.99999999999999999e-101, -9.999999999999999e98]
+    )
+    values = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+    columns = [("a", values), ("b", -values[::-1])]
+    assert _csv_text(columns) == _per_value_csv(columns)
+
+
+def test_csv_text_values_next_to_decimal_half_points():
+    # the nearest doubles to 18-digit decimals ending in 5 put the scaled
+    # fraction within a few long-double roundings of one half, so a margin
+    # below the rounding bound prints wrong digits for some of them
+    rng = np.random.default_rng(21)
+    mantissas = rng.integers(10**16, 10**17, 20000).tolist()
+    exponents = rng.integers(-300, 290, 20000).tolist()
+    near = np.array([float(f"{m}5e{e}") for m, e in zip(mantissas, exponents)])
+    values = np.concatenate([near, -np.nextafter(near, 0.0), np.nextafter(near, np.inf)])
+    columns = [(f"c{j}", part) for j, part in enumerate(values.reshape(4, -1))]
+    assert _csv_text(columns) == _per_value_csv(columns)
+
+
+def test_power_of_ten_residuals_are_correctly_rounded():
+    exps = range(cli._EXP_MIN, cli._EXP_MAX + 1)
+    for e, entry, rho in zip(exps, cli._POW10, cli._POW10_RESIDUAL):
+        table = Fraction(*entry.as_integer_ratio())
+        exact = (Fraction(10) ** (16 - e) - table) / table
+        assert abs(Fraction(rho) - exact) <= Fraction(np.spacing(abs(rho))) / 2

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from fluxq import (
+    ComponentKind,
     GaussianState,
     GeometricMode,
     GeometricPolicy,
@@ -31,7 +32,10 @@ from fluxq import (
     propagate_covariance,
     topology_report,
 )
-from fluxq.quantize import HBAR
+from fluxq.lagrangian import QuadraticLagrangian, Representation
+from fluxq.quantize import HBAR, SingularKineticMatrix
+
+from conftest import load
 
 MINIMAL = GeometricPolicy(cap_mode=GeometricMode.MINIMAL)
 ALL_PAIRS = GeometricPolicy(cap_mode=GeometricMode.ALL_PAIRS)
@@ -403,3 +407,216 @@ def test_oracle_agreement_augmented_wheel(wheel):
     an = evolve_modes(h, modes, x0, p0, lf.times, lagrangian=lag)
     dev = np.abs(lf.coords - an.coords).max() / np.abs(an.coords).max()
     assert dev <= 1e-4
+
+
+# --- matrix forms against the per-row loops they replaced -----------------
+
+NETLIST_NAMES = ("passive_lc.cir", "reduced_lc.cir", "wheel.cir", "active_lc.cir")
+
+
+def _rep_setup(circuit, rep, policy):
+    """(observed circuit, Lagrangian) as `fluxq simulate` builds them."""
+    report = topology_report(circuit)
+    augmented, record = augment_geometric(circuit, report, policy)
+    tree = build_spanning_tree(circuit)
+    if rep == "node":
+        return augmented, node_lagrangian(augmented, build_spanning_tree(augmented))
+    if rep == "loop":
+        loops = fundamental_loops(circuit, tree)
+        lag = loop_lagrangian(
+            circuit, loops, record.loop_inductance, record.loop_kinetic_rows
+        )
+        return circuit, lag
+    return augmented, extended_node_lagrangian(circuit, tree, policy)
+
+
+def _default_ics(circuit):
+    return {
+        c.id: 2e-3 if c.kind is ComponentKind.CAPACITOR else 0.0
+        for c in circuit.components
+        if not c.geometric
+    }
+
+
+def _initial_state_by_row(circuit, lag, ics):
+    flux_type = lag.representation is not Representation.LOOP_CHARGE
+    stored, rated = (
+        (ComponentKind.INDUCTOR, ComponentKind.CAPACITOR)
+        if flux_type
+        else (ComponentKind.CAPACITOR, ComponentKind.INDUCTOR)
+    )
+
+    def constraint(kind, scaled):
+        rows, rhs = [], []
+        for c in circuit.components:
+            if c.kind is not kind or (c.geometric and c.id not in ics):
+                continue
+            rows.append(lag.assignment_row(c.id))
+            ic = ics.get(c.id, 0.0)
+            rhs.append(c.value * ic if scaled else ic)
+        return np.array(rows).reshape(len(rows), lag.dim), np.array(rhs)
+
+    solutions = []
+    for rows, rhs in (constraint(stored, True), constraint(rated, False)):
+        if rows.size == 0:
+            solutions.append(np.zeros(lag.dim))
+            continue
+        solution, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
+        scale = np.linalg.norm(rhs)
+        residual = np.linalg.norm(rows @ solution - rhs)
+        if (residual / scale if scale > 0 else residual) > 1e-9:
+            raise InconsistentInitialConditions("reference")
+        solutions.append(solution)
+    return solutions[0], lag.M @ solutions[1]
+
+
+def _observables_by_row(circuit, lag, traj):
+    flux_type = lag.representation is not Representation.LOOP_CHARGE
+    out = {}
+    for c in circuit.components:
+        row = lag.assignment_row(c.id)
+        value = row @ traj.coords
+        rate = row @ traj.velocities
+        accel = row @ traj.accelerations
+        if flux_type:
+            voltage = rate
+            current = value / c.value if c.kind is ComponentKind.INDUCTOR else c.value * accel
+        else:
+            current = rate
+            voltage = value / c.value if c.kind is ComponentKind.CAPACITOR else c.value * accel
+        out[c.id] = (voltage, current)
+    return out
+
+
+@pytest.mark.parametrize("name", NETLIST_NAMES)
+@pytest.mark.parametrize("policy", [MINIMAL, ALL_PAIRS], ids=["minimal", "allpairs"])
+@pytest.mark.parametrize("rep", ["node", "loop", "extended"])
+def test_matrix_observables_match_per_row_loops(name, policy, rep):
+    circuit = load(name)
+    obs_circuit, lag = _rep_setup(circuit, rep, policy)
+    ics = _default_ics(circuit)
+    try:
+        expected = _initial_state_by_row(obs_circuit, lag, ics)
+    except InconsistentInitialConditions:
+        with pytest.raises(InconsistentInitialConditions):
+            initial_state(obs_circuit, lag, ics)
+        return
+    x0, p0 = initial_state(obs_circuit, lag, ics)
+    assert np.array_equal(x0, expected[0]) and np.array_equal(p0, expected[1])
+    try:
+        h = legendre_transform(lag)
+    except SingularKineticMatrix:
+        return  # no dynamics in this configuration; the initial state agreed
+    traj = evolve_modes(h, normal_modes(h), x0, p0, np.linspace(0.0, 4e-9, 200), lag)
+    series = observables(obs_circuit, lag, traj)
+    assert list(series) == [c.id for c in obs_circuit.components]
+    for cid, (voltage, current) in _observables_by_row(obs_circuit, lag, traj).items():
+        # the matrix product may sum a row's terms in another order
+        for got, want in ((series[cid].voltage, voltage), (series[cid].current, current)):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _ladder(n, rng):
+    """Series inductors from ground through nodes 1..n, capacitors to ground
+    on even nodes and a second one on every 4th; odd nodes are passive."""
+    lines, prev = [], "0"
+    for i in range(1, n + 1):
+        lines.append(f"L{i} {prev} {i} {1e-9 * rng.uniform(0.8, 1.2)!r}")
+        if i % 2 == 0:
+            lines.append(f"C{i} {i} 0 {1e-12 * rng.uniform(0.8, 1.2)!r}")
+        if i % 4 == 0:
+            lines.append(f"Cx{i} {i} 0 {2e-12 * rng.uniform(0.8, 1.2)!r}")
+        prev = str(i)
+    return parse_netlist("\n".join(lines) + "\n")
+
+
+def _evolve_by_old_expressions(modes, x0, p0, t):
+    xt0 = np.linalg.solve(modes.modes, x0)
+    pt0 = modes.modes.T @ p0
+    w = modes.omegas[:, None]
+    osc = w > 0.0
+    phase = w * t
+    sin = np.sin(phase)
+    c, a, b = np.cos(phase), np.where(osc, sin / np.where(osc, w, 1.0), t), -w * sin
+    xt = c * xt0[:, None] + a * pt0[:, None]
+    pt = b * xt0[:, None] + c * pt0[:, None]
+    v, u = modes.modes, modes.momentum_modes()
+    return {
+        "coords": v @ xt,
+        "velocities": v @ pt,
+        "accelerations": v @ (-(w**2) * xt),
+        "momenta": u @ pt,
+        "energy": 0.5 * np.sum(pt**2 + (w * xt) ** 2, axis=0),
+    }
+
+
+@pytest.mark.parametrize("which", ["passive_lc", "ladder32"])
+def test_evolve_modes_bit_identical_to_old_expressions(which, passive_lc):
+    circuit = passive_lc if which == "passive_lc" else _ladder(32, np.random.default_rng(7))
+    augmented, lag, h, modes = augmented_node_setup(circuit)
+    x0, p0 = initial_state(augmented, lag, _default_ics(circuit))
+    times = np.linspace(0.0, 4e-9, 2000)
+    traj = evolve_modes(h, modes, x0, p0, times, lagrangian=lag)
+    for field_name, expected in _evolve_by_old_expressions(modes, x0, p0, times).items():
+        assert getattr(traj, field_name).tobytes() == expected.tobytes(), field_name
+
+
+def _flux_law_by_loop(circuit, tree, traj):
+    lag = traj.lagrangian
+    loops = fundamental_loops(circuit, tree)
+    residual = np.zeros((len(loops), len(traj.times)))
+    for i, loop in enumerate(loops):
+        combined = np.zeros(lag.dim)
+        for cid, sign in loop.path:
+            combined += sign * lag.assignment_row(cid)
+        residual[i] = combined @ traj.coords
+    return residual
+
+
+def _charge_law_by_node(circuit, traj):
+    lag = traj.lagrangian
+    nodes = [n for n in circuit.nodes if n != "0"]
+    residual = np.zeros((len(nodes), len(traj.times)))
+    for i, node in enumerate(nodes):
+        combined = np.zeros(lag.dim)
+        for c in circuit.incident(node):
+            combined += (+1 if c.a == node else -1) * lag.assignment_row(c.id)
+        residual[i] = combined @ traj.coords
+    return residual
+
+
+@pytest.mark.parametrize("rep", ["node", "loop", "extended"])
+def test_law_residuals_match_per_law_loops(rep, passive_lc):
+    circuit = _ladder(16, np.random.default_rng(3)) if rep == "loop" else passive_lc
+    obs_circuit, lag = _rep_setup(circuit, rep, ALL_PAIRS)
+    h = legendre_transform(lag)
+    x0, p0 = initial_state(obs_circuit, lag, _default_ics(circuit))
+    traj = evolve_modes(h, normal_modes(h), x0, p0, np.linspace(0.0, 4e-9, 100), lag)
+    if rep == "loop":
+        loops = fundamental_loops(circuit, build_spanning_tree(circuit))
+        got = charge_law_residual(circuit, loops, traj)
+        want = _charge_law_by_node(circuit, traj)
+    else:
+        tree = build_spanning_tree(obs_circuit)
+        got = flux_law_residual(obs_circuit, tree, traj)
+        want = _flux_law_by_loop(obs_circuit, tree, traj)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * max(np.abs(traj.coords).max(), 1e-300)
+
+
+@pytest.mark.parametrize("rep", ["node", "loop", "extended"])
+def test_library_does_not_call_assignment_row(rep, passive_lc, monkeypatch):
+    def refuse(self, cid):
+        raise AssertionError("assignment_row called")
+
+    monkeypatch.setattr(QuadraticLagrangian, "assignment_row", refuse)
+    obs_circuit, lag = _rep_setup(passive_lc, rep, ALL_PAIRS)
+    h = legendre_transform(lag)
+    x0, p0 = initial_state(obs_circuit, lag, _default_ics(passive_lc))
+    traj = evolve_modes(h, normal_modes(h), x0, p0, np.linspace(0.0, 1e-9, 10), lag)
+    observables(obs_circuit, lag, traj)
+    if rep == "loop":
+        loops = fundamental_loops(passive_lc, build_spanning_tree(passive_lc))
+        charge_law_residual(passive_lc, loops, traj)
+    else:
+        flux_law_residual(obs_circuit, build_spanning_tree(obs_circuit), traj)
