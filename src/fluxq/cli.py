@@ -24,6 +24,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -125,11 +126,19 @@ class _ValidationFailure(Exception):
         self.violations = violations
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.out is not None:
-        config.out.write_text(text)
+@contextmanager
+def _output(config: RunConfig):
+    """The text stream for --out, or else stdout."""
+    if config.out is None:
+        yield sys.stdout
     else:
-        sys.stdout.write(text)
+        with config.out.open("w") as out:
+            yield out
+
+
+def _emit(config: RunConfig, text: str) -> None:
+    with _output(config) as out:
+        out.write(text)
 
 
 def _build_lagrangian(circuit: Circuit, config: RunConfig):
@@ -246,10 +255,8 @@ def cmd_simulate(config: RunConfig) -> int:
     x0, p0 = initial_state(obs_circuit, lag, _default_ics(circuit))
     times = np.linspace(0.0, config.tmax, config.samples)
     trajectory = evolve_modes(h, modes, x0, p0, times, lagrangian=lag)
-    voltage, current = _series(obs_circuit, lag, trajectory)
-    # the observed circuit lists the design components first, in order
+    voltage, current = _series(circuit, lag, trajectory)
     design = circuit.components
-    voltage, current = voltage[: len(design)], current[: len(design)]
 
     sums = []
     for kind, rows, suffix in (
@@ -273,8 +280,10 @@ def cmd_simulate(config: RunConfig) -> int:
     names = ["t_s", *(f"{c.id}_{q}" for c in design for q in "VA")]
     names += [name for name, _ in sums]
     end = 2 * len(design) + 1  # the column after the last V/A pair
-
-    def blocks(step: int):
+    step = _csv_step(len(names))
+    # each block is written as it is formatted: the whole text is never held
+    with _output(config) as out:
+        out.write(",".join(names) + "\n")
         for start in range(0, times.size, step):
             window = slice(start, start + step)
             block = np.empty((times[window].size, len(names)))
@@ -283,44 +292,26 @@ def cmd_simulate(config: RunConfig) -> int:
             block[:, 2:end:2] = current[:, window].T
             for j, (_, total) in enumerate(sums, start=end):
                 block[:, j] = total[window]
-            yield block
-
-    _emit(config, _csv_table(names, blocks))
+            out.write(_csv_rows(block))
     return 0
 
 
 # The CSV writer produces exactly Python's "%.16e" from whole-array numpy
 # work.  Each value x is scaled to y = |x|·10**(16 - e) in long double, so
 # that its 17 significant digits are the integer part of y rounded on the
-# fraction.  The table entry's own rounding is taken out of the fraction
-# with its exact relative residual, so the fraction is off by at most the
-# product's rounding, u·y (u the unit roundoff of long double).  Where it
-# lies within twice that of one half the rounding is not decided, and
-# Python formats the value; so too non-finite values, zeros and
-# three-digit exponents.  Where long double is plain double, the margin
-# exceeds one half and Python formats every value.  Exact fixed-precision
-# conversion: Adams, "Ryū revisited: printf floating point conversion",
-# PLDI 2019.
+# fraction.  y carries at most two roundings (the table entry and the
+# product), so where the fraction lies within 4u·y of one half (u the unit
+# roundoff of long double) the rounding is not decided, and Python formats
+# that value; so too non-finite values, zeros and three-digit exponents.
+# Where long double is plain double, the margin exceeds one half and Python
+# formats every value.  Exact fixed-precision conversion: Adams, "Ryū
+# revisited: printf floating point conversion", PLDI 2019.
 _EXP_MIN, _EXP_MAX = -330, 330  # covers every double's decimal exponent
 # 10**(16 - e) for each exponent e, correctly rounded by the string parser
 _POW10 = np.array(
     ["1e%d" % (16 - e) for e in range(_EXP_MIN, _EXP_MAX + 1)], dtype=np.longdouble
 )
-_HALF_MARGIN = 2.0 * float(np.finfo(np.longdouble).eps / 2)
-
-
-def _relative_residuals(table: np.ndarray) -> np.ndarray:
-    """(10**(16 - e) - P) / P for each entry P, rounded once from exact
-    integer arithmetic."""
-    out = []
-    for k, entry in zip(range(16 - _EXP_MIN, 15 - _EXP_MAX, -1), table):
-        num, den = entry.as_integer_ratio()  # 10**k / P = power / rounded
-        power, rounded = (10**k * den, num) if k >= 0 else (den, num * 10**-k)
-        out.append((power - rounded) / rounded)
-    return np.array(out)
-
-
-_POW10_RESIDUAL = _relative_residuals(_POW10)
+_HALF_MARGIN = 4.0 * float(np.finfo(np.longdouble).eps / 2)
 # A value fills a 24-byte slot, six native uint32 words of ASCII:
 #   sign or NUL, lead digit, ".", digit 1 | digits 2-5 | digits 6-9 |
 #   digits 10-13 | digits 14-16, "e" | exponent sign, tens, units, separator
@@ -368,10 +359,9 @@ def _decimal_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         in_range[shift] = (y[shift] >= 1e16) & (y[shift] < 1e17)
         y[~in_range] = 1e16
     digits = y.astype(np.int64)
-    # y - digits is exact; y·residual restores the table entry's rounding
-    yf = y.astype(np.float64)
-    frac = (y - digits).astype(np.float64) + yf * _POW10_RESIDUAL[exp10 - _EXP_MIN]
-    exact = ~in_range | (np.abs(frac - 0.5) <= _HALF_MARGIN * yf)
+    # y - digits is exact, and float64 keeps which side of one half it lies on
+    frac = (y - digits).astype(np.float64)
+    exact = ~in_range | (np.abs(frac - 0.5) <= _HALF_MARGIN * y.astype(np.float64))
     digits += frac > 0.5
     carry = digits == 10**17
     digits[carry] = 10**16
@@ -415,22 +405,19 @@ def _csv_rows(block: np.ndarray) -> str:
     return out.replace(b"\0", b"").decode("ascii")
 
 
-def _csv_table(names: list[str], blocks) -> str:
-    """Header plus the rows of each (rows, len(names)) block that
-    blocks(step) yields, step rows at a time, every value as %.16e."""
-    step = max(1, _CSV_BLOCK_VALUES // len(names))
-    return "".join([",".join(names) + "\n", *map(_csv_rows, blocks(step))])
+def _csv_step(ncols: int) -> int:
+    """Rows per CSV block of ncols columns."""
+    return max(1, _CSV_BLOCK_VALUES // ncols)
 
 
 def _csv_text(columns: list[tuple[str, np.ndarray]]) -> str:
     """Header plus one row per sample, every value as %.16e."""
     data = [values for _, values in columns]
-
-    def blocks(step: int):
-        for start in range(0, len(data[0]), step):
-            yield np.column_stack([d[start : start + step] for d in data])
-
-    return _csv_table([name for name, _ in columns], blocks)
+    step = _csv_step(len(data))
+    parts = [",".join(name for name, _ in columns) + "\n"]
+    for start in range(0, len(data[0]), step):
+        parts.append(_csv_rows(np.column_stack([d[start : start + step] for d in data])))
+    return "".join(parts)
 
 
 def cmd_reduce(config: RunConfig) -> int:

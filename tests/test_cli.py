@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -194,6 +196,17 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     payload = json.loads(target.read_text())
     assert payload["n"] == 3
+
+
+def test_simulate_out_file_matches_stdout(tmp_path, capsys):
+    # the CSV goes out block by block; 5000 samples make several blocks
+    args = ["simulate", PASSIVE, "--samples", "5000"]
+    code, out, _ = run(capsys, *args)
+    assert code == 0 and out.count("\n") == 5001
+    target = tmp_path / "waves.csv"
+    assert main([*args, "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_text() == out
 
 
 def test_modes_agree_with_reduction(capsys):
@@ -536,9 +549,17 @@ def test_csv_text_values_next_to_decimal_half_points():
     assert _csv_text(columns) == _per_value_csv(columns)
 
 
-def test_power_of_ten_residuals_are_correctly_rounded():
-    exps = range(cli._EXP_MIN, cli._EXP_MAX + 1)
-    for e, entry, rho in zip(exps, cli._POW10, cli._POW10_RESIDUAL):
-        table = Fraction(*entry.as_integer_ratio())
-        exact = (Fraction(10) ** (16 - e) - table) / table
-        assert abs(Fraction(rho) - exact) <= Fraction(np.spacing(abs(rho))) / 2
+def test_cli_module_where_long_double_is_plain_double(monkeypatch):
+    # load a second copy of the module as if np.longdouble were float64:
+    # the import-time tables must build, and every value goes to Python
+    spec = importlib.util.spec_from_file_location("fluxq._cli_double", cli.__file__)
+    double_cli = importlib.util.module_from_spec(spec)
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "longdouble", np.float64)
+        patch.setitem(sys.modules, spec.name, double_cli)  # for its dataclasses
+        spec.loader.exec_module(double_cli)
+    assert double_cli._POW10.dtype == np.float64
+    values = _adversarial_values(np.random.default_rng(13))[-20000:]
+    assert double_cli._decimal_digits(values)[2].all()
+    columns = [("a", values[:10000]), ("b", values[10000:])]
+    assert double_cli._csv_text(columns) == _per_value_csv(columns)

@@ -488,11 +488,11 @@ def _observables_by_row(circuit, lag, traj):
     return out
 
 
-@pytest.mark.parametrize("name", NETLIST_NAMES)
+@pytest.mark.parametrize("name", [*NETLIST_NAMES, "ladder32"])
 @pytest.mark.parametrize("policy", [MINIMAL, ALL_PAIRS], ids=["minimal", "allpairs"])
 @pytest.mark.parametrize("rep", ["node", "loop", "extended"])
 def test_matrix_observables_match_per_row_loops(name, policy, rep):
-    circuit = load(name)
+    circuit = _ladder(32, np.random.default_rng(7)) if name == "ladder32" else load(name)
     obs_circuit, lag = _rep_setup(circuit, rep, policy)
     ics = _default_ics(circuit)
     try:
@@ -511,9 +511,11 @@ def test_matrix_observables_match_per_row_loops(name, policy, rep):
     series = observables(obs_circuit, lag, traj)
     assert list(series) == [c.id for c in obs_circuit.components]
     for cid, (voltage, current) in _observables_by_row(obs_circuit, lag, traj).items():
-        # the matrix product may sum a row's terms in another order
+        # the matrix product may sum a row's terms in another order: a
+        # ladder branch in the loop representation sums many loop charges,
+        # and its last bits move (2e-15 of its scale), no more than that
         for got, want in ((series[cid].voltage, voltage), (series[cid].current, current)):
-            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def _ladder(n, rng):
