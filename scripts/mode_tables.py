@@ -15,27 +15,20 @@ import numpy as np
 from fluxq import (
     GeometricMode,
     GeometricPolicy,
-    augment_geometric,
-    build_spanning_tree,
-    fundamental_loops,
+    Representation,
     ground_state,
-    legendre_transform,
-    loop_lagrangian,
     mode_attribution,
-    node_lagrangian,
-    normal_modes,
     parse_netlist,
-    topology_report,
+    quantize_circuit,
 )
 
 NETLISTS = Path(__file__).resolve().parent.parent / "netlists"
 
 
-def show(title, lag):
-    h = legendre_transform(lag)
-    modes = normal_modes(h)
-    state = ground_state(modes, h)
-    attribution = mode_attribution(modes, h)
+def show(title, q):
+    lag, h = q.lagrangian, q.hamiltonian
+    state = ground_state(q.modes, h)
+    attribution = mode_attribution(q.modes, h)
     print(f"\n{title}  [{lag.representation.value}]")
     print(f"  {'variable':<10} {'freq (GHz)':>12} {'delta_x':>12} {'delta_p':>12}")
     dx = np.sqrt(np.diag(state.cov)[: lag.dim])
@@ -45,36 +38,23 @@ def show(title, lag):
         print(f"  {label:<10} {f_ghz:>12.4g} {dx[i]:>12.3e} {dp[i]:>12.3e}")
 
 
-def node_rep(circuit, policy):
-    report = topology_report(circuit)
-    augmented, _ = augment_geometric(circuit, report, policy)
-    return node_lagrangian(augmented, build_spanning_tree(augmented))
-
-
-def loop_rep(circuit, policy):
-    report = topology_report(circuit)
-    _, record = augment_geometric(circuit, report, policy)
-    loops = fundamental_loops(circuit, build_spanning_tree(circuit))
-    return loop_lagrangian(
-        circuit, loops, record.loop_inductance, record.loop_kinetic_rows
-    )
-
-
 def main():
     off = GeometricPolicy(cap_mode=GeometricMode.OFF)
     minimal = GeometricPolicy(cap_mode=GeometricMode.MINIMAL)
     loop_minimal = GeometricPolicy(cap_mode=GeometricMode.MINIMAL, default_lg=1e-14)
 
+    node, loop = Representation.NODE_FLUX, Representation.LOOP_CHARGE
+
     active = parse_netlist((NETLISTS / "active_lc.cir").read_text())
-    show("active variant", node_rep(active, off))
-    show("active variant", loop_rep(active, off))
+    show("active variant", quantize_circuit(active, node, off))
+    show("active variant", quantize_circuit(active, loop, off))
 
     reduced = parse_netlist((NETLISTS / "reduced_lc.cir").read_text())
-    show("reduced tank", node_rep(reduced, off))
+    show("reduced tank", quantize_circuit(reduced, node, off))
 
     passive = parse_netlist((NETLISTS / "passive_lc.cir").read_text())
-    show("passive circuit, Cg = 8.9e-20 F", node_rep(passive, minimal))
-    show("passive circuit, Lg = 1e-14 H", loop_rep(passive, loop_minimal))
+    show("passive circuit, Cg = 8.9e-20 F", quantize_circuit(passive, node, minimal))
+    show("passive circuit, Lg = 1e-14 H", quantize_circuit(passive, loop, loop_minimal))
     return 0
 
 

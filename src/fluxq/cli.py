@@ -34,8 +34,6 @@ from .lagrangian import (
     GeometricMode,
     GeometricPolicy,
     Representation,
-    augment_geometric,
-    extended_node_lagrangian,
     loop_lagrangian,
     node_lagrangian,
 )
@@ -47,13 +45,12 @@ from .netlist import (
     serialize_netlist,
     validate_circuit,
 )
+from .pipeline import quantize_circuit
 from .quantize import (
     SingularKineticMatrix,
     diagnose_quantizability,
     ground_state,
-    legendre_transform,
     mode_attribution,
-    normal_modes,
 )
 from .simulate import (
     InconsistentInitialConditions,
@@ -61,12 +58,7 @@ from .simulate import (
     evolve_modes,
     initial_state,
 )
-from .topology import (
-    build_spanning_tree,
-    fundamental_loops,
-    reduce_circuit,
-    topology_report,
-)
+from .topology import reduce_circuit, topology_report
 
 DEFAULT_IC_VOLTS = 2e-3
 DEFAULT_IC_AMPS = 0.0
@@ -141,37 +133,14 @@ def _emit(config: RunConfig, text: str) -> None:
         out.write(text)
 
 
-def _build_lagrangian(circuit: Circuit, config: RunConfig):
-    """Returns (lagrangian, circuit used for observables)."""
-    policy = _policy(config)
-    report = topology_report(circuit)
-    if config.rep is Representation.NODE_FLUX:
-        augmented, _record = augment_geometric(circuit, report, policy)
-        lag = node_lagrangian(augmented, build_spanning_tree(augmented))
-        return lag, augmented
-    tree = build_spanning_tree(circuit)
-    if config.rep is Representation.LOOP_CHARGE:
-        loops = fundamental_loops(circuit, tree)
-        _aug, record = augment_geometric(circuit, report, policy)
-        lag = loop_lagrangian(
-            circuit, loops, record.loop_inductance, record.loop_kinetic_rows
-        )
-        return lag, circuit
-    augmented, _record = augment_geometric(circuit, report, policy)
-    lag = extended_node_lagrangian(circuit, tree, policy)
-    return lag, augmented
-
-
 def cmd_analyze(config: RunConfig) -> int:
     circuit = _load_circuit(config)
     report = topology_report(circuit)
-    tree = build_spanning_tree(circuit)
-    loops = fundamental_loops(circuit, tree)
     quantizable = {
-        "node": diagnose_quantizability(
-            node_lagrangian(circuit, tree)
+        "node": diagnose_quantizability(node_lagrangian(circuit)).quantizable,
+        "loop": diagnose_quantizability(
+            loop_lagrangian(circuit, report.loops)
         ).quantizable,
-        "loop": diagnose_quantizability(loop_lagrangian(circuit, loops)).quantizable,
     }
     payload = report.to_json_dict()
     payload["quantizable"] = quantizable
@@ -183,9 +152,8 @@ def cmd_analyze(config: RunConfig) -> int:
 
 
 def _mode_payload(config: RunConfig, circuit: Circuit) -> dict:
-    lag, _obs_circuit = _build_lagrangian(circuit, config)
-    h = legendre_transform(lag)
-    modes = normal_modes(h)
+    q = quantize_circuit(circuit, config.rep, _policy(config))
+    lag, h, modes = q.lagrangian, q.hamiltonian, q.modes
     state = ground_state(modes, h)
     dim = lag.dim
     dx = np.sqrt(np.diag(state.cov)[:dim])
@@ -249,12 +217,11 @@ def cmd_simulate(config: RunConfig) -> int:
             2, f"invalid option: --tmax must be positive and finite, got {config.tmax!r}"
         )
     circuit = _load_circuit(config)
-    lag, obs_circuit = _build_lagrangian(circuit, config)
-    h = legendre_transform(lag)
-    modes = normal_modes(h)
-    x0, p0 = initial_state(obs_circuit, lag, _default_ics(circuit))
+    q = quantize_circuit(circuit, config.rep, _policy(config))
+    lag = q.lagrangian
+    x0, p0 = initial_state(q.observed, lag, _default_ics(circuit))
     times = np.linspace(0.0, config.tmax, config.samples)
-    trajectory = evolve_modes(h, modes, x0, p0, times, lagrangian=lag)
+    trajectory = evolve_modes(q.hamiltonian, q.modes, x0, p0, times, lagrangian=lag)
     voltage, current = _series(circuit, lag, trajectory)
     design = circuit.components
 

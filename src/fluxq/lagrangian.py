@@ -29,8 +29,6 @@ from .topology import (
     FundamentalLoop,
     SpanningTree,
     TopologyReport,
-    build_spanning_tree,
-    capacitor_only_cycles,
     fundamental_loops,
     passive_nodes,
     topology_report,
@@ -180,10 +178,13 @@ def _gram_matrices(
     return M, K, tuple(c.id for c in components if c.kind is kinetic_kind)
 
 
-def node_lagrangian(circuit: Circuit, tree: SpanningTree) -> QuadraticLagrangian:
+def node_lagrangian(
+    circuit: Circuit, tree: SpanningTree | None = None
+) -> QuadraticLagrangian:
     """Node-flux Lagrangian: M is the capacitance matrix, K the inverse
     inductance matrix, both over node-flux differences; loop fluxes are
-    held constant (zero), so the assignment ignores the tree."""
+    held constant (zero), so the assignment ignores the tree, which need
+    not be built."""
     labels = _node_labels(circuit)
     assignment = {c.id: _difference_vector(c.a, c.b) for c in circuit.components}
     M, K, kinetic = _gram_matrices(
@@ -256,17 +257,26 @@ def augment_geometric(
     geometric loop self-inductances are returned as a loop-space matrix to
     be added to the loop-representation kinetic matrix; inserting them as
     series branches would create nodes the model does not contain.
+
+    The report must be the circuit's own topology_report: its spanning
+    tree places the MINIMAL capacitors, its fundamental loops index the
+    loop matrix, and its witnesses (the capacitor-only cycles) carry the
+    MINIMAL self-inductances.  Raises ValueError when the report's tree
+    and chords do not partition the circuit's component ids.
     """
-    tree = build_spanning_tree(circuit)
-    loops = fundamental_loops(circuit, tree)
-    loop_lbls = tuple(loop.chord for loop in loops)
-    l = len(loops)
+    tree = report.tree
+    if sorted(tree.tree + tree.chords) != sorted(c.id for c in circuit.components):
+        raise ValueError("topology report does not describe this circuit")
+    loop_lbls = tuple(loop.chord for loop in report.loops)
+    l = len(report.loops)
 
     if policy.cap_mode is GeometricMode.OFF:
         return circuit, AugmentationRecord((), None, loop_lbls)
 
     existing = {c.id for c in circuit.components}
     added: list[Component] = []
+    loop_matrix = np.zeros((l, l))
+    kinetic_rows = []
 
     def cg_value(a: str, b: str) -> float:
         return policy.cap_overrides.get(frozenset((a, b)), policy.default_cg)
@@ -290,9 +300,7 @@ def augment_geometric(
                     geometric=True,
                 )
             )
-        loop_matrix = np.zeros((l, l))
-        kinetic_rows = []
-        for w in capacitor_only_cycles(circuit, loops):
+        for w in report.witnesses:
             wv = np.asarray(w, dtype=float)
             wv = wv / np.linalg.norm(wv)
             lg = policy.default_lg
@@ -315,8 +323,6 @@ def augment_geometric(
                         geometric=True,
                     )
                 )
-        loop_matrix = np.zeros((l, l))
-        kinetic_rows = []
         for i, lbl in enumerate(loop_lbls):
             loop_matrix[i, i] = policy.loop_overrides.get(lbl, policy.default_lg)
             row = [0.0] * l
@@ -375,11 +381,22 @@ def extended_node_lagrangian(
     carries phi_a - phi_b - Phi_l, which makes the signed flux sum around
     that loop equal -Phi_l.  Geometric capacitors copy the flux of the
     shortest design path between their terminals.  The potential gains
-    1/2 Phi^T Lg^{-1} Phi from the loop self-inductances."""
+    1/2 Phi^T Lg^{-1} Phi from the loop self-inductances.  The loops are
+    those of the circuit's topology report, which index the augmentation,
+    so `tree` is not read."""
     report = topology_report(circuit)
     augmented, record = augment_geometric(circuit, report, policy)
-    loops = fundamental_loops(circuit, tree)
+    return _extended_lagrangian(circuit, report.loops, augmented, record)
 
+
+def _extended_lagrangian(
+    circuit: Circuit,
+    loops: tuple[FundamentalLoop, ...],
+    augmented: Circuit,
+    record: AugmentationRecord,
+) -> QuadraticLagrangian:
+    """extended_node_lagrangian from the circuit's fundamental loops and
+    its augment_geometric result."""
     if record.loop_inductance is None:
         dynamic: list[int] = []
     else:

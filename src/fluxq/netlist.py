@@ -98,10 +98,6 @@ class Circuit:
         # scan would; the index assumes `components` is never reassigned
         return {c.id: c for c in reversed(self.components)}
 
-    @property
-    def non_ground_nodes(self) -> tuple[str, ...]:
-        return tuple(n for n in self.nodes if n != GROUND)
-
     def incident(self, node: str) -> tuple[Component, ...]:
         return tuple(c for c in self.components if node in c.terminals)
 

@@ -38,13 +38,20 @@ class FundamentalLoop:
 
 @dataclass(frozen=True)
 class TopologyReport:
+    """Counts and passive variables of a circuit, with the stages later
+    steps reuse: the spanning tree, its fundamental loops and the integer
+    capacitor-only cycles over those loops (`witnesses`, as returned by
+    capacitor_only_cycles).  to_json_dict prints only the counts."""
+
     n: int
     c: int
     l: int
     passive_nodes: tuple[str, ...]
     loop_deficiency: int
-    witnesses: tuple[tuple[float, ...], ...]
+    witnesses: tuple[tuple[int, ...], ...]
     reducible: bool
+    tree: SpanningTree
+    loops: tuple[FundamentalLoop, ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -100,35 +107,6 @@ def build_spanning_tree(circuit: Circuit) -> SpanningTree:
     return SpanningTree(tuple(tree), chords, parent_node, parent_component)
 
 
-def _ancestry(tree: SpanningTree, node: str) -> list[str]:
-    chain = [node]
-    while chain[-1] in tree.parent_node:
-        chain.append(tree.parent_node[chain[-1]])
-    return chain
-
-
-def _tree_steps(tree: SpanningTree, src: str, dst: str) -> list[tuple[str, str, str]]:
-    """Steps (component id, from-node, to-node) along the tree from src to dst."""
-    up_src = _ancestry(tree, src)
-    up_dst = _ancestry(tree, dst)
-    in_src = set(up_src)
-    lca = next(n for n in up_dst if n in in_src)
-    steps = []
-    node = src
-    while node != lca:
-        parent = tree.parent_node[node]
-        steps.append((tree.parent_component[node], node, parent))
-        node = parent
-    down = []
-    node = dst
-    while node != lca:
-        parent = tree.parent_node[node]
-        down.append((tree.parent_component[node], parent, node))
-        node = parent
-    steps.extend(reversed(down))
-    return steps
-
-
 def fundamental_loops(
     circuit: Circuit, tree: SpanningTree
 ) -> tuple[FundamentalLoop, ...]:
@@ -139,9 +117,10 @@ def fundamental_loops(
     for chord_id in tree.chords:
         chord = by_id[chord_id]
         path: list[tuple[str, int]] = [(chord_id, +1)]
-        for cid, u, v in _tree_steps(tree, chord.b, chord.a):
-            comp = by_id[cid]
-            sign = +1 if comp.terminals == (u, v) else -1
+        for cid, u, v in _forest_steps(
+            tree.parent_node, tree.parent_component, chord.b, chord.a
+        ):
+            sign = +1 if by_id[cid].terminals == (u, v) else -1
             path.append((cid, sign))
         loops.append(FundamentalLoop(chord_id, tuple(path)))
     return tuple(loops)
@@ -175,34 +154,34 @@ def passive_loop_deficiency(
     circuit: Circuit, loops: tuple[FundamentalLoop, ...]
 ) -> tuple[int, tuple[np.ndarray, ...]]:
     """Rank deficiency of the inductance form over the loop basis, with
-    witness loop-space vectors.
+    unit witness loop-space vectors.
 
     Structurally, a deficient direction is an independent cycle of the
     capacitor-only subgraph (a loop combination with no inductance); its
     expansion in the fundamental basis is read off the chords it contains.
     The numeric rank of B diag(L) B^T cross-checks the structural count.
     """
-    witnesses = []
-    for w in capacitor_only_cycles(circuit, loops):
-        arr = np.asarray(w, dtype=float)
-        witnesses.append(arr / np.linalg.norm(arr))
+    cycles = _checked_cycles(circuit, loops)
+    witnesses = tuple(np.asarray(w, float) / np.linalg.norm(w) for w in cycles)
+    return len(cycles), witnesses
 
+
+def _checked_cycles(
+    circuit: Circuit, loops: tuple[FundamentalLoop, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """capacitor_only_cycles, cross-checked against the numeric rank
+    deficiency of B diag(L) B^T; raises RuntimeError where they disagree."""
+    cycles = capacitor_only_cycles(circuit, loops)
     B, inductors = inductor_participation(circuit, loops)
-    if loops:
-        values = np.array([circuit.component(cid).value for cid in inductors])
-        W = B @ np.diag(values) @ B.T if inductors else np.zeros((len(loops), len(loops)))
-        svals = np.linalg.svd(W, compute_uv=False) if W.size else np.zeros(0)
-        smax = svals.max() if svals.size else 0.0
-        rank = int(np.sum(svals > _RANK_TOL * smax)) if smax > 0 else 0
-        numeric = len(loops) - rank
-    else:
-        numeric = 0
-    if numeric != len(witnesses):
+    W = B @ np.diag([circuit.component(cid).value for cid in inductors]) @ B.T
+    svals = np.linalg.svd(W, compute_uv=False) if W.size else np.zeros(0)
+    numeric = len(loops) - int(np.sum(svals > _RANK_TOL * svals.max(initial=0.0)))
+    if numeric != len(cycles):
         raise RuntimeError(
-            f"structural deficiency {len(witnesses)} disagrees with numeric rank "
+            f"structural deficiency {len(cycles)} disagrees with numeric rank "
             f"deficiency {numeric}"
         )
-    return len(witnesses), tuple(witnesses)
+    return cycles
 
 
 def capacitor_only_cycles(
@@ -260,31 +239,22 @@ def capacitor_only_cycles(
 
 
 def _forest_steps(
-    parent_node: dict[str, str], parent_comp: dict[str, Component], src: str, dst: str
-) -> list[tuple[Component, str, str]]:
-    def chain(node: str) -> list[str]:
-        out = [node]
-        while out[-1] in parent_node:
-            out.append(parent_node[out[-1]])
-        return out
-
-    up_src, up_dst = chain(src), chain(dst)
-    in_src = set(up_src)
-    lca = next(n for n in up_dst if n in in_src)
-    steps = []
-    node = src
-    while node != lca:
-        parent = parent_node[node]
-        steps.append((parent_comp[node], node, parent))
-        node = parent
+    parent_node: dict[str, str], parent_comp: dict, src: str, dst: str
+) -> list[tuple]:
+    """Steps (parent_comp entry, from-node, to-node) along a rooted forest
+    from src to dst through their lowest common ancestor; the entry is
+    whatever parent_comp maps a node to (a component or a component id)."""
+    up_src = [src]
+    while up_src[-1] in parent_node:
+        up_src.append(parent_node[up_src[-1]])
+    on_src = set(up_src)
     down = []
     node = dst
-    while node != lca:
-        parent = parent_node[node]
-        down.append((parent_comp[node], parent, node))
-        node = parent
-    steps.extend(reversed(down))
-    return steps
+    while node not in on_src:
+        down.append((parent_comp[node], parent_node[node], node))
+        node = parent_node[node]
+    up = up_src[: up_src.index(node)]  # node is the lowest common ancestor
+    return [(parent_comp[n], n, parent_node[n]) for n in up] + down[::-1]
 
 
 def _merge_parallel(circuit: Circuit) -> Circuit | None:
@@ -398,7 +368,7 @@ def reduce_circuit(circuit: Circuit) -> Circuit:
 def topology_report(circuit: Circuit) -> TopologyReport:
     tree = build_spanning_tree(circuit)
     loops = fundamental_loops(circuit, tree)
-    deficiency, witnesses = passive_loop_deficiency(circuit, loops)
+    cycles = _checked_cycles(circuit, loops)
     # every reduction step changes the component ids, so one step decides
     reducible = (
         _merge_parallel(circuit) is not None or _eliminate_series(circuit) is not None
@@ -408,7 +378,9 @@ def topology_report(circuit: Circuit) -> TopologyReport:
         c=len(circuit.components),
         l=len(loops),
         passive_nodes=tuple(sorted(passive_nodes(circuit))),
-        loop_deficiency=deficiency,
-        witnesses=tuple(tuple(w) for w in witnesses),
+        loop_deficiency=len(cycles),
+        witnesses=cycles,
         reducible=reducible,
+        tree=tree,
+        loops=loops,
     )

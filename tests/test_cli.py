@@ -14,9 +14,8 @@ from fluxq import (
     cli,
     evolve_modes,
     initial_state,
-    legendre_transform,
-    normal_modes,
     observables,
+    quantize_circuit,
 )
 from fluxq.cli import _csv_text, _decimal_digits, main
 
@@ -456,11 +455,11 @@ def _simulate_columns_from_dict(args):
         samples=64,
     )
     circuit = cli._load_circuit(config)
-    lag, obs_circuit = cli._build_lagrangian(circuit, config)
-    h = legendre_transform(lag)
+    q = quantize_circuit(circuit, config.rep, cli._policy(config))
+    lag, obs_circuit = q.lagrangian, q.observed
     x0, p0 = initial_state(obs_circuit, lag, cli._default_ics(circuit))
     times = np.linspace(0.0, config.tmax, config.samples)
-    traj = evolve_modes(h, normal_modes(h), x0, p0, times, lagrangian=lag)
+    traj = evolve_modes(q.hamiltonian, q.modes, x0, p0, times, lagrangian=lag)
     series = observables(obs_circuit, lag, traj)
     columns = [("t_s", times)]
     for c in circuit.components:

@@ -128,6 +128,14 @@ def test_augment_off_identity(passive_lc):
     assert record.loop_inductance is None
 
 
+@pytest.mark.parametrize("mode", list(GeometricMode), ids=lambda m: m.value)
+def test_augment_rejects_a_report_of_another_circuit(passive_lc, reduced_lc, mode):
+    # the augmentation reads the report's tree, loops and capacitor cycles
+    foreign = topology_report(reduced_lc)
+    with pytest.raises(ValueError, match="does not describe this circuit"):
+        augment_geometric(passive_lc, foreign, GeometricPolicy(cap_mode=mode))
+
+
 def test_policy_validation():
     with pytest.raises(ValueError):
         GeometricPolicy(cap_mode=GeometricMode.MINIMAL, default_cg=0.0)
