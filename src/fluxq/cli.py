@@ -21,9 +21,11 @@ Exit codes, each with a message on stderr and no traceback:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -154,7 +156,12 @@ def cmd_analyze(config: RunConfig) -> int:
 def _mode_payload(config: RunConfig, circuit: Circuit) -> dict:
     q = quantize_circuit(circuit, config.rep, _policy(config))
     lag, h, modes = q.lagrangian, q.hamiltonian, q.modes
-    state = ground_state(modes, h)
+    # one line per warning on every call, without the source location
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        state = ground_state(modes, h)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     dim = lag.dim
     dx = np.sqrt(np.diag(state.cov)[:dim])
     dp = np.sqrt(np.diag(state.cov)[dim:])
@@ -264,21 +271,58 @@ def cmd_simulate(config: RunConfig) -> int:
 
 
 # The CSV writer produces exactly Python's "%.16e" from whole-array numpy
-# work.  Each value x is scaled to y = |x|·10**(16 - e) in long double, so
-# that its 17 significant digits are the integer part of y rounded on the
-# fraction.  y carries at most two roundings (the table entry and the
-# product), so where the fraction lies within 4u·y of one half (u the unit
-# roundoff of long double) the rounding is not decided, and Python formats
-# that value; so too non-finite values, zeros and three-digit exponents.
-# Where long double is plain double, the margin exceeds one half and Python
-# formats every value.  Exact fixed-precision conversion: Adams, "Ryū
-# revisited: printf floating point conversion", PLDI 2019.
+# work in float64 alone.  Each value x with decimal exponent e is scaled to
+# y = |x|·10**(16 - e), so that its 17 significant digits are the integer
+# part of y rounded on the fraction.  10**(16 - e) is held as 2**s·(hi + lo):
+# hi and lo are doubles built from exact integers, hi + lo in [1, 2] is off
+# by at most 2**-105 of itself.  a = |x|·2**s is exact (ldexp; no overflow
+# or underflow over the whole double range, subnormals included).  Dekker's
+# split forms a·hi exactly as p + err, p an integer since y >= 2**53, and
+# y = p + t with t = err + a·lo.  |t| < 32, so t carries at most the
+# rounding of a·lo (2**-50), of the sum (2**-49) and the table's 2**-48.5:
+# its fraction t - floor(t) is off by less than 2**-47.  Where the fraction
+# lies within _HALF_MARGIN = 2**-40 of one half the rounding is not decided
+# and Python formats that value; so too non-finite values, zeros and
+# three-digit exponents.  Exact product: Dekker, Numer. Math. 18, 224
+# (1971); fixed-precision conversion with a table of powers of ten: Adams,
+# "Ryū revisited: printf floating point conversion", PLDI 2019.
 _EXP_MIN, _EXP_MAX = -330, 330  # covers every double's decimal exponent
-# 10**(16 - e) for each exponent e, correctly rounded by the string parser
-_POW10 = np.array(
-    ["1e%d" % (16 - e) for e in range(_EXP_MIN, _EXP_MAX + 1)], dtype=np.longdouble
-)
-_HALF_MARGIN = 4.0 * float(np.finfo(np.longdouble).eps / 2)
+_HALF_MARGIN = 2.0**-40
+_SPLITTER = 2.0**27 + 1.0  # Veltkamp: a double as two halves of 26 bits
+
+
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(head, tail) with head + tail == v exactly, each of at most 26 bits."""
+    big = v * _SPLITTER
+    head = big - (big - v)
+    return head, v - head
+
+
+def _power_of_ten_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, hi, lo) per exponent e, 10**(16 - e) = 2**s·(hi + lo)·(1 + d)
+    with |d| <= 2**-105.  The 127-bit integer q = floor(10**(16 - e)·
+    2**(126 - s)) rounded to a double gives hi, and the rest of q rounded
+    gives lo, both times 2**-126."""
+    ks = range(16 - _EXP_MIN, 15 - _EXP_MAX, -1)  # k = 16 - e
+    pows = [1]
+    for _ in range(max(ks[0], -ks[-1])):
+        pows.append(10 * pows[-1])
+    twos, his, los = [], [], []
+    for k in ks:
+        if k >= 0:  # 2**s <= 10**k < 2**(s + 1)
+            s = pows[k].bit_length() - 1
+            q = pows[k] << (126 - s) if s <= 126 else pows[k] >> (s - 126)
+        else:  # 2**s < 10**k < 2**(s + 1)
+            s = -pows[-k].bit_length()
+            q = (1 << (126 - s)) // pows[-k]
+        hi = float(q)  # rounds to nearest
+        twos.append(s)
+        his.append(hi)
+        los.append(float(q - int(hi)))
+    return np.array(twos, dtype=np.int32), np.ldexp(his, -126), np.ldexp(los, -126)
+
+
+_TWOS, _HI, _LO = _power_of_ten_table()
 # A value fills a 24-byte slot, six native uint32 words of ASCII:
 #   sign or NUL, lead digit, ".", digit 1 | digits 2-5 | digits 6-9 |
 #   digits 10-13 | digits 14-16, "e" | exponent sign, tens, units, separator
@@ -310,6 +354,25 @@ _TAIL_WORDS = _ascii_words(f"{i:03d}e" for i in range(1000))
 _EXP_WORDS = _ascii_words(f"{e:+03d}"[:3] + "," for e in range(_EXP_MIN, _EXP_MAX + 1))
 
 
+def _scaled(ax: np.ndarray, exp10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(floor(y), y - floor(y)) for y = ax·10**(16 - exp10), the fraction
+    off by less than 2**-47 wherever y lies in [1e16, 1e17)."""
+    i = exp10 - _EXP_MIN
+    a = np.ldexp(ax, _TWOS[i])
+    hi = _HI[i]
+    p = a * hi  # an integer: p >= 2**53
+    a_head, a_tail = _split(a)
+    hi_head, hi_tail = _split(hi)
+    t = a_head * hi_head - p  # t = a·hi - p exactly (Dekker), then + a·lo
+    t += a_head * hi_tail
+    t += a_tail * hi_head
+    t += a_tail * hi_tail
+    t += a * _LO[i]
+    whole = np.floor(t)
+    t -= whole
+    return p.astype(np.int64) + whole.astype(np.int64), t
+
+
 def _decimal_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(digits, exponent, exact) per value of a 1-D float64 array: |x|
     rounded to nearest is digits·10**(exponent - 16), digits an int64 in
@@ -317,18 +380,15 @@ def _decimal_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     zero or not finite) and the value must be formatted by Python."""
     ax = np.abs(np.where(np.isfinite(x), x, 0.0))
     exp10 = np.floor(np.log10(np.where(ax > 0.0, ax, 1.0))).astype(np.intp)
-    y = ax * _POW10[exp10 - _EXP_MIN]
-    in_range = (y >= 1e16) & (y < 1e17)
+    digits, frac = _scaled(ax, exp10)
+    in_range = (digits >= 10**16) & (digits < 10**17)
     shift = np.flatnonzero(~in_range)
     if shift.size:  # log10 rounded across a power of ten, or x is zero
-        exp10[shift] += np.where(y[shift] < 1e16, -1, 1)
-        y[shift] = ax[shift] * _POW10[exp10[shift] - _EXP_MIN]
-        in_range[shift] = (y[shift] >= 1e16) & (y[shift] < 1e17)
-        y[~in_range] = 1e16
-    digits = y.astype(np.int64)
-    # y - digits is exact, and float64 keeps which side of one half it lies on
-    frac = (y - digits).astype(np.float64)
-    exact = ~in_range | (np.abs(frac - 0.5) <= _HALF_MARGIN * y.astype(np.float64))
+        exp10[shift] += np.where(digits[shift] < 10**16, -1, 1)
+        digits[shift], frac[shift] = _scaled(ax[shift], exp10[shift])
+        in_range[shift] = (digits[shift] >= 10**16) & (digits[shift] < 10**17)
+        digits[~in_range] = 10**16
+    exact = ~in_range | (np.abs(frac - 0.5) <= _HALF_MARGIN)
     digits += frac > 0.5
     carry = digits == 10**17
     digits[carry] = 10**16
@@ -377,16 +437,6 @@ def _csv_step(ncols: int) -> int:
     return max(1, _CSV_BLOCK_VALUES // ncols)
 
 
-def _csv_text(columns: list[tuple[str, np.ndarray]]) -> str:
-    """Header plus one row per sample, every value as %.16e."""
-    data = [values for _, values in columns]
-    step = _csv_step(len(data))
-    parts = [",".join(name for name, _ in columns) + "\n"]
-    for start in range(0, len(data[0]), step):
-        parts.append(_csv_rows(np.column_stack([d[start : start + step] for d in data])))
-    return "".join(parts)
-
-
 def cmd_reduce(config: RunConfig) -> int:
     circuit = _load_circuit(config)
     reduced = reduce_circuit(circuit)
@@ -418,6 +468,7 @@ _FORMATS = {
 }
 
 
+@functools.cache  # built once per process: in-process callers reuse it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fluxq",

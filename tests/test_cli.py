@@ -17,13 +17,25 @@ from fluxq import (
     observables,
     quantize_circuit,
 )
-from fluxq.cli import _csv_text, _decimal_digits, main
+from fluxq.cli import _decimal_digits, main
 
 NETLISTS = Path(__file__).resolve().parent.parent / "netlists"
 PASSIVE = str(NETLISTS / "passive_lc.cir")
 REDUCED = str(NETLISTS / "reduced_lc.cir")
 WHEEL = str(NETLISTS / "wheel.cir")
 ACTIVE = str(NETLISTS / "active_lc.cir")
+
+
+def _csv_text(columns, writer=cli):
+    """Header plus one row per sample, every value as %.16e, in blocks of
+    rows as `fluxq simulate` writes them, by `writer`'s CSV functions."""
+    data = [values for _, values in columns]
+    step = writer._csv_step(len(data))
+    parts = [",".join(name for name, _ in columns) + "\n"]
+    for start in range(0, len(data[0]), step):
+        block = np.column_stack([d[start : start + step] for d in data])
+        parts.append(writer._csv_rows(block))
+    return "".join(parts)
 
 
 def run(capsys, *args):
@@ -375,8 +387,7 @@ def test_csv_text_adversarial_values_match_per_value_formatting():
     assert _csv_text(columns) == _per_value_csv(columns)
     _digits, _exp, exact = _decimal_digits(values)
     assert exact.any()
-    if np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant:
-        assert not exact.all()
+    assert not exact.all()
 
 
 @pytest.mark.parametrize("toward", [0.0, np.inf])
@@ -390,28 +401,63 @@ def test_decimal_digits_near_powers_of_ten(toward):
         for d, e in zip(digits[~exact].tolist(), exp10[~exact].tolist())
     ]
     assert decided == ["%.16e" % v for v in values[~exact].tolist()]
-    if np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant:
-        assert exact.mean() < 0.1
+    assert exact.mean() < 0.1
+
+
+@given(
+    st.lists(
+        st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 2**52 - 1)),  # any, subnormal
+        min_size=1,
+        max_size=64,
+    )
+)
+def test_decimal_digits_property_over_bit_patterns(bits):
+    # wherever the digits are decided they are Python's %.16e of |x|
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    digits, exp10, exact = _decimal_digits(values)
+    decided = [
+        f"{d // 10**16}.{d % 10**16:016d}e{e:+03d}"
+        for d, e in zip(digits[~exact].tolist(), exp10[~exact].tolist())
+    ]
+    assert decided == ["%.16e" % v for v in np.abs(values[~exact]).tolist()]
+
+
+def test_scaled_fraction_is_within_its_error_bound():
+    # the writer's comment bounds the error of y = |x|·10**(16 - e) at
+    # 2**-47, far inside the 2**-40 margin around one half
+    rng = np.random.default_rng(17)
+    values = rng.integers(0, 2**64, 4000, dtype=np.uint64).view(np.float64)
+    subnormal = rng.integers(1, 2**52, 1000, dtype=np.uint64).view(np.float64)
+    values = np.abs(np.concatenate([values, subnormal]))
+    values = values[np.isfinite(values) & (values > 0.0)]
+    exp10 = np.array([int(("%.40e" % v).split("e")[1]) for v in values.tolist()])
+    whole, frac = cli._scaled(values, exp10)
+    for v, e, w, f in zip(values.tolist(), exp10.tolist(), whole.tolist(), frac.tolist()):
+        y = Fraction(v) * Fraction(10) ** (16 - e)
+        assert 10**16 <= y < 10**17
+        assert abs(w + Fraction(f) - y) < Fraction(2) ** -47
+    assert cli._HALF_MARGIN >= 2.0**-47
 
 
 def test_csv_text_with_double_precision_scaling(monkeypatch):
-    # where long double is plain double the guard must send every value
-    # to Python's formatting, and the text stays the same
-    exps = range(cli._EXP_MIN, cli._EXP_MAX + 1)
-    pow10 = np.array(["1e%d" % (16 - e) for e in exps], dtype=np.float64)
-    monkeypatch.setattr(cli, "_POW10", pow10)
-    monkeypatch.setattr(cli, "_HALF_MARGIN", 4.0 * float(np.finfo(np.float64).eps / 2))
+    # the digits come from float64 arithmetic alone: where long double is
+    # plain double they are the same, and so is the text
     values = _adversarial_values(np.random.default_rng(12))[-20000:]
-    assert _decimal_digits(values)[2].all()
+    reference = _decimal_digits(values)
+    monkeypatch.setattr(np, "longdouble", np.float64)
+    for got, want in zip(_decimal_digits(values), reference):
+        np.testing.assert_array_equal(got, want)
     columns = [("a", values[:10000]), ("b", values[10000:])]
     assert _csv_text(columns) == _per_value_csv(columns)
 
 
 def test_power_of_ten_table_is_correctly_rounded():
-    for e, entry in zip(range(cli._EXP_MIN, cli._EXP_MAX + 1), cli._POW10):
+    exps = range(cli._EXP_MIN, cli._EXP_MAX + 1)
+    for e, s, hi, lo in zip(exps, cli._TWOS.tolist(), cli._HI.tolist(), cli._LO.tolist()):
         exact = Fraction(10) ** (16 - e)
-        half_ulp = Fraction(*np.spacing(entry).as_integer_ratio()) / 2
-        assert abs(Fraction(*entry.as_integer_ratio()) - exact) <= half_ulp
+        entry = Fraction(2) ** s * (Fraction(hi) + Fraction(lo))
+        assert abs(entry - exact) <= Fraction(2) ** -105 * exact
+        assert 1.0 <= hi <= 2.0
 
 
 @pytest.mark.parametrize(
@@ -550,15 +596,27 @@ def test_csv_text_values_next_to_decimal_half_points():
 
 def test_cli_module_where_long_double_is_plain_double(monkeypatch):
     # load a second copy of the module as if np.longdouble were float64:
-    # the import-time tables must build, and every value goes to Python
+    # the import-time tables must build and give the same digits
     spec = importlib.util.spec_from_file_location("fluxq._cli_double", cli.__file__)
     double_cli = importlib.util.module_from_spec(spec)
     with monkeypatch.context() as patch:
         patch.setattr(np, "longdouble", np.float64)
         patch.setitem(sys.modules, spec.name, double_cli)  # for its dataclasses
         spec.loader.exec_module(double_cli)
-    assert double_cli._POW10.dtype == np.float64
     values = _adversarial_values(np.random.default_rng(13))[-20000:]
-    assert double_cli._decimal_digits(values)[2].all()
+    for got, want in zip(double_cli._decimal_digits(values), _decimal_digits(values)):
+        np.testing.assert_array_equal(got, want)
     columns = [("a", values[:10000]), ("b", values[10000:])]
-    assert double_cli._csv_text(columns) == _per_value_csv(columns)
+    assert _csv_text(columns, double_cli) == _per_value_csv(columns)
+
+
+def test_modes_zero_mode_warning_is_one_stable_line(tmp_path, capsys):
+    # an inductor-only loop is a zero mode in the loop representation; the
+    # warning must read the same on every call in one process
+    netlist = tmp_path / "inductor_loop.cir"
+    netlist.write_text("C1 1 0 1pF\nL1 1 0 1nH\nL2 1 0 2nH\n")
+    line = "warning: 1 zero mode(s); ground state restricted to the oscillating subspace\n"
+    for _ in range(2):
+        code, _, err = run(capsys, "modes", str(netlist), "--rep", "loop")
+        assert code == 0
+        assert err == line
