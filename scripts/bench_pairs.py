@@ -1,0 +1,103 @@
+"""Alternating parent/change runs of the benchmark, recorded as a BENCH file.
+
+    python3 scripts/bench_pairs.py --parent <checkout> --change <checkout> \
+        --workload ladder_modes --seed 7 --pairs 10 --seconds 10 --out BENCH_9.json
+
+Each pair runs `perfbench/run.py` once in each checkout, the side that runs
+first alternating from pair to pair.  Every run's end-to-end metrics (its
+`op_p50_s` is that run's median operation time) are appended to the
+workload's entry in `--out`, keyed `<workload>/seed<seed>`, together with
+each side's median and quartiles, the pairs the change won on `op_p50_s`,
+and the machine and library versions.  Running again with the same key
+adds runs to the entry.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+SIDES = ("parent", "change")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=checkout, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    run = {name: m["value"] for name, m in result["metrics"].items()}
+    run.update(correct=result["correct"], attempted=result["attempted"],
+               failed=result["failed"])
+    return run
+
+
+def summary(runs: dict[str, list[dict]]) -> dict:
+    out = {}
+    for side in SIDES:
+        for metric in ("op_p50_s", "ops_per_s", "setup_s", "peak_rss_mb"):
+            q1, med, q3 = np.percentile([r[metric] for r in runs[side]], [25, 50, 75])
+            out.setdefault(side, {})[metric] = {"median": med, "q1": q1, "q3": q3}
+    pairs = list(zip(runs["parent"], runs["change"]))
+    out["change_wins_op_p50_s"] = sum(c["op_p50_s"] < p["op_p50_s"] for p, c in pairs)
+    out["pairs"] = len(pairs)
+    return out
+
+
+def machine() -> dict:
+    cpu = platform.processor()
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.exists():
+        names = [ln.split(":", 1)[1].strip() for ln in cpuinfo.read_text().splitlines()
+                 if ln.startswith("model name")]
+        cpu = names[0] if names else cpu
+    return {"platform": platform.platform(), "cpu": cpu,
+            "cpus": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    bench = json.loads(args.out.read_text()) if args.out.exists() else {}
+    bench["machine"] = machine()
+    entry = bench.setdefault("workloads", {}).setdefault(
+        f"{args.workload}/seed{args.seed}",
+        {"seconds": args.seconds, "runs": {side: [] for side in SIDES}},
+    )
+    if entry["seconds"] != args.seconds:
+        parser.error(f"entry was run at {entry['seconds']} s, not {args.seconds} s")
+    checkouts = {"parent": args.parent, "change": args.change}
+    done = len(entry["runs"]["parent"])
+    for i in range(args.pairs):
+        order = SIDES if (done + i) % 2 == 0 else SIDES[::-1]
+        for side in order:
+            run = run_once(checkouts[side], args.workload, args.seed, args.seconds)
+            run["first"] = side == order[0]
+            entry["runs"][side].append(run)
+            print(f"{args.workload} seed {args.seed} pair {i + 1} {side}: "
+                  f"op_p50_s {run['op_p50_s']:.5f}", flush=True)
+        entry["summary"] = summary(entry["runs"])
+        args.out.write_text(json.dumps(bench, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,7 +15,8 @@ Exit codes, each with a message on stderr and no traceback:
 2  invalid circuit (validation failure) or invalid option value: --cg or
    --lg not positive and finite while augmenting, --samples below 1,
    --tmax not positive and finite
-3  unquantizable under the requested configuration
+3  unquantizable under the requested configuration, or the kinetic
+   matrix too ill-conditioned to confirm its structural rank
 4  inconsistent initial conditions
 """
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .netlist import (
 )
 from .pipeline import quantize_circuit
 from .quantize import (
+    RankCrossCheckFailure,
     SingularKineticMatrix,
     diagnose_quantizability,
     ground_state,
@@ -519,7 +521,7 @@ def run(config: RunConfig) -> int:
         for v in exc.violations:
             print(f"  - {v}", file=sys.stderr)
         return 2
-    except SingularKineticMatrix as exc:
+    except (SingularKineticMatrix, RankCrossCheckFailure) as exc:
         print(f"not quantizable under this configuration: {exc}", file=sys.stderr)
         return 3
     except InconsistentInitialConditions as exc:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -27,6 +26,20 @@ _M_RANK_TOL = 1e-12
 _K_RANK_TOL = 1e-10
 # zero threshold of the row reduction, relative to the largest entry
 _RREF_TOL = 1e-9
+
+
+class RankCrossCheckFailure(RuntimeError):
+    """The structural null space of M and the numeric rank of the
+    equilibrated M disagree: M is too ill-conditioned in floating point to
+    confirm the structural answer."""
+
+    def __init__(self, structural: int, numeric: int):
+        super().__init__(
+            f"kinetic matrix rank unconfirmed: structural null space dimension "
+            f"{structural} disagrees with numeric estimate {numeric}"
+        )
+        self.structural = structural
+        self.numeric = numeric
 
 
 class SingularKineticMatrix(ValueError):
@@ -86,6 +99,7 @@ class ModeDecomposition:
     omegas: np.ndarray
     modes: np.ndarray
     zero_mode_count: int
+    _momenta: np.ndarray = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -93,14 +107,9 @@ class ModeDecomposition:
 
     def momentum_modes(self) -> np.ndarray:
         """Columns M v_k, i.e. V^{-T}; maps mode momenta to coordinates.
-        Solved once per decomposition and returned read-only."""
-        return self._momentum_modes
-
-    @cached_property
-    def _momentum_modes(self) -> np.ndarray:
-        u = np.linalg.solve(self.modes.T, np.eye(self.dim))
-        u.flags.writeable = False
-        return u
+        Formed once per decomposition as F U (V = F^{-T} U, so M V = F U)
+        and returned read-only."""
+        return self._momenta
 
 
 @dataclass(frozen=True)
@@ -114,14 +123,22 @@ class GaussianState:
 def _rref_nullspace(rows: np.ndarray) -> np.ndarray:
     """Null-space basis (one row per free column) of a small-integer matrix.
 
-    Gauss-Jordan with partial pivoting, one numpy elimination per column.
-    The reduced row echelon form does not depend on the pivot chosen, so
-    this is the exact rational basis up to rounding; on totally unimodular
-    rows (incidence and fundamental-loop rows) every pivot is +-1 and the
-    arithmetic is exact."""
+    Full column rank, the quantizable case, is certified by one LAPACK LU
+    with partial pivoting: with at least as many rows as columns and every
+    pivot above the zero threshold, the basis is empty.  On totally
+    unimodular rows (incidence and fundamental-loop rows) every pivot is
+    +-1 and every multiplier and update is an exact small integer, so the
+    certificate is exact.  Otherwise Gauss-Jordan with partial pivoting, one
+    numpy elimination per column, builds the basis.  The reduced row
+    echelon form does not depend on the pivot chosen, so this is the exact
+    rational basis up to rounding, and exact on totally unimodular rows."""
     m = np.array(rows, dtype=float)
     dim = m.shape[1]
     tol = _RREF_TOL * max(1.0, np.abs(m).max(initial=0.0))
+    if m.shape[0] >= dim > 0:
+        lu, _, _ = scipy.linalg.lapack.dgetrf(m)
+        if np.all(np.abs(np.diag(lu)) > tol):
+            return np.zeros((0, dim))
     pivots: list[int] = []
     for col in range(dim):
         rank = len(pivots)
@@ -185,7 +202,8 @@ def _describe_null_vector(
 
 def diagnose_quantizability(lagrangian: QuadraticLagrangian) -> QuantizabilityDiagnosis:
     """Null space of M, computed from the kinetic components' small-integer
-    assignment rows and confirmed against the numeric rank of M."""
+    assignment rows and confirmed against the numeric rank of M; raises
+    RankCrossCheckFailure where the two disagree."""
     combos = [lagrangian.flux_assignment[cid] for cid in lagrangian.kinetic_components]
     rows = _signed_rows(combos + list(lagrangian.kinetic_forms), lagrangian.labels)
 
@@ -198,10 +216,7 @@ def diagnose_quantizability(lagrangian: QuadraticLagrangian) -> QuantizabilityDi
 
     numeric_null = lagrangian.dim - _equilibrated_rank(lagrangian.M, _M_RANK_TOL)
     if numeric_null != len(null_vectors):
-        raise RuntimeError(
-            f"structural null space dimension {len(null_vectors)} disagrees with "
-            f"numeric estimate {numeric_null}"
-        )
+        raise RankCrossCheckFailure(len(null_vectors), numeric_null)
 
     attributions = tuple(
         _describe_null_vector(v, lagrangian.labels, lagrangian.representation)
@@ -246,11 +261,15 @@ def normal_modes(h: HamiltonianSystem) -> ModeDecomposition:
     kt = 0.5 * (kt + kt.T)
     evals, u = np.linalg.eigh(kt)
     v = scipy.linalg.solve_triangular(f.T, u, lower=False)
+    momenta = f @ u
+    momenta.flags.writeable = False
     zero_count = h.dim - _equilibrated_rank(h.k, _K_RANK_TOL)
     clipped = np.clip(evals, 0.0, None)
     clipped[:zero_count] = 0.0
     omegas = np.sqrt(clipped)
-    return ModeDecomposition(omegas=omegas, modes=v, zero_mode_count=zero_count)
+    return ModeDecomposition(
+        omegas=omegas, modes=v, zero_mode_count=zero_count, _momenta=momenta
+    )
 
 
 def ground_state(modes: ModeDecomposition, h: HamiltonianSystem) -> GaussianState:
@@ -289,12 +308,14 @@ def mode_attribution(
     """Assign each coordinate the angular frequency (rad/s) of the mode it
     dominates in mass-weighted magnitude.  Greedy argmax over |M^{1/2} V|,
     ties to the lower index; conflicts resolved by optimal assignment."""
+    if not modes.dim:
+        return {}
     m = h.mass_matrix()
     evals, q = np.linalg.eigh(m)
-    msqrt = q @ np.diag(np.sqrt(np.clip(evals, 0.0, None))) @ q.T
+    msqrt = (q * np.sqrt(np.clip(evals, 0.0, None))) @ q.T
     w = np.abs(msqrt @ modes.modes)
 
-    picks = [int(np.argmax(w[:, k])) for k in range(modes.dim)]
+    picks = np.argmax(w, axis=0).tolist()
     if len(set(picks)) != modes.dim:
         rows, cols = scipy.optimize.linear_sum_assignment(-w.T)
         picks = [int(c) for _, c in sorted(zip(rows, cols))]

@@ -97,3 +97,17 @@ def random_active_circuit(rng: np.random.Generator, max_nodes: int = 8) -> Circu
             )
         )
     return Circuit(tuple(nodes), tuple(comps))
+
+
+def ladder(n: int, rng: np.random.Generator) -> Circuit:
+    """Series inductors from ground through nodes 1..n, capacitors to ground
+    on even nodes and a second one on every 4th; odd nodes are passive."""
+    lines, prev = [], "0"
+    for i in range(1, n + 1):
+        lines.append(f"L{i} {prev} {i} {1e-9 * rng.uniform(0.8, 1.2)!r}")
+        if i % 2 == 0:
+            lines.append(f"C{i} {i} 0 {1e-12 * rng.uniform(0.8, 1.2)!r}")
+        if i % 4 == 0:
+            lines.append(f"Cx{i} {i} 0 {2e-12 * rng.uniform(0.8, 1.2)!r}")
+        prev = str(i)
+    return parse_netlist("\n".join(lines) + "\n")

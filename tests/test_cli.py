@@ -280,6 +280,18 @@ def test_modes_extreme_parasitic_ratio(capsys, args, dim):
     assert freqs[0] == pytest.approx(1.0273407, rel=1e-6)
 
 
+def test_modes_rank_cross_check_failure_exit_code(capsys):
+    # Cg = 1e300: the kinetic rows have full rank, the numeric M does not
+    code, out, err = run(capsys, "modes", PASSIVE, "--cg", "1e300")
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "not quantizable under this configuration: kinetic matrix rank "
+        "unconfirmed: structural null space dimension 0 disagrees with "
+        "numeric estimate 1\n"
+    )
+
+
 def test_nonfinite_value_exit_code(tmp_path, capsys):
     netlist = tmp_path / "huge.cir"
     netlist.write_text("C1 1 0 1e400\nL1 1 0 1nH\n")

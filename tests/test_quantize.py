@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -10,6 +11,8 @@ from fluxq import (
     GeometricMode,
     GeometricPolicy,
     HamiltonianSystem,
+    RankCrossCheckFailure,
+    Representation,
     SingularKineticMatrix,
     augment_geometric,
     build_spanning_tree,
@@ -23,11 +26,14 @@ from fluxq import (
     node_lagrangian,
     normal_modes,
     parse_netlist,
+    quantize_circuit,
     reduce_circuit,
     topology_report,
 )
 
-from conftest import pencil_frequencies_2x2, random_active_circuit
+from conftest import ladder, load, pencil_frequencies_2x2, random_active_circuit
+
+NETLIST_NAMES = ("passive_lc.cir", "reduced_lc.cir", "wheel.cir", "active_lc.cir")
 
 MINIMAL = GeometricPolicy(cap_mode=GeometricMode.MINIMAL)
 
@@ -86,6 +92,20 @@ def test_diagnose_wheel(wheel):
     diag_l = diagnose_quantizability(loop_system(wheel))
     assert not diag_l.quantizable
     assert len(diag_l.null_space) == 1
+
+
+def test_diagnose_rank_cross_check_failure(passive_lc):
+    # Cg = 1e300 swamps the design capacitors: the structural rows are of
+    # full rank, but the equilibrated M is numerically singular
+    _, lag = augmented_node(passive_lc, GeometricPolicy(GeometricMode.MINIMAL, 1e300))
+    with pytest.raises(RankCrossCheckFailure) as err:
+        diagnose_quantizability(lag)
+    assert isinstance(err.value, RuntimeError)
+    assert (err.value.structural, err.value.numeric) == (0, 1)
+    assert str(err.value) == (
+        "kinetic matrix rank unconfirmed: structural null space dimension 0 "
+        "disagrees with numeric estimate 1"
+    )
 
 
 def test_legendre_scalar(reduced_lc):
@@ -242,6 +262,60 @@ def test_mode_attribution_diagonal_identity():
     assert attribution["b"] == pytest.approx(math.sqrt(9e8 / 3e-12) / 1.0)
 
 
+def test_mode_attribution_without_coordinates():
+    # a circuit without loops has no coordinate in the loop representation
+    h = legendre_transform(loop_system(parse_netlist("C1 1 0 1pF")))
+    assert mode_attribution(normal_modes(h), h) == {}
+
+
+def _attribution_reference(modes, h):
+    """mode_attribution as first written: M^{1/2} through np.diag and a
+    per-column argmax, conflicts settled by optimal assignment."""
+    m = h.mass_matrix()
+    evals, q = np.linalg.eigh(m)
+    msqrt = q @ np.diag(np.sqrt(np.clip(evals, 0.0, None))) @ q.T
+    w = np.abs(msqrt @ modes.modes)
+    picks = [int(np.argmax(w[:, k])) for k in range(modes.dim)]
+    if len(set(picks)) != modes.dim:
+        rows, cols = scipy.optimize.linear_sum_assignment(-w.T)
+        picks = [int(c) for _, c in sorted(zip(rows, cols))]
+    return {h.labels[coord]: float(modes.omegas[k]) for k, coord in enumerate(picks)}
+
+
+def _assert_attribution_matches_reference(circuit, rep, policy):
+    try:
+        q = quantize_circuit(circuit, rep, policy)
+    except SingularKineticMatrix:
+        return  # nothing to attribute in this configuration
+    expected = _attribution_reference(q.modes, q.hamiltonian)
+    assert mode_attribution(q.modes, q.hamiltonian) == expected
+
+
+@pytest.mark.parametrize("name", NETLIST_NAMES)
+@pytest.mark.parametrize("mode", list(GeometricMode), ids=lambda g: g.value)
+@pytest.mark.parametrize("rep", list(Representation), ids=lambda r: r.value)
+def test_mode_attribution_matches_reference(name, mode, rep):
+    _assert_attribution_matches_reference(load(name), rep, GeometricPolicy(mode))
+
+
+@pytest.mark.parametrize("rep", list(Representation), ids=lambda r: r.value)
+def test_ladder_mode_attribution_matches_reference(rep):
+    # 128 nodes: per-column argmax conflicts, so the assignment path runs
+    circuit = ladder(128, np.random.default_rng(7))
+    _assert_attribution_matches_reference(circuit, rep, MINIMAL)
+
+
+@pytest.mark.parametrize("name", NETLIST_NAMES)
+@pytest.mark.parametrize("rep", list(Representation), ids=lambda r: r.value)
+def test_momentum_modes_are_inverse_transpose(name, rep):
+    q = quantize_circuit(load(name), rep, MINIMAL)
+    v, u = q.modes.modes, q.modes.momentum_modes()
+    solved = np.linalg.solve(v.T, np.eye(q.modes.dim))
+    assert np.abs(u - solved).max() <= 1e-12 * np.abs(solved).max()
+    assert np.abs(v.T @ u - np.eye(q.modes.dim)).max() <= 1e-12
+    assert not u.flags.writeable
+
+
 @given(st.integers(0, 10_000))
 def test_representation_duality_random(seed):
     """Nonzero spectra of the node and loop representations agree."""
@@ -343,3 +417,48 @@ def test_nullspace_of_incidence_rows_is_exact(seed):
     rows = rows[:, 1:]
     expected = _fraction_nullspace_reference(rows, dim)
     assert np.array_equal(_rref_nullspace(rows), expected)
+
+
+def _tall_integer_rows(kind, dim, rng):
+    """At least as many rows as columns, so the LU certificate is tried."""
+    rows = dim + int(rng.integers(0, 8))
+    if kind == "full":  # generically of full column rank
+        return rng.integers(-3, 4, size=(rows, dim))
+    if kind == "low_row_rank":  # sums of fewer -3..3 rows than columns
+        base = rng.integers(-3, 4, size=(dim - int(rng.integers(1, 4)), dim))
+        return rng.integers(0, 2, size=(rows, len(base))) @ base
+    # one column the sum of two others: rank-deficient however tall
+    mat = rng.integers(-3, 4, size=(rows, dim))
+    mat[:, int(rng.integers(1, dim - 1))] = mat[:, 0] + mat[:, -1]
+    return mat
+
+
+@pytest.mark.parametrize("dim", [3, 12, 25, 40])
+@pytest.mark.parametrize("kind", ["full", "low_row_rank", "dependent_column"])
+def test_nullspace_of_tall_rows_matches_fraction_reference(kind, dim):
+    from fluxq.quantize import _rref_nullspace
+
+    rows = _tall_integer_rows(kind, dim, np.random.default_rng(dim))
+    expected = _fraction_nullspace_reference(rows, dim)
+    assert (expected.shape[0] == 0) == (kind == "full")
+    got = _rref_nullspace(rows.astype(float))
+    assert got.shape == expected.shape
+    scale = max(1.0, np.abs(expected).max(initial=0.0))
+    assert np.abs(got - expected).max(initial=0.0) <= 1e-12 * scale
+    assert np.array_equal(got != 0.0, expected != 0.0)
+
+
+def test_nullspace_of_large_grounded_incidence_is_empty():
+    # a connected graph with ground: its incidence rows without the ground
+    # column have full column rank, which the LU certificate settles
+    from fluxq.quantize import _rref_nullspace
+
+    rng = np.random.default_rng(5)
+    dim = 120
+    edges = [(i, int(rng.integers(0, i))) for i in range(1, dim + 1)]
+    edges += [tuple(rng.choice(dim + 1, size=2, replace=False)) for _ in range(60)]
+    rows = np.zeros((len(edges), dim + 1))
+    for r, (a, b) in enumerate(edges):
+        rows[r, a], rows[r, b] = 1.0, -1.0
+    got = _rref_nullspace(rows[:, 1:])
+    assert got.shape == (0, dim) and got.dtype == np.float64

@@ -35,7 +35,7 @@ from fluxq import (
 from fluxq.lagrangian import QuadraticLagrangian, Representation
 from fluxq.quantize import HBAR, SingularKineticMatrix
 
-from conftest import load
+from conftest import ladder as _ladder, load
 
 MINIMAL = GeometricPolicy(cap_mode=GeometricMode.MINIMAL)
 ALL_PAIRS = GeometricPolicy(cap_mode=GeometricMode.ALL_PAIRS)
@@ -516,20 +516,6 @@ def test_matrix_observables_match_per_row_loops(name, policy, rep):
         # and its last bits move (2e-15 of its scale), no more than that
         for got, want in ((series[cid].voltage, voltage), (series[cid].current, current)):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-
-
-def _ladder(n, rng):
-    """Series inductors from ground through nodes 1..n, capacitors to ground
-    on even nodes and a second one on every 4th; odd nodes are passive."""
-    lines, prev = [], "0"
-    for i in range(1, n + 1):
-        lines.append(f"L{i} {prev} {i} {1e-9 * rng.uniform(0.8, 1.2)!r}")
-        if i % 2 == 0:
-            lines.append(f"C{i} {i} 0 {1e-12 * rng.uniform(0.8, 1.2)!r}")
-        if i % 4 == 0:
-            lines.append(f"Cx{i} {i} 0 {2e-12 * rng.uniform(0.8, 1.2)!r}")
-        prev = str(i)
-    return parse_netlist("\n".join(lines) + "\n")
 
 
 def _evolve_by_old_expressions(modes, x0, p0, t):
