@@ -1,14 +1,18 @@
 """Alternating parent/change runs of the benchmark, recorded as a BENCH file.
 
     python3 scripts/bench_pairs.py --parent <checkout> --change <checkout> \
-        --workload ladder_modes --seed 7 --pairs 10 --seconds 10 --out BENCH_9.json
+        --workload ladder_modes --seed 7 --pairs 10 --seconds 10 \
+        [--trace-runs 3] --out BENCH_9.json
 
 Each pair runs `perfbench/run.py` once in each checkout, the side that runs
 first alternating from pair to pair.  Every run's end-to-end metrics (its
 `op_p50_s` is that run's median operation time) are appended to the
 workload's entry in `--out`, keyed `<workload>/seed<seed>`, together with
 each side's median and quartiles, the pairs the change won on `op_p50_s`,
-and the machine and library versions.  Running again with the same key
+and the machine and library versions.  With `--trace-runs K`, K traced
+runs (`--trace 1`) per side follow the pairs, alternating in the same way;
+their per-layer metrics are kept under `trace_runs` and each metric's
+median per side under `summary.trace`.  Running again with the same key
 adds runs to the entry.
 """
 from __future__ import annotations
@@ -25,12 +29,15 @@ import numpy as np
 import scipy
 
 SIDES = ("parent", "change")
+RUN_FIELDS = ("correct", "attempted", "failed", "first")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(
+    checkout: Path, workload: str, seed: int, seconds: float, trace: bool = False
+) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace))],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -40,15 +47,24 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return run
 
 
-def summary(runs: dict[str, list[dict]]) -> dict:
+def summary(runs: dict[str, list[dict]], trace_runs: dict[str, list[dict]]) -> dict:
     out = {}
-    for side in SIDES:
-        for metric in ("op_p50_s", "ops_per_s", "setup_s", "peak_rss_mb"):
-            q1, med, q3 = np.percentile([r[metric] for r in runs[side]], [25, 50, 75])
-            out.setdefault(side, {})[metric] = {"median": med, "q1": q1, "q3": q3}
     pairs = list(zip(runs["parent"], runs["change"]))
-    out["change_wins_op_p50_s"] = sum(c["op_p50_s"] < p["op_p50_s"] for p, c in pairs)
+    if pairs:
+        for side in SIDES:
+            for metric in ("op_p50_s", "ops_per_s", "setup_s", "peak_rss_mb"):
+                q1, med, q3 = np.percentile([r[metric] for r in runs[side]], [25, 50, 75])
+                out.setdefault(side, {})[metric] = {"median": med, "q1": q1, "q3": q3}
+        out["change_wins_op_p50_s"] = sum(c["op_p50_s"] < p["op_p50_s"] for p, c in pairs)
     out["pairs"] = len(pairs)
+    traced = {side: trace_runs[side] for side in SIDES if trace_runs[side]}
+    if traced:
+        # per-layer medians; the run's bookkeeping fields are not metrics
+        out["trace"] = {
+            side: {name: float(np.median([r[name] for r in side_runs]))
+                   for name in side_runs[0] if name not in RUN_FIELDS}
+            for side, side_runs in traced.items()
+        }
     return out
 
 
@@ -73,6 +89,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--trace-runs", type=int, default=0,
+                        help="traced runs per side after the pairs")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
@@ -84,18 +102,25 @@ def main(argv: list[str] | None = None) -> int:
     )
     if entry["seconds"] != args.seconds:
         parser.error(f"entry was run at {entry['seconds']} s, not {args.seconds} s")
+    trace_runs = entry.setdefault("trace_runs", {side: [] for side in SIDES})
     checkouts = {"parent": args.parent, "change": args.change}
-    done = len(entry["runs"]["parent"])
-    for i in range(args.pairs):
-        order = SIDES if (done + i) % 2 == 0 else SIDES[::-1]
-        for side in order:
-            run = run_once(checkouts[side], args.workload, args.seed, args.seconds)
-            run["first"] = side == order[0]
-            entry["runs"][side].append(run)
-            print(f"{args.workload} seed {args.seed} pair {i + 1} {side}: "
-                  f"op_p50_s {run['op_p50_s']:.5f}", flush=True)
-        entry["summary"] = summary(entry["runs"])
-        args.out.write_text(json.dumps(bench, indent=1) + "\n")
+
+    def alternate(count: int, done: int, runs: dict, trace: bool) -> None:
+        for i in range(count):
+            order = SIDES if (done + i) % 2 == 0 else SIDES[::-1]
+            for side in order:
+                run = run_once(checkouts[side], args.workload, args.seed,
+                               args.seconds, trace)
+                run["first"] = side == order[0]
+                runs[side].append(run)
+                shown = "" if trace else f": op_p50_s {run['op_p50_s']:.5f}"
+                print(f"{args.workload} seed {args.seed} "
+                      f"{'trace' if trace else 'pair'} {i + 1} {side}{shown}", flush=True)
+            entry["summary"] = summary(entry["runs"], trace_runs)
+            args.out.write_text(json.dumps(bench, indent=1) + "\n")
+
+    alternate(args.pairs, len(entry["runs"]["parent"]), entry["runs"], False)
+    alternate(args.trace_runs, len(trace_runs["parent"]), trace_runs, True)
     return 0
 
 

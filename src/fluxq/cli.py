@@ -15,8 +15,9 @@ Exit codes, each with a message on stderr and no traceback:
 2  invalid circuit (validation failure) or invalid option value: --cg or
    --lg not positive and finite while augmenting, --samples below 1,
    --tmax not positive and finite
-3  unquantizable under the requested configuration, or the kinetic
-   matrix too ill-conditioned to confirm its structural rank
+3  unquantizable under the requested configuration, the kinetic
+   matrix too ill-conditioned to confirm its structural rank, or the
+   reduced matrix of the mode solve overflowing float64
 4  inconsistent initial conditions
 """
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .netlist import (
 from .pipeline import quantize_circuit
 from .quantize import (
     RankCrossCheckFailure,
+    ReducedMatrixOverflow,
     SingularKineticMatrix,
     diagnose_quantizability,
     ground_state,
@@ -521,7 +523,7 @@ def run(config: RunConfig) -> int:
         for v in exc.violations:
             print(f"  - {v}", file=sys.stderr)
         return 2
-    except (SingularKineticMatrix, RankCrossCheckFailure) as exc:
+    except (SingularKineticMatrix, RankCrossCheckFailure, ReducedMatrixOverflow) as exc:
         print(f"not quantizable under this configuration: {exc}", file=sys.stderr)
         return 3
     except InconsistentInitialConditions as exc:

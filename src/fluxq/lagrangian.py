@@ -20,6 +20,7 @@ All quantities are SI.  Matrices are dense; circuits are small.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -337,36 +338,53 @@ def augment_geometric(
     )
 
 
-def _shortest_design_path(
-    circuit: Circuit, u: str, v: str
-) -> list[tuple[Component, int]]:
-    """BFS through design (non-geometric) components from u to v; neighbors
-    expanded in declaration order so ties are deterministic.  Returns the
-    steps as (component, direction) with direction +1 when traversed from
-    its first to its second terminal."""
-    design = [c for c in circuit.components if not c.geometric]
-    prev: dict[str, tuple[str, Component, int]] = {}
+def _design_adjacency(
+    circuit: Circuit,
+) -> dict[str, list[tuple[Component, int, str]]]:
+    """node -> [(component, direction, other terminal)] over the design
+    (non-geometric) components, each list in declaration order; direction
+    is +1 when the component leaves the node by its first terminal."""
+    adjacency: dict[str, list[tuple[Component, int, str]]] = {}
+    for c in circuit.components:
+        if not c.geometric:
+            adjacency.setdefault(c.a, []).append((c, +1, c.b))
+            adjacency.setdefault(c.b, []).append((c, -1, c.a))
+    return adjacency
+
+
+def _design_parents(
+    adjacency: dict[str, list[tuple[Component, int, str]]], u: str
+) -> dict[str, tuple[str, Component, int]]:
+    """Breadth-first tree from u over a _design_adjacency index: each
+    reached node's (parent, component, direction).  Neighbors are expanded
+    in declaration order and a node keeps the parent that reached it
+    first, so the path to any node is the one a BFS stopped there finds."""
+    parents: dict[str, tuple[str, Component, int]] = {}
     seen = {u}
-    frontier = [u]
-    while frontier and v not in seen:
-        node = frontier.pop(0)
-        for c in design:
-            if node not in c.terminals:
-                continue
-            other = c.b if c.a == node else c.a
-            if other in seen:
-                continue
-            seen.add(other)
-            prev[other] = (node, c, +1 if c.a == node else -1)
-            frontier.append(other)
-    if v not in seen:
+    frontier = deque([u])
+    while frontier:
+        node = frontier.popleft()
+        for c, direction, other in adjacency.get(node, ()):
+            if other not in seen:
+                seen.add(other)
+                parents[other] = (node, c, direction)
+                frontier.append(other)
+    return parents
+
+
+def _shortest_design_path(
+    parents: dict[str, tuple[str, Component, int]], u: str, v: str
+) -> list[tuple[Component, int]]:
+    """Steps from u to v along a _design_parents tree of u, as (component,
+    direction) with direction +1 when traversed from its first to its
+    second terminal."""
+    if v != u and v not in parents:
         raise ValueError(f"no design path between nodes {u!r} and {v!r}")
     steps: list[tuple[Component, int]] = []
     node = v
     while node != u:
-        parent, comp, direction = prev[node]
+        node, comp, direction = parents[node]
         steps.append((comp, direction))
-        node = parent
     steps.reverse()
     return steps
 
@@ -417,9 +435,14 @@ def _extended_lagrangian(
             combo[f"Phi_{li + 1}"] = combo.get(f"Phi_{li + 1}", 0.0) - 1.0
         assignment[c.id] = {k: v for k, v in combo.items() if v != 0.0}
 
+    # one breadth-first tree per source node, over design components only
+    adjacency = _design_adjacency(augmented)
+    trees: dict[str, dict[str, tuple[str, Component, int]]] = {}
     for c in record.added_capacitors:
+        if c.a not in trees:
+            trees[c.a] = _design_parents(adjacency, c.a)
         combo: dict[str, float] = {}
-        for comp, direction in _shortest_design_path(augmented, c.a, c.b):
+        for comp, direction in _shortest_design_path(trees[c.a], c.a, c.b):
             for lbl, coeff in assignment[comp.id].items():
                 combo[lbl] = combo.get(lbl, 0.0) + direction * coeff
         assignment[c.id] = {k: v for k, v in combo.items() if v != 0.0}

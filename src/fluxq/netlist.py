@@ -99,7 +99,17 @@ class Circuit:
         return {c.id: c for c in reversed(self.components)}
 
     def incident(self, node: str) -> tuple[Component, ...]:
-        return tuple(c for c in self.components if node in c.terminals)
+        return self._incident.get(node, ())
+
+    @functools.cached_property
+    def _incident(self) -> dict[str, tuple[Component, ...]]:
+        # node -> its components in declaration order; like _by_id, built
+        # once on the assumption that `components` is never reassigned
+        index: dict[str, list[Component]] = {}
+        for c in self.components:
+            for n in dict.fromkeys(c.terminals):
+                index.setdefault(n, []).append(c)
+        return {n: tuple(cs) for n, cs in index.items()}
 
 
 def _normalize_node(token: str) -> str:
@@ -133,7 +143,7 @@ def parse_netlist(text: str) -> Circuit:
     """
     components: list[Component] = []
     ids: set[str] = set()
-    nodes: list[str] = []
+    nodes: dict[str, None] = {}  # insertion-ordered set
     pending_ics: list[tuple[int, int, str, str]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -178,9 +188,8 @@ def parse_netlist(text: str) -> Circuit:
             raise NetlistError(f"non-positive value for {cid!r}", lineno, vcol)
         ids.add(cid)
         components.append(Component(cid, kind, value, (na, nb)))
-        for n in (na, nb):
-            if n not in nodes:
-                nodes.append(n)
+        nodes.setdefault(na)
+        nodes.setdefault(nb)
 
     by_id = {c.id: c for c in components}
     ics: dict[str, float] = {}
@@ -193,8 +202,7 @@ def parse_netlist(text: str) -> Circuit:
         ics[cid] = _parse_value(vtok, _IC_UNIT[comp.kind], lineno, col)
 
     if GROUND in nodes:
-        nodes.remove(GROUND)
-        nodes.insert(0, GROUND)
+        nodes = {GROUND: None, **nodes}  # ground first, the rest in order
     return Circuit(tuple(nodes), tuple(components), ics)
 
 
@@ -216,7 +224,8 @@ def validate_circuit(circuit: Circuit) -> list[str]:
     list means the circuit is valid.  Violations are data, not failures."""
     violations: list[str] = []
 
-    if GROUND not in circuit.nodes:
+    declared = set(circuit.nodes)
+    if GROUND not in declared:
         violations.append("no ground node ('0' or 'GND') present")
 
     seen: set[str] = set()
@@ -231,13 +240,13 @@ def validate_circuit(circuit: Circuit) -> list[str]:
         if c.a == c.b:
             violations.append(f"component {c.id!r} connects node {c.a!r} to itself")
         for n in c.terminals:
-            if n not in circuit.nodes:
+            if n not in declared:
                 violations.append(
                     f"component {c.id!r} references undeclared node {n!r}"
                 )
 
     for cid in circuit.ics:
-        if all(c.id != cid for c in circuit.components):
+        if cid not in seen:
             violations.append(f"initial condition for unknown component {cid!r}")
 
     if circuit.nodes and circuit.components:
@@ -246,7 +255,7 @@ def validate_circuit(circuit: Circuit) -> list[str]:
             if c.a in adjacency and c.b in adjacency and c.a != c.b:
                 adjacency[c.a].add(c.b)
                 adjacency[c.b].add(c.a)
-        start = GROUND if GROUND in circuit.nodes else circuit.nodes[0]
+        start = GROUND if GROUND in declared else circuit.nodes[0]
         reached = {start}
         frontier = [start]
         while frontier:

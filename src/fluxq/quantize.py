@@ -42,6 +42,19 @@ class RankCrossCheckFailure(RuntimeError):
         self.numeric = numeric
 
 
+class ReducedMatrixOverflow(RuntimeError):
+    """The reduced matrix F^{-1} K F^{-T} of normal_modes (M = F F^T) has
+    entries that overflow float64: M and K span a larger range of scales
+    than double precision holds, as with a 1e-300 capacitance or loop
+    inductance."""
+
+    def __init__(self):
+        super().__init__(
+            "reduced stiffness matrix F^-1 K F^-T overflows float64 "
+            "(M and K span too wide a range of scales)"
+        )
+
+
 class SingularKineticMatrix(ValueError):
     """Legendre transform attempted on a representation with passive
     coordinates; carries the diagnosis."""
@@ -254,11 +267,14 @@ def normal_modes(h: HamiltonianSystem) -> ModeDecomposition:
     """Solve K v = omega^2 M v by symmetric reduction: factor M = F F^T,
     eigendecompose F^{-1} K F^{-T}, back-transform.  Zero eigenvalues of K
     are legal zero modes, not errors; their count is the corank of K
-    (M is positive definite here, so nonzero modes = rank K)."""
+    (M is positive definite here, so nonzero modes = rank K).  Raises
+    ReducedMatrixOverflow when the reduced matrix is not finite."""
     f = h.mass_factor()
     kt = scipy.linalg.solve_triangular(f, h.k, lower=True)
     kt = scipy.linalg.solve_triangular(f, kt.T, lower=True).T
     kt = 0.5 * (kt + kt.T)
+    if not np.isfinite(kt).all():
+        raise ReducedMatrixOverflow()
     evals, u = np.linalg.eigh(kt)
     v = scipy.linalg.solve_triangular(f.T, u, lower=False)
     momenta = f @ u

@@ -323,28 +323,38 @@ def propagate_covariance(
 ) -> np.ndarray:
     """Covariance matrices cov(t) = Phi(t) cov Phi(t)^T, shape (nt, 2n, 2n).
 
-    The covariance is moved into mode coordinates once; there each time
-    point only scales the xx, xp and pp blocks by the per-mode 2x2 maps,
-    and the result is mapped back with V and U = V^{-T}."""
+    The covariance is moved into mode coordinates once, as S[r, k, s, l]
+    with r, s the x/p halves and k, l modes.  At each time point the
+    per-mode 2x2 maps R rotate its rows, then its columns (two fused passes
+    into fixed buffers), and V and U = V^{-T} map it back with GEMMs that
+    write straight into the result; the time loop allocates nothing."""
     t = np.asarray(times, dtype=float)
     n = modes.dim
     v = modes.modes
     u = modes.momentum_modes()
     cov = state.cov
-    sxx = u.T @ cov[:n, :n] @ u
-    sxp = u.T @ cov[:n, n:] @ v
-    spx = sxp.T
-    spp = v.T @ cov[n:, n:] @ v
-    c_t, a_t, b_t = _mode_rotation(modes.omegas, t)
+    s = np.empty((2, n, 2, n))
+    s[0, :, 0] = u.T @ cov[:n, :n] @ u
+    s[0, :, 1] = u.T @ cov[:n, n:] @ v
+    s[1, :, 0] = s[0, :, 1].T
+    s[1, :, 1] = v.T @ cov[n:, n:] @ v
+    # r[i, :, :, k] is mode k's map [[c, a], [b, c]] at time i
+    r = np.empty((t.size, 2, 2, n))
+    r[:, 0, 0], r[:, 0, 1], r[:, 1, 0] = (e.T for e in _mode_rotation(modes.omegas, t))
+    r[:, 1, 1] = r[:, 0, 0]
+    vt, ut = np.ascontiguousarray(v.T), np.ascontiguousarray(u.T)
+    rs, y = np.empty_like(s), np.empty_like(s)
+    # z[:n] = V [Yxx | Yxp] and z[n:, n:] = U Ypp, so z[:, n:] = [Zxp; Zpp]
+    z = np.empty((2 * n, 2 * n))
     out = np.empty((t.size, *cov.shape))
     for i in range(t.size):
-        # R S R^T with R = [[C, A], [B, C]]: rows first, then columns
-        c, a, b = c_t[:, i, None], a_t[:, i, None], b_t[:, i, None]
-        rxx, rxp = c * sxx + a * spx, c * sxp + a * spp
-        rpx, rpp = b * sxx + c * spx, b * sxp + c * spp
-        c, a, b = c.T, a.T, b.T
-        out[i, :n, :n] = v @ (rxx * c + rxp * a) @ v.T
-        out[i, :n, n:] = v @ (rxx * b + rxp * c) @ u.T
+        np.einsum("rsk,skql->rkql", r[i], s, out=rs)
+        # Y = (RS) R^T; the px block is never read
+        np.einsum("ksl,qsl->kql", rs[0], r[i], out=y[0])
+        np.einsum("ksl,sl->kl", rs[1], r[i, 1], out=y[1, :, 1])
+        np.matmul(v, y[0].reshape(n, 2 * n), out=z[:n])
+        np.matmul(u, y[1, :, 1], out=z[n:, n:])
+        np.matmul(z[:n, :n], vt, out=out[i, :n, :n])
+        np.matmul(z[:, n:], ut, out=out[i, :, n:])
         out[i, n:, :n] = out[i, :n, n:].T
-        out[i, n:, n:] = u @ (rpx * b + rpp * c) @ u.T
     return out

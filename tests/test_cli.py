@@ -292,6 +292,27 @@ def test_modes_rank_cross_check_failure_exit_code(capsys):
     )
 
 
+OVERFLOW_LINE = (
+    "not quantizable under this configuration: reduced stiffness matrix "
+    "F^-1 K F^-T overflows float64 (M and K span too wide a range of scales)\n"
+)
+
+
+def test_modes_reduced_matrix_overflow_lg_exit_code(capsys):
+    # Lg = 1e-300 in the loop representation: F^-1 K F^-T overflows
+    code, out, err = run(capsys, "modes", PASSIVE, "--rep", "loop", "--lg", "1e-300")
+    assert (code, out, err) == (3, "", OVERFLOW_LINE)
+
+
+def test_modes_reduced_matrix_overflow_tiny_capacitors_exit_code(tmp_path, capsys):
+    # passive_lc.cir with every capacitor at 1e-300 F: finite, positive and
+    # valid, but the loop representation's 1/C overflows the reduced matrix
+    netlist = tmp_path / "tiny_c.cir"
+    netlist.write_text("C1 2 0 1e-300\nC2 2 0 1e-300\nL3 2 3 1nH\nL4 3 0 3nH\n")
+    code, out, err = run(capsys, "modes", str(netlist), "--rep", "loop")
+    assert (code, out, err) == (3, "", OVERFLOW_LINE)
+
+
 def test_nonfinite_value_exit_code(tmp_path, capsys):
     netlist = tmp_path / "huge.cir"
     netlist.write_text("C1 1 0 1e400\nL1 1 0 1nH\n")

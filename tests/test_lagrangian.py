@@ -21,7 +21,9 @@ from fluxq import (
 )
 from fluxq.topology import inductor_participation
 
-from conftest import random_active_circuit
+from fluxq import lagrangian as lagrangian_module
+
+from conftest import ladder, load, random_active_circuit
 
 MINIMAL = GeometricPolicy(cap_mode=GeometricMode.MINIMAL)
 ALL_PAIRS = GeometricPolicy(cap_mode=GeometricMode.ALL_PAIRS)
@@ -167,6 +169,60 @@ def test_extended_geometric_caps_follow_design_paths(passive_lc):
     assert lag.flux_assignment["Cg32"] == {"phi_2": -1.0, "phi_3": 1.0}
     assert lag.flux_assignment["Cg30"] == {"phi_3": 1.0, "Phi_2": -1.0}
     assert lag.flux_assignment["Cg20"] == {"phi_2": 1.0}
+
+
+def _scan_design_path(circuit, u, v):
+    """Reference: BFS that rescans every design component for each node it
+    visits, neighbors in declaration order."""
+    design = [c for c in circuit.components if not c.geometric]
+    prev = {}
+    seen = {u}
+    frontier = [u]
+    while frontier and v not in seen:
+        node = frontier.pop(0)
+        for c in design:
+            if node not in c.terminals:
+                continue
+            other = c.b if c.a == node else c.a
+            if other in seen:
+                continue
+            seen.add(other)
+            prev[other] = (node, c, +1 if c.a == node else -1)
+            frontier.append(other)
+    if v not in seen:
+        raise ValueError(f"no design path between nodes {u!r} and {v!r}")
+    steps = []
+    node = v
+    while node != u:
+        node, comp, direction = prev[node]
+        steps.append((comp, direction))
+    return steps[::-1]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["passive_lc.cir", "reduced_lc.cir", "active_lc.cir", "wheel.cir", "ladder64"],
+)
+@pytest.mark.parametrize("mode", list(GeometricMode))
+def test_extended_design_paths_match_scan_bfs(name, mode, monkeypatch):
+    """The indexed breadth-first trees give every geometric capacitor the
+    path of a per-call scan BFS: identical assignment, M and K."""
+    circuit = ladder(64, np.random.default_rng(7)) if name == "ladder64" else load(name)
+    policy = GeometricPolicy(cap_mode=mode)
+    tree = build_spanning_tree(circuit)
+    lag = extended_node_lagrangian(circuit, tree, policy)
+    augmented, record = augment_geometric(circuit, topology_report(circuit), policy)
+    monkeypatch.setattr(
+        lagrangian_module,
+        "_shortest_design_path",
+        lambda parents, u, v: _scan_design_path(augmented, u, v),
+    )
+    reference = extended_node_lagrangian(circuit, tree, policy)
+    assert lag.flux_assignment == reference.flux_assignment
+    assert np.array_equal(lag.M, reference.M)
+    assert np.array_equal(lag.K, reference.K)
+    if mode is GeometricMode.ALL_PAIRS:
+        assert record.added_capacitors  # the comparison covered some paths
 
 
 def test_extended_phi_block_restriction_matches_node(passive_lc):

@@ -166,3 +166,23 @@ def test_component_lookup_matches_declaration_scan():
     assert circuit.component("L1") is comps[1]
     with pytest.raises(KeyError):
         circuit.component("L2")
+
+
+@given(circuits())
+def test_incident_matches_declaration_scan(circuit):
+    for node in circuit.nodes + ("absent",):
+        expected = tuple(c for c in circuit.components if node in c.terminals)
+        assert circuit.incident(node) == expected
+
+
+def test_validate_reports_undeclared_nodes_and_unknown_ics_in_order():
+    comps = (
+        Component("C1", ComponentKind.CAPACITOR, 1e-12, ("1", "0")),
+        Component("L1", ComponentKind.INDUCTOR, 1e-9, ("2", "1")),
+    )
+    circuit = Circuit(("0", "1"), comps, {"L9": 1e-3, "C1": 1.0, "C8": 0.0})
+    assert validate_circuit(circuit) == [
+        "component 'L1' references undeclared node '2'",
+        "initial condition for unknown component 'L9'",
+        "initial condition for unknown component 'C8'",
+    ]

@@ -308,6 +308,68 @@ def test_covariance_of_moving_state_matches_expm(name, request):
         assert np.abs(phi_modes.T @ J @ phi_modes - J).max() <= 1e-10
 
 
+def _random_psd_state(modes, h, rng):
+    """Vacuum plus a random PSD term on the scale of the vacuum spreads."""
+    dim = modes.dim
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zero modes have no vacuum
+        vacuum = ground_state(modes, h).cov
+    spread_x = np.sqrt(np.abs(vacuum[:dim, :dim]).max())
+    spread_p = np.sqrt(np.abs(vacuum[dim:, dim:]).max())
+    g = rng.standard_normal((2 * dim, 2 * dim)) * np.repeat([spread_x, spread_p], dim)[:, None]
+    return GaussianState(mean=np.zeros(2 * dim), cov=vacuum + g @ g.T)
+
+
+def _covariance_case(name):
+    if name == "zero_mode":
+        _, h, modes = node_setup(parse_netlist(ZERO_MODE_NETLIST))
+    else:
+        _, _, h, modes = augmented_node_setup(_ladder(32, np.random.default_rng(7)))
+    return h, modes
+
+
+@pytest.mark.parametrize("name", ["ladder32", "zero_mode"])
+def test_covariance_matches_evolution_matrix_sandwich(name):
+    """Every block of propagate_covariance against Phi(t) cov Phi(t)^T with
+    Phi from evolution_matrix, to 1e-12 of the block's own scale, at 53
+    times; the px block is exactly the transpose of the xp block."""
+    h, modes = _covariance_case(name)
+    dim = modes.dim
+    state = _random_psd_state(modes, h, np.random.default_rng(5))
+    times = np.concatenate([np.linspace(0.0, 4e-9, 50), [1e-13, 2.7e-11, 9.1e-9]])
+    covs = propagate_covariance(modes, h, state, times)
+    assert covs.shape == (times.size, 2 * dim, 2 * dim)
+    blocks = [np.s_[:dim, :dim], np.s_[:dim, dim:], np.s_[dim:, :dim], np.s_[dim:, dim:]]
+    for cov, t in zip(covs, times):
+        phi = evolution_matrix(modes, h, t)
+        expected = phi @ state.cov @ phi.T
+        for blk in blocks:
+            scale = np.abs(expected[blk]).max()
+            assert np.abs(cov[blk] - expected[blk]).max() <= 1e-12 * scale
+    assert np.array_equal(covs[:, dim:, :dim], covs[:, :dim, dim:].transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("name", ["ladder32", "zero_mode"])
+def test_covariance_of_no_times_is_empty(name):
+    h, modes = _covariance_case(name)
+    state = _random_psd_state(modes, h, np.random.default_rng(5))
+    covs = propagate_covariance(modes, h, state, np.array([]))
+    assert covs.shape == (0, 2 * modes.dim, 2 * modes.dim)
+
+
+def test_covariance_calls_return_fresh_writeable_arrays():
+    h, modes = _covariance_case("zero_mode")
+    state = _random_psd_state(modes, h, np.random.default_rng(5))
+    times = np.linspace(0.0, 1e-9, 4)
+    first = propagate_covariance(modes, h, state, times)
+    second = propagate_covariance(modes, h, state, times)
+    assert first.flags.writeable and second.flags.writeable
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, second)
+    first[...] = 0.0
+    assert np.array_equal(second, propagate_covariance(modes, h, state, times))
+
+
 def test_flux_law_node_rep(passive_lc):
     augmented, lag, h, modes = augmented_node_setup(passive_lc)
     x0, p0 = initial_state(augmented, lag, {"C1": 2e-3, "C2": 2e-3})
