@@ -8,8 +8,9 @@ Each pair runs `perfbench/run.py` once in each checkout, the side that runs
 first alternating from pair to pair.  Every run's end-to-end metrics (its
 `op_p50_s` is that run's median operation time) are appended to the
 workload's entry in `--out`, keyed `<workload>/seed<seed>`, together with
-each side's median and quartiles, the pairs the change won on `op_p50_s`,
-and the machine and library versions.  With `--trace-runs K`, K traced
+each side's median and quartiles, the pairs the change won on each
+end-to-end metric (`change_wins`; `change_wins_op_p50_s` repeats the
+`op_p50_s` count), and the machine and library versions.  With `--trace-runs K`, K traced
 runs (`--trace 1`) per side follow the pairs, alternating in the same way;
 their per-layer metrics are kept under `trace_runs` and each metric's
 median per side under `summary.trace`.  Running again with the same key
@@ -30,6 +31,8 @@ import scipy
 
 SIDES = ("parent", "change")
 RUN_FIELDS = ("correct", "attempted", "failed", "first")
+# the end-to-end metrics, each with whether lower is better
+LOWER_IS_BETTER = {"op_p50_s": True, "ops_per_s": False, "setup_s": True, "peak_rss_mb": True}
 
 
 def run_once(
@@ -52,10 +55,16 @@ def summary(runs: dict[str, list[dict]], trace_runs: dict[str, list[dict]]) -> d
     pairs = list(zip(runs["parent"], runs["change"]))
     if pairs:
         for side in SIDES:
-            for metric in ("op_p50_s", "ops_per_s", "setup_s", "peak_rss_mb"):
+            for metric in LOWER_IS_BETTER:
                 q1, med, q3 = np.percentile([r[metric] for r in runs[side]], [25, 50, 75])
                 out.setdefault(side, {})[metric] = {"median": med, "q1": q1, "q3": q3}
-        out["change_wins_op_p50_s"] = sum(c["op_p50_s"] < p["op_p50_s"] for p, c in pairs)
+        # ties count for neither side
+        out["change_wins"] = {
+            metric: sum((c[metric] < p[metric]) if lower else (c[metric] > p[metric])
+                        for p, c in pairs)
+            for metric, lower in LOWER_IS_BETTER.items()
+        }
+        out["change_wins_op_p50_s"] = out["change_wins"]["op_p50_s"]
     out["pairs"] = len(pairs)
     traced = {side: trace_runs[side] for side in SIDES if trace_runs[side]}
     if traced:

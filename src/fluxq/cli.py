@@ -14,10 +14,13 @@ Exit codes, each with a message on stderr and no traceback:
 1  the netlist cannot be read or parsed
 2  invalid circuit (validation failure) or invalid option value: --cg or
    --lg not positive and finite while augmenting, --samples below 1,
-   --tmax not positive and finite
+   --tmax not positive and finite, or so large that the fastest mode's
+   phase omega*t overflows float64
 3  unquantizable under the requested configuration, the kinetic
-   matrix too ill-conditioned to confirm its structural rank, or the
-   reduced matrix of the mode solve overflowing float64
+   matrix too ill-conditioned to confirm its structural rank, M or the
+   reduced matrix of the mode solve overflowing float64 (as with --cg or
+   --lg at 1e-300, or subnormal, where the value enters M or K), or any
+   other floating-point overflow or invalid operation in the numerics
 4  inconsistent initial conditions
 """
 from __future__ import annotations
@@ -51,6 +54,7 @@ from .netlist import (
 )
 from .pipeline import quantize_circuit
 from .quantize import (
+    KineticMatrixOverflow,
     RankCrossCheckFailure,
     ReducedMatrixOverflow,
     SingularKineticMatrix,
@@ -231,6 +235,13 @@ def cmd_simulate(config: RunConfig) -> int:
     q = quantize_circuit(circuit, config.rep, _policy(config))
     lag = q.lagrangian
     x0, p0 = initial_state(q.observed, lag, _default_ics(circuit))
+    omega_max = float(q.modes.omegas.max(initial=0.0))
+    if not math.isfinite(omega_max * config.tmax):
+        raise _CliError(
+            2,
+            f"invalid option: --tmax overflows the phase omega*t of the fastest "
+            f"mode ({omega_max!r} rad/s), got {config.tmax!r}",
+        )
     times = np.linspace(0.0, config.tmax, config.samples)
     trajectory = evolve_modes(q.hamiltonian, q.modes, x0, p0, times, lagrangian=lag)
     voltage, current = _series(circuit, lag, trajectory)
@@ -511,7 +522,9 @@ _COMMANDS = {
 
 def run(config: RunConfig) -> int:
     try:
-        return _COMMANDS[config.subcommand](config)
+        # where the numerics leave float64 without a check of their own
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _COMMANDS[config.subcommand](config)
     except _CliError as exc:
         print(exc, file=sys.stderr)
         return exc.code
@@ -523,12 +536,22 @@ def run(config: RunConfig) -> int:
         for v in exc.violations:
             print(f"  - {v}", file=sys.stderr)
         return 2
-    except (SingularKineticMatrix, RankCrossCheckFailure, ReducedMatrixOverflow) as exc:
+    except (
+        SingularKineticMatrix,
+        RankCrossCheckFailure,
+        KineticMatrixOverflow,
+        ReducedMatrixOverflow,
+    ) as exc:
         print(f"not quantizable under this configuration: {exc}", file=sys.stderr)
         return 3
     except InconsistentInitialConditions as exc:
         print(str(exc), file=sys.stderr)
         return 4
+    except FloatingPointError as exc:
+        print(
+            f"floating-point overflow under this configuration: {exc}", file=sys.stderr
+        )
+        return 3
 
 
 def main(argv: list[str] | None = None) -> int:

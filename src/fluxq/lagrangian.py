@@ -9,11 +9,11 @@ Three coordinate systems are supported:
   from inductors, potential from capacitors; every branch charge is the
   signed sum of the loop charges through the branch.
 * extended node flux: node fluxes plus one dynamical loop-flux coordinate
-  per loop that carries a geometric self-inductance.  A chord of dynamic
-  loop l carries branch flux (phi_a - phi_b - Phi_l); each geometric
-  capacitor inherits the branch flux of the shortest design-component path
-  between its terminals, so the tiny loop it forms with that path threads
-  no flux.
+  per loop that carries a geometric self-inductance and whose flux some
+  capacitor's branch flux contains.  A chord of dynamic loop l carries
+  branch flux (phi_a - phi_b - Phi_l); each geometric capacitor inherits
+  the branch flux of the shortest design-component path between its
+  terminals, so the tiny loop it forms with that path threads no flux.
 
 All quantities are SI.  Matrices are dense; circuits are small.
 """
@@ -107,8 +107,14 @@ class QuadraticLagrangian:
 
     def __post_init__(self):
         for name, mat in (("M", self.M), ("K", self.K)):
-            scale = np.abs(mat).max() if mat.size else 0.0
-            if scale and np.abs(mat - mat.T).max() > _SYM_TOL * scale:
+            if not mat.size:
+                continue
+            scale = np.abs(mat).max()
+            # an overflowed (inf) entry is left to the diagnosis (M) or the
+            # mode solve (K) to report
+            with np.errstate(invalid="ignore"):
+                asymmetry = np.abs(mat - mat.T).max()
+            if scale and asymmetry > _SYM_TOL * scale:
                 raise ValueError(f"{name} is not symmetric")
 
     @property
@@ -174,8 +180,11 @@ def _gram_matrices(
     a = _signed_rows([assignment[c.id] for c in components], labels)
     values = np.array([c.value for c in components], dtype=float)
     kin = np.array([c.kind is kinetic_kind for c in components], dtype=bool)
-    M = (a[kin].T * values[kin]) @ a[kin]
-    K = (a[~kin].T * (1.0 / values[~kin])) @ a[~kin]
+    # values near either end of the double range overflow M or K; the
+    # diagnosis and the mode solve report that
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = (a[kin].T * values[kin]) @ a[kin]
+        K = (a[~kin].T * (1.0 / values[~kin])) @ a[~kin]
     return M, K, tuple(c.id for c in components if c.kind is kinetic_kind)
 
 
@@ -393,7 +402,8 @@ def extended_node_lagrangian(
     circuit: Circuit, tree: SpanningTree, policy: GeometricPolicy
 ) -> QuadraticLagrangian:
     """Node fluxes plus dynamical loop fluxes for every loop carrying a
-    geometric self-inductance.
+    geometric self-inductance whose flux a capacitor sees: the loop's chord
+    is a capacitor, or a geometric capacitor's design path crosses it.
 
     Tree components keep phi_a - phi_b.  The chord of dynamic loop l
     carries phi_a - phi_b - Phi_l, which makes the signed flux sum around
@@ -415,13 +425,30 @@ def _extended_lagrangian(
 ) -> QuadraticLagrangian:
     """extended_node_lagrangian from the circuit's fundamental loops and
     its augment_geometric result."""
+    # one breadth-first tree per source node, over design components only
+    adjacency = _design_adjacency(augmented)
+    trees: dict[str, dict[str, tuple[str, Component, int]]] = {}
+    paths = []
+    for c in record.added_capacitors:
+        if c.a not in trees:
+            trees[c.a] = _design_parents(adjacency, c.a)
+        paths.append(_shortest_design_path(trees[c.a], c.a, c.b))
+    # A loop flux enters M only through a capacitor chord or a geometric
+    # capacitor whose design path crosses the chord.  A loop without either
+    # has an inductive chord, so its current already meets an inductance;
+    # its self-inductance would add a coordinate without kinetic energy and
+    # is left out (a relative change of Lg/L to the chord's inductance).
+    capacitive = {
+        c.id for c in circuit.components if c.kind is ComponentKind.CAPACITOR
+    }
+    capacitive.update(comp.id for path in paths for comp, _ in path)
     if record.loop_inductance is None:
         dynamic: list[int] = []
     else:
         dynamic = [
             i
-            for i in range(len(loops))
-            if np.any(record.loop_inductance[i] != 0.0)
+            for i, loop in enumerate(loops)
+            if np.any(record.loop_inductance[i] != 0.0) and loop.chord in capacitive
         ]
     phi_labels = _node_labels(circuit)
     ext_labels = phi_labels + tuple(f"Phi_{i + 1}" for i in dynamic)
@@ -435,14 +462,9 @@ def _extended_lagrangian(
             combo[f"Phi_{li + 1}"] = combo.get(f"Phi_{li + 1}", 0.0) - 1.0
         assignment[c.id] = {k: v for k, v in combo.items() if v != 0.0}
 
-    # one breadth-first tree per source node, over design components only
-    adjacency = _design_adjacency(augmented)
-    trees: dict[str, dict[str, tuple[str, Component, int]]] = {}
-    for c in record.added_capacitors:
-        if c.a not in trees:
-            trees[c.a] = _design_parents(adjacency, c.a)
+    for c, path in zip(record.added_capacitors, paths):
         combo: dict[str, float] = {}
-        for comp, direction in _shortest_design_path(trees[c.a], c.a, c.b):
+        for comp, direction in path:
             for lbl, coeff in assignment[comp.id].items():
                 combo[lbl] = combo.get(lbl, 0.0) + direction * coeff
         assignment[c.id] = {k: v for k, v in combo.items() if v != 0.0}

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .lagrangian import QuadraticLagrangian, Representation, _signed_rows
 
@@ -52,6 +51,18 @@ class ReducedMatrixOverflow(RuntimeError):
         super().__init__(
             "reduced stiffness matrix F^-1 K F^-T overflows float64 "
             "(M and K span too wide a range of scales)"
+        )
+
+
+class KineticMatrixOverflow(RuntimeError):
+    """The kinetic matrix M has entries that overflow float64, as when
+    capacitances (node flux) or inductances (loop charge) near the top of
+    the double range add up."""
+
+    def __init__(self):
+        super().__init__(
+            "kinetic matrix M overflows float64 (its capacitances or "
+            "inductances sum past the largest double)"
         )
 
 
@@ -188,8 +199,10 @@ def _equilibrated_rank(mat: np.ndarray, rel_tol: float) -> int:
     diag = np.diag(mat)
     # PSD: a zero diagonal entry forces a zero row, so scaling it by 1 is safe
     scale = np.where(diag > 0.0, 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0)), 1.0)
-    # singular values of a symmetric matrix are its absolute eigenvalues
-    svals = np.abs(np.linalg.eigvalsh(mat * np.outer(scale, scale)))
+    # scaled by rows, then by columns (the outer product of the scales
+    # overflows for a subnormal diagonal entry); the singular values of a
+    # symmetric matrix are its absolute eigenvalues
+    svals = np.abs(np.linalg.eigvalsh(mat * scale[:, None] * scale))
     smax = svals.max()
     if smax == 0.0:
         return 0
@@ -216,7 +229,10 @@ def _describe_null_vector(
 def diagnose_quantizability(lagrangian: QuadraticLagrangian) -> QuantizabilityDiagnosis:
     """Null space of M, computed from the kinetic components' small-integer
     assignment rows and confirmed against the numeric rank of M; raises
-    RankCrossCheckFailure where the two disagree."""
+    RankCrossCheckFailure where the two disagree, and KineticMatrixOverflow
+    where M is not finite."""
+    if not np.isfinite(lagrangian.M).all():
+        raise KineticMatrixOverflow()
     combos = [lagrangian.flux_assignment[cid] for cid in lagrangian.kinetic_components]
     rows = _signed_rows(combos + list(lagrangian.kinetic_forms), lagrangian.labels)
 
@@ -253,8 +269,11 @@ def legendre_transform(lagrangian: QuadraticLagrangian) -> HamiltonianSystem:
     inv_factor = scipy.linalg.solve_triangular(
         chol, np.eye(lagrangian.dim), lower=True
     )
-    minv = inv_factor.T @ inv_factor
-    minv = 0.5 * (minv + minv.T)
+    # a capacitance or inductance near the bottom of the double range
+    # overflows M^-1; normal_modes reports that as ReducedMatrixOverflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        minv = inv_factor.T @ inv_factor
+        minv = 0.5 * (minv + minv.T)
     return HamiltonianSystem(
         labels=lagrangian.labels,
         minv=minv,
@@ -270,13 +289,15 @@ def normal_modes(h: HamiltonianSystem) -> ModeDecomposition:
     (M is positive definite here, so nonzero modes = rank K).  Raises
     ReducedMatrixOverflow when the reduced matrix is not finite."""
     f = h.mass_factor()
-    kt = scipy.linalg.solve_triangular(f, h.k, lower=True)
-    kt = scipy.linalg.solve_triangular(f, kt.T, lower=True).T
-    kt = 0.5 * (kt + kt.T)
+    # unchecked solves: an overflow to inf or nan anywhere is caught below
+    kt = scipy.linalg.solve_triangular(f, h.k, lower=True, check_finite=False)
+    kt = scipy.linalg.solve_triangular(f, kt.T, lower=True, check_finite=False).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        kt = 0.5 * (kt + kt.T)
     if not np.isfinite(kt).all():
         raise ReducedMatrixOverflow()
     evals, u = np.linalg.eigh(kt)
-    v = scipy.linalg.solve_triangular(f.T, u, lower=False)
+    v = scipy.linalg.solve_triangular(f, u, lower=True, trans="T")
     momenta = f @ u
     momenta.flags.writeable = False
     zero_count = h.dim - _equilibrated_rank(h.k, _K_RANK_TOL)
@@ -333,6 +354,10 @@ def mode_attribution(
 
     picks = np.argmax(w, axis=0).tolist()
     if len(set(picks)) != modes.dim:
+        # imported here: scipy.optimize costs ~0.25 s of start-up, and only
+        # conflicting picks need it
+        import scipy.optimize
+
         rows, cols = scipy.optimize.linear_sum_assignment(-w.T)
         picks = [int(c) for _, c in sorted(zip(rows, cols))]
     return {h.labels[coord]: float(modes.omegas[k]) for k, coord in enumerate(picks)}

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -313,6 +314,59 @@ def test_modes_reduced_matrix_overflow_tiny_capacitors_exit_code(tmp_path, capsy
     assert (code, out, err) == (3, "", OVERFLOW_LINE)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--rep", "extended", "--cg", "1e-320"),
+        ("--rep", "extended", "--lg", "1e-320"),
+        ("--rep", "extended", "--geometric", "allpairs", "--lg", "1e-300"),
+        ("--rep", "node", "--cg", "5e-324"),
+        ("--rep", "loop", "--lg", "5e-324"),
+    ],
+)
+def test_modes_subnormal_parasitic_overflow_exit_code(capsys, args):
+    # a subnormal (or 1e-300) Cg or Lg that enters M or K overflows the
+    # reduced matrix, or M^-1 and K themselves: one line, no traceback
+    code, out, err = run(capsys, "modes", PASSIVE, *args)
+    assert (code, out, err) == (3, "", OVERFLOW_LINE)
+
+
+def test_modes_kinetic_matrix_overflow_exit_code(capsys):
+    # two geometric capacitors of 1.7e308 F at node 3 sum past the largest double
+    code, out, err = run(capsys, "modes", PASSIVE, "--geometric", "allpairs", "--cg", "1.7e308")
+    assert (code, out) == (3, "")
+    assert err == (
+        "not quantizable under this configuration: kinetic matrix M overflows "
+        "float64 (its capacitances or inductances sum past the largest double)\n"
+    )
+
+
+def test_modes_floating_point_overflow_exit_code(capsys):
+    # M stays finite at 6e307 F, but products in the mode attribution overflow
+    code, out, err = run(capsys, "modes", ACTIVE, "--geometric", "allpairs", "--cg", "6e307")
+    assert (code, out) == (3, "")
+    assert err.startswith("floating-point overflow under this configuration: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("netlist", [REDUCED, ACTIVE], ids=lambda p: Path(p).stem)
+def test_modes_extended_allpairs_with_inductive_chord(capsys, netlist):
+    # loop 1's chord is an inductor beside a capacitor, and the geometric
+    # capacitor across them copies the capacitor's flux: no capacitor sees
+    # Phi_1, so loop 1 keeps no flux coordinate
+    args = (netlist, "--geometric", "allpairs", "--format", "json")
+    code, out, err = run(capsys, "modes", *args, "--rep", "extended")
+    assert (code, err) == (0, "")
+    extended = json.loads(out)
+    code, out, _ = run(capsys, "modes", *args, "--rep", "node")
+    node = json.loads(out)
+    assert "Phi_1" not in extended["labels"]
+    assert extended["labels"][: len(node["labels"])] == node["labels"]
+    # the node modes, moved by no more than the loop self-inductance Lg/L
+    low = extended["frequencies_ghz"][: len(node["labels"])]
+    assert low == pytest.approx(node["frequencies_ghz"], rel=1e-6)
+
+
 def test_nonfinite_value_exit_code(tmp_path, capsys):
     netlist = tmp_path / "huge.cir"
     netlist.write_text("C1 1 0 1e400\nL1 1 0 1nH\n")
@@ -522,6 +576,23 @@ def test_simulate_tmax_must_be_positive_and_finite(capsys, tmax):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("tmax", ["1e300", "1.7e308"])
+def test_simulate_tmax_overflowing_the_phase_exit_code(capsys, tmax):
+    # omega*t of the ~1.2e14 rad/s geometric mode overflows float64
+    code, out, err = run(capsys, "simulate", PASSIVE, "--tmax", tmax)
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid option: --tmax overflows the phase omega*t ")
+    assert err.count("\n") == 1
+
+
+def test_simulate_huge_finite_phase_writes_finite_values(capsys):
+    code, out, _ = run(
+        capsys, "simulate", PASSIVE, "--tmax", "1e20", "--samples", "64", "--format", "json"
+    )
+    assert code == 0
+    assert all(np.isfinite(values).all() for values in json.loads(out).values())
+
+
 def _simulate_columns_from_dict(args):
     """The columns of `fluxq simulate` assembled one component at a time
     from the `observables` dict, as the writer once did."""
@@ -641,6 +712,25 @@ def test_cli_module_where_long_double_is_plain_double(monkeypatch):
         np.testing.assert_array_equal(got, want)
     columns = [("a", values[:10000]), ("b", values[10000:])]
     assert _csv_text(columns, double_cli) == _per_value_csv(columns)
+
+
+def test_cli_runs_without_scipy_optimize(tmp_path):
+    # a fresh interpreter: scipy.optimize (~0.25 s of start-up) loads only
+    # when mode_attribution's picks conflict, which none of these runs has
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    runs = [["simulate", PASSIVE], ["analyze", PASSIVE], ["reduce", PASSIVE]]
+    runs += [["modes", netlist] for netlist in (PASSIVE, REDUCED, WHEEL, ACTIVE)]
+    script = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "from fluxq.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        f"    assert main(argv + ['--out', {str(tmp_path / 'out')!r}]) == 0, argv\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "False\n"
 
 
 def test_modes_zero_mode_warning_is_one_stable_line(tmp_path, capsys):
