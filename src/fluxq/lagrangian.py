@@ -1,13 +1,17 @@
 """Quadratic Lagrangian assembly for LC circuits.
 
-Three coordinate systems are supported:
+Every representation is one signed integer assignment matrix A
+(components x coordinates): row i gives component i's branch flux (or
+branch charge, in the loop representation) as a combination of the
+coordinates.  M and K are Gram matrices of its kinetic and potential rows.
 
 * node flux: one flux coordinate per non-ground node; kinetic energy from
   capacitors, potential from inductors; every branch flux is the node-flux
   difference across the branch (loop fluxes held constant at zero).
 * loop charge: one charge coordinate per fundamental loop; kinetic energy
-  from inductors, potential from capacitors; every branch charge is the
-  signed sum of the loop charges through the branch.
+  from inductors, potential from capacitors; A is the transposed loop
+  matrix, so every branch charge is the signed sum of the loop charges
+  through the branch.
 * extended node flux: node fluxes plus one dynamical loop-flux coordinate
   per loop that carries a geometric self-inductance and whose flux some
   capacitor's branch flux contains.  A chord of dynamic loop l carries
@@ -20,7 +24,6 @@ All quantities are SI.  Matrices are dense; circuits are small.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +33,11 @@ from .topology import (
     FundamentalLoop,
     SpanningTree,
     TopologyReport,
+    _adjacency,
+    _bfs_forest,
+    _forest_steps,
     fundamental_loops,
+    loop_matrix,
     passive_nodes,
     topology_report,
 )
@@ -81,31 +88,36 @@ class AugmentationRecord:
     added_capacitors: tuple[Component, ...]
     loop_inductance: np.ndarray | None  # (l x l) PSD matrix, None when OFF
     loop_labels: tuple[str, ...]  # chord id per fundamental loop
-    # exact loop-space support of the self-inductance form, for the
-    # structural quantizability analysis
-    loop_kinetic_rows: tuple[tuple[float, ...], ...] = ()
+    # exact loop-space support of the self-inductance form (rows x l), for
+    # the structural quantizability analysis
+    loop_kinetic_rows: np.ndarray
 
 
 @dataclass
 class QuadraticLagrangian:
     """L = 1/2 xdot^T M xdot - 1/2 x^T K x over the named coordinates.
 
-    flux_assignment maps each component id to its branch flux (or branch
-    charge, in the loop representation) as a signed combination of
-    coordinates.  kinetic_components lists the ids whose assignment vectors
-    build M; kinetic_forms holds additional exact support rows (geometric
-    loop self-inductances).  Their joint span determines quantizability.
+    A is the signed assignment matrix: row i is the branch flux (or branch
+    charge, in the loop representation) of component_ids[i] as a
+    combination of the coordinates, columns in label order.  Its entries
+    are small integers held as float64 (no -0.0).  The rows where
+    `kinetic` is set build M; kinetic_forms holds additional exact support
+    rows (geometric loop self-inductances).  Their joint span determines
+    quantizability.
     """
 
     representation: Representation
     labels: tuple[str, ...]
     M: np.ndarray
     K: np.ndarray
-    flux_assignment: dict[str, dict[str, float]]
-    kinetic_components: tuple[str, ...]
-    kinetic_forms: tuple[dict[str, float], ...] = ()
+    A: np.ndarray
+    component_ids: tuple[str, ...]
+    kinetic: np.ndarray
+    kinetic_forms: np.ndarray = ()
 
     def __post_init__(self):
+        forms = np.asarray(self.kinetic_forms, dtype=float)
+        self.kinetic_forms = forms.reshape(len(forms), self.dim)
         for name, mat in (("M", self.M), ("K", self.K)):
             if not mat.size:
                 continue
@@ -122,14 +134,18 @@ class QuadraticLagrangian:
         return len(self.labels)
 
     def assignment_row(self, cid: str) -> np.ndarray:
-        row = np.zeros(self.dim)
-        index = {lbl: i for i, lbl in enumerate(self.labels)}
-        for lbl, coeff in self.flux_assignment[cid].items():
-            row[index[lbl]] = coeff
-        return row
+        return self.assignment_matrix([cid])[0]
 
     def assignment_matrix(self, cids) -> np.ndarray:
-        return _signed_rows([self.flux_assignment[cid] for cid in cids], self.labels)
+        """The rows of A of the given component ids, in that order; raises
+        ValueError for an id without a row."""
+        row = {cid: i for i, cid in enumerate(self.component_ids)}
+        try:
+            return self.A[[row[cid] for cid in cids]]
+        except KeyError as exc:
+            raise ValueError(
+                f"component {exc.args[0]!r} missing from the assignment"
+            ) from None
 
     def to_json_dict(self) -> dict:
         return {
@@ -138,7 +154,8 @@ class QuadraticLagrangian:
             "M": self.M.tolist(),
             "K": self.K.tolist(),
             "flux_assignment": {
-                cid: dict(combo) for cid, combo in self.flux_assignment.items()
+                cid: {self.labels[j]: float(row[j]) for j in np.flatnonzero(row)}
+                for cid, row in zip(self.component_ids, self.A)
             },
         }
 
@@ -147,37 +164,31 @@ def _node_labels(circuit: Circuit) -> tuple[str, ...]:
     return tuple(f"phi_{n}" for n in circuit.nodes if n != GROUND)
 
 
-def _difference_vector(a: str, b: str) -> dict[str, float]:
-    combo: dict[str, float] = {}
-    if a != GROUND:
-        combo[f"phi_{a}"] = combo.get(f"phi_{a}", 0.0) + 1.0
-    if b != GROUND:
-        combo[f"phi_{b}"] = combo.get(f"phi_{b}", 0.0) - 1.0
-    return {k: v for k, v in combo.items() if v != 0.0}
-
-
-def _signed_rows(
-    combos: list[dict[str, float]], labels: tuple[str, ...]
+def _node_rows(
+    circuit: Circuit, components: tuple[Component, ...], extra: int = 0
 ) -> np.ndarray:
-    """One row per signed combination of coordinates, columns in label order."""
-    index = {lbl: i for i, lbl in enumerate(labels)}
-    rows = np.zeros((len(combos), len(labels)))
-    for r, combo in enumerate(combos):
-        for lbl, coeff in combo.items():
-            rows[r, index[lbl]] = coeff
-    return rows
+    """Integer node-flux difference rows (components x non-ground nodes,
+    then `extra` zero columns): +1 in the first terminal's column, -1 in
+    the second's.  Every entry of an assignment matrix is -1, 0 or +1."""
+    column = {n: j for j, n in enumerate(n for n in circuit.nodes if n != GROUND)}
+    width = len(column) + extra
+    column[GROUND] = width  # a scratch column, dropped below
+    ends = [column[t] for c in components for t in c.terminals]
+    ends = np.array(ends, dtype=np.intp).reshape(-1, 2)
+    rows = np.arange(len(components))
+    a = np.zeros((len(components), width + 1), dtype=np.int8)
+    a[rows, ends[:, 0]] += 1
+    a[rows, ends[:, 1]] -= 1
+    return a[:, :width]
 
 
 def _gram_matrices(
-    components: tuple[Component, ...],
-    assignment: dict[str, dict[str, float]],
-    labels: tuple[str, ...],
-    kinetic_kind: ComponentKind,
-) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    a: np.ndarray, components: tuple[Component, ...], kinetic_kind: ComponentKind
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[str, ...]]:
     """M = A_kin^T diag(value) A_kin and K = A_pot^T diag(1/value) A_pot over
-    the signed assignment matrix A (components x coordinates); the kinetic
-    rows are the components of kinetic_kind, whose ids are returned too."""
-    a = _signed_rows([assignment[c.id] for c in components], labels)
+    the assignment matrix A, whose rows are the components; the kinetic
+    rows are those of kinetic_kind.  Returns M, K, the kinetic row mask and
+    the row ids."""
     values = np.array([c.value for c in components], dtype=float)
     kin = np.array([c.kind is kinetic_kind for c in components], dtype=bool)
     # values near either end of the double range overflow M or K; the
@@ -185,7 +196,7 @@ def _gram_matrices(
     with np.errstate(over="ignore", invalid="ignore"):
         M = (a[kin].T * values[kin]) @ a[kin]
         K = (a[~kin].T * (1.0 / values[~kin])) @ a[~kin]
-    return M, K, tuple(c.id for c in components if c.kind is kinetic_kind)
+    return M, K, kin, tuple(c.id for c in components)
 
 
 def node_lagrangian(
@@ -196,13 +207,9 @@ def node_lagrangian(
     held constant (zero), so the assignment ignores the tree, which need
     not be built."""
     labels = _node_labels(circuit)
-    assignment = {c.id: _difference_vector(c.a, c.b) for c in circuit.components}
-    M, K, kinetic = _gram_matrices(
-        circuit.components, assignment, labels, ComponentKind.CAPACITOR
-    )
-    return QuadraticLagrangian(
-        Representation.NODE_FLUX, labels, M, K, assignment, kinetic
-    )
+    a = _node_rows(circuit, circuit.components).astype(float)
+    M, K, kin, ids = _gram_matrices(a, circuit.components, ComponentKind.CAPACITOR)
+    return QuadraticLagrangian(Representation.NODE_FLUX, labels, M, K, a, ids, kin)
 
 
 def loop_labels(loops: tuple[FundamentalLoop, ...]) -> tuple[str, ...]:
@@ -213,38 +220,25 @@ def loop_lagrangian(
     circuit: Circuit,
     loops: tuple[FundamentalLoop, ...],
     loop_inductance: np.ndarray | None = None,
-    loop_kinetic_rows: tuple[tuple[float, ...], ...] = (),
+    loop_kinetic_rows: np.ndarray = (),
 ) -> QuadraticLagrangian:
     """Loop-charge Lagrangian: M from inductors shared between loops, K
-    from capacitors; each branch charge is the signed sum of the loop
-    charges through it.  An optional geometric self-inductance matrix is
-    added to M (it never enters as a series branch); loop_kinetic_rows
-    carries its exact loop-space support for the structural diagnosis."""
+    from capacitors; A is the transposed loop matrix, so each branch charge
+    is the signed sum of the loop charges through it.  An optional
+    geometric self-inductance matrix is added to M (it never enters as a
+    series branch); loop_kinetic_rows (rows x loops) carries its exact
+    loop-space support for the structural diagnosis."""
     labels = loop_labels(loops)
     dim = len(labels)
-    assignment: dict[str, dict[str, float]] = {c.id: {} for c in circuit.components}
-    for lbl, loop in zip(labels, loops):
-        for cid, sign in loop.path:
-            combo = assignment[cid]
-            combo[lbl] = combo.get(lbl, 0.0) + sign
-    assignment = {
-        cid: {k: v for k, v in combo.items() if v != 0.0}
-        for cid, combo in assignment.items()
-    }
-    M, K, kinetic = _gram_matrices(
-        circuit.components, assignment, labels, ComponentKind.INDUCTOR
-    )
+    a = np.ascontiguousarray(loop_matrix(circuit, loops).T)
+    M, K, kin, ids = _gram_matrices(a, circuit.components, ComponentKind.INDUCTOR)
     if loop_inductance is not None:
         extra = np.asarray(loop_inductance, dtype=float)
         if extra.shape != (dim, dim):
             raise ValueError("loop inductance matrix has wrong shape")
         M = M + extra
-    forms = tuple(
-        {labels[i]: float(row[i]) for i in range(dim) if row[i] != 0.0}
-        for row in loop_kinetic_rows
-    )
     return QuadraticLagrangian(
-        Representation.LOOP_CHARGE, labels, M, K, assignment, kinetic, forms
+        Representation.LOOP_CHARGE, labels, M, K, a, ids, kin, loop_kinetic_rows
     )
 
 
@@ -281,17 +275,10 @@ def augment_geometric(
     l = len(report.loops)
 
     if policy.cap_mode is GeometricMode.OFF:
-        return circuit, AugmentationRecord((), None, loop_lbls)
-
-    existing = {c.id for c in circuit.components}
-    added: list[Component] = []
-    loop_matrix = np.zeros((l, l))
-    kinetic_rows = []
-
-    def cg_value(a: str, b: str) -> float:
-        return policy.cap_overrides.get(frozenset((a, b)), policy.default_cg)
+        return circuit, AugmentationRecord((), None, loop_lbls, np.zeros((0, l)))
 
     if policy.cap_mode is GeometricMode.MINIMAL:
+        pairs = []
         for node in sorted(passive_nodes(circuit)):
             neighbor = tree.parent_node.get(node)
             if neighbor is None:
@@ -299,103 +286,40 @@ def augment_geometric(
                     {t for c in circuit.incident(node) for t in c.terminals} - {node}
                 )
                 neighbor = GROUND if GROUND in neighbors else neighbors[0]
-            cid = _geometric_id(existing, node, neighbor)
-            existing.add(cid)
-            added.append(
-                Component(
-                    cid,
-                    ComponentKind.CAPACITOR,
-                    cg_value(node, neighbor),
-                    (node, neighbor),
-                    geometric=True,
-                )
-            )
-        for w in report.witnesses:
-            wv = np.asarray(w, dtype=float)
-            wv = wv / np.linalg.norm(wv)
+            pairs.append((node, neighbor))
+        cycles = report.witnesses
+        kinetic_rows = np.array(cycles, dtype=float).reshape(len(cycles), l)
+        inductance = np.zeros((l, l))
+        for w in kinetic_rows:
+            wv = w / np.linalg.norm(w)
             lg = policy.default_lg
             support = np.flatnonzero(wv)
             if support.size == 1:
                 lg = policy.loop_overrides.get(loop_lbls[support[0]], policy.default_lg)
-            loop_matrix += lg * np.outer(wv, wv)
-            kinetic_rows.append(tuple(float(x) for x in w))
+            inductance += lg * np.outer(wv, wv)
     else:  # ALL_PAIRS
-        for i, a in enumerate(circuit.nodes):
-            for b in circuit.nodes[i + 1 :]:
-                cid = _geometric_id(existing, b, a)
-                existing.add(cid)
-                added.append(
-                    Component(
-                        cid,
-                        ComponentKind.CAPACITOR,
-                        cg_value(a, b),
-                        (b, a),
-                        geometric=True,
-                    )
-                )
-        for i, lbl in enumerate(loop_lbls):
-            loop_matrix[i, i] = policy.loop_overrides.get(lbl, policy.default_lg)
-            row = [0.0] * l
-            row[i] = 1.0
-            kinetic_rows.append(tuple(row))
+        nodes = circuit.nodes
+        pairs = [(b, a) for i, a in enumerate(nodes) for b in nodes[i + 1 :]]
+        inductance = np.diag(
+            [policy.loop_overrides.get(lbl, policy.default_lg) for lbl in loop_lbls]
+        )
+        kinetic_rows = np.eye(l)
 
+    existing = {c.id for c in circuit.components}
+    added: list[Component] = []
+    for a, b in pairs:
+        cid = _geometric_id(existing, a, b)
+        existing.add(cid)
+        value = policy.cap_overrides.get(frozenset((a, b)), policy.default_cg)
+        added.append(
+            Component(cid, ComponentKind.CAPACITOR, value, (a, b), geometric=True)
+        )
     augmented = Circuit(
         circuit.nodes, circuit.components + tuple(added), dict(circuit.ics)
     )
     return augmented, AugmentationRecord(
-        tuple(added), loop_matrix, loop_lbls, tuple(kinetic_rows)
+        tuple(added), inductance, loop_lbls, kinetic_rows
     )
-
-
-def _design_adjacency(
-    circuit: Circuit,
-) -> dict[str, list[tuple[Component, int, str]]]:
-    """node -> [(component, direction, other terminal)] over the design
-    (non-geometric) components, each list in declaration order; direction
-    is +1 when the component leaves the node by its first terminal."""
-    adjacency: dict[str, list[tuple[Component, int, str]]] = {}
-    for c in circuit.components:
-        if not c.geometric:
-            adjacency.setdefault(c.a, []).append((c, +1, c.b))
-            adjacency.setdefault(c.b, []).append((c, -1, c.a))
-    return adjacency
-
-
-def _design_parents(
-    adjacency: dict[str, list[tuple[Component, int, str]]], u: str
-) -> dict[str, tuple[str, Component, int]]:
-    """Breadth-first tree from u over a _design_adjacency index: each
-    reached node's (parent, component, direction).  Neighbors are expanded
-    in declaration order and a node keeps the parent that reached it
-    first, so the path to any node is the one a BFS stopped there finds."""
-    parents: dict[str, tuple[str, Component, int]] = {}
-    seen = {u}
-    frontier = deque([u])
-    while frontier:
-        node = frontier.popleft()
-        for c, direction, other in adjacency.get(node, ()):
-            if other not in seen:
-                seen.add(other)
-                parents[other] = (node, c, direction)
-                frontier.append(other)
-    return parents
-
-
-def _shortest_design_path(
-    parents: dict[str, tuple[str, Component, int]], u: str, v: str
-) -> list[tuple[Component, int]]:
-    """Steps from u to v along a _design_parents tree of u, as (component,
-    direction) with direction +1 when traversed from its first to its
-    second terminal."""
-    if v != u and v not in parents:
-        raise ValueError(f"no design path between nodes {u!r} and {v!r}")
-    steps: list[tuple[Component, int]] = []
-    node = v
-    while node != u:
-        node, comp, direction = parents[node]
-        steps.append((comp, direction))
-    steps.reverse()
-    return steps
 
 
 def extended_node_lagrangian(
@@ -425,14 +349,7 @@ def _extended_lagrangian(
 ) -> QuadraticLagrangian:
     """extended_node_lagrangian from the circuit's fundamental loops and
     its augment_geometric result."""
-    # one breadth-first tree per source node, over design components only
-    adjacency = _design_adjacency(augmented)
-    trees: dict[str, dict[str, tuple[str, Component, int]]] = {}
-    paths = []
-    for c in record.added_capacitors:
-        if c.a not in trees:
-            trees[c.a] = _design_parents(adjacency, c.a)
-        paths.append(_shortest_design_path(trees[c.a], c.a, c.b))
+    paths = _design_paths(augmented, record.added_capacitors)
     # A loop flux enters M only through a capacitor chord or a geometric
     # capacitor whose design path crosses the chord.  A loop without either
     # has an inductive chord, so its current already meets an inductance;
@@ -442,61 +359,75 @@ def _extended_lagrangian(
         c.id for c in circuit.components if c.kind is ComponentKind.CAPACITOR
     }
     capacitive.update(comp.id for path in paths for comp, _ in path)
-    if record.loop_inductance is None:
-        dynamic: list[int] = []
-    else:
-        dynamic = [
-            i
-            for i, loop in enumerate(loops)
-            if np.any(record.loop_inductance[i] != 0.0) and loop.chord in capacitive
-        ]
+    inductance = record.loop_inductance
+    dynamic = [
+        i
+        for i, loop in enumerate(loops)
+        if inductance is not None and inductance[i].any() and loop.chord in capacitive
+    ]
     phi_labels = _node_labels(circuit)
     ext_labels = phi_labels + tuple(f"Phi_{i + 1}" for i in dynamic)
 
-    chord_loop = {loop.chord: i for i, loop in enumerate(loops)}
-    assignment: dict[str, dict[str, float]] = {}
-    for c in circuit.components:
-        combo = dict(_difference_vector(c.a, c.b))
-        li = chord_loop.get(c.id)
-        if li is not None and li in dynamic:
-            combo[f"Phi_{li + 1}"] = combo.get(f"Phi_{li + 1}", 0.0) - 1.0
-        assignment[c.id] = {k: v for k, v in combo.items() if v != 0.0}
+    # Node-flux rows for every component, then -1 in the loop-flux column
+    # of each dynamic chord.  A geometric capacitor's row is the signed sum
+    # of its design path's rows: their node-flux parts telescope to its own
+    # terminal difference, so only the dynamic chords on the path add to it.
+    comps = augmented.components
+    row = {c.id: i for i, c in enumerate(comps)}
+    column = {loops[i].chord: len(phi_labels) + k for k, i in enumerate(dynamic)}
+    a = _node_rows(circuit, comps, len(dynamic))
+    a[[row[cid] for cid in column], list(column.values())] = -1
+    steps = [
+        (row[c.id], column[comp.id], -direction)
+        for c, path in zip(record.added_capacitors, paths)
+        for comp, direction in path
+        if comp.id in column
+    ]
+    rows, cols, signs = np.array(steps, dtype=np.intp).reshape(-1, 3).T
+    np.add.at(a, (rows, cols), signs)
+    a = a.astype(float)
 
-    for c, path in zip(record.added_capacitors, paths):
-        combo: dict[str, float] = {}
-        for comp, direction in path:
-            for lbl, coeff in assignment[comp.id].items():
-                combo[lbl] = combo.get(lbl, 0.0) + direction * coeff
-        assignment[c.id] = {k: v for k, v in combo.items() if v != 0.0}
-
-    M, K, kinetic = _gram_matrices(
-        augmented.components, assignment, ext_labels, ComponentKind.CAPACITOR
-    )
+    M, K, kin, ids = _gram_matrices(a, comps, ComponentKind.CAPACITOR)
     if dynamic:
         # the Phi coordinates come last, in the order of `dynamic`
-        block = record.loop_inductance[np.ix_(dynamic, dynamic)]
+        block = inductance[np.ix_(dynamic, dynamic)]
         K[len(phi_labels) :, len(phi_labels) :] += np.linalg.inv(block)
     return QuadraticLagrangian(
-        Representation.EXTENDED_NODE_FLUX, ext_labels, M, K, assignment, kinetic
+        Representation.EXTENDED_NODE_FLUX, ext_labels, M, K, a, ids, kin
     )
 
 
-def _signed_sums(lag: QuadraticLagrangian, laws, trajectory) -> np.ndarray:
-    """One row per law, a list of (component id, sign) terms: the signed
-    sum of the branch quantities over the trajectory grid, computed as
-    (signs @ A) @ coords.  The small-integer rows of signs @ A combine
+def _design_paths(
+    augmented: Circuit, capacitors: tuple[Component, ...]
+) -> list[list[tuple[Component, int]]]:
+    """Each capacitor's path from its first to its second terminal on the
+    breadth-first tree of its first terminal over the design (non-geometric)
+    components, as (component, direction) steps; direction is +1 where a
+    component is traversed from its first to its second terminal."""
+    adjacency = _adjacency(c for c in augmented.components if not c.geometric)
+    trees: dict[str, tuple[dict, dict]] = {}
+    paths = []
+    for c in capacitors:
+        if c.a not in trees:
+            trees[c.a] = _bfs_forest(adjacency, (c.a,))
+        parent_node, parent_comp = trees[c.a]
+        if c.b not in parent_node:
+            raise ValueError(f"no design path between nodes {c.a!r} and {c.b!r}")
+        steps = _forest_steps(parent_node, parent_comp, c.a, c.b)
+        paths.append(
+            [(comp, +1 if comp.terminals == (u, v) else -1) for comp, u, v in steps]
+        )
+    return paths
+
+
+def _signed_sums(lag: QuadraticLagrangian, laws, circuit: Circuit, trajectory):
+    """laws (one row per law, one column per component of the circuit)
+    applied to the branch quantities over the trajectory grid, computed as
+    (laws @ A) @ coords.  The small-integer rows of laws @ A combine
     exactly before they touch the coordinates, so telescoping sums of
     node-flux differences cancel exactly."""
-    cids = list(dict.fromkeys(cid for terms in laws for cid, _ in terms))
-    for cid in cids:
-        if cid not in lag.flux_assignment:
-            raise ValueError(f"trajectory does not cover component {cid!r}")
-    column = {cid: j for j, cid in enumerate(cids)}
-    signs = np.zeros((len(laws), len(cids)))
-    for i, terms in enumerate(laws):
-        for cid, sign in terms:
-            signs[i, column[cid]] += sign
-    return (signs @ lag.assignment_matrix(cids)) @ trajectory.coords
+    rows = lag.assignment_matrix([c.id for c in circuit.components])
+    return (laws @ rows) @ trajectory.coords
 
 
 def flux_law_residual(circuit: Circuit, tree: SpanningTree, trajectory) -> np.ndarray:
@@ -507,8 +438,8 @@ def flux_law_residual(circuit: Circuit, tree: SpanningTree, trajectory) -> np.nd
     lag = _trajectory_lagrangian(trajectory)
     if lag.representation is Representation.LOOP_CHARGE:
         raise ValueError("flux law applies to flux-type trajectories")
-    loops = fundamental_loops(circuit, tree)
-    return _signed_sums(lag, [loop.path for loop in loops], trajectory)
+    laws = loop_matrix(circuit, fundamental_loops(circuit, tree))
+    return _signed_sums(lag, laws, circuit, trajectory)
 
 
 def charge_law_residual(
@@ -520,12 +451,9 @@ def charge_law_residual(
     lag = _trajectory_lagrangian(trajectory)
     if lag.representation is not Representation.LOOP_CHARGE:
         raise ValueError("charge law applies to loop-charge trajectories")
-    laws = [
-        [(c.id, +1 if c.a == node else -1) for c in circuit.incident(node)]
-        for node in circuit.nodes
-        if node != GROUND
-    ]
-    return _signed_sums(lag, laws, trajectory)
+    # the node-incidence matrix: +1 where a component leaves a node
+    laws = _node_rows(circuit, circuit.components).T
+    return _signed_sums(lag, laws, circuit, trajectory)
 
 
 def _trajectory_lagrangian(trajectory) -> QuadraticLagrangian:

@@ -250,21 +250,12 @@ def validate_circuit(circuit: Circuit) -> list[str]:
             violations.append(f"initial condition for unknown component {cid!r}")
 
     if circuit.nodes and circuit.components:
-        adjacency: dict[str, set[str]] = {n: set() for n in circuit.nodes}
-        for c in circuit.components:
-            if c.a in adjacency and c.b in adjacency and c.a != c.b:
-                adjacency[c.a].add(c.b)
-                adjacency[c.b].add(c.a)
+        from .topology import _adjacency, _bfs_forest  # topology imports this module
+
         start = GROUND if GROUND in declared else circuit.nodes[0]
-        reached = {start}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            for other in adjacency[node]:
-                if other not in reached:
-                    reached.add(other)
-                    frontier.append(other)
-        unreached = [n for n in circuit.nodes if n not in reached]
+        usable = (c for c in circuit.components if declared.issuperset(c.terminals))
+        reached, _ = _bfs_forest(_adjacency(usable), (start,))
+        unreached = [n for n in circuit.nodes if n != start and n not in reached]
         if unreached:
             violations.append(
                 "circuit is not connected; unreachable nodes: "

@@ -3,10 +3,11 @@ ground states for quadratic circuit Lagrangians.
 
 A representation is quantizable exactly when its kinetic matrix M is
 nonsingular: every coordinate then owns a conjugate momentum p = M xdot.
-M is a positively weighted Gram matrix of the kinetic components' branch
-assignment vectors, so its null space is the null space of those
-small-integer vectors, found by row reduction without the SI weights; the
-numeric rank of the equilibrated M only confirms it.
+M is a positively weighted Gram matrix of the kinetic rows of the signed
+assignment matrix A (plus any geometric self-inductance forms), so its null
+space is the null space of those small-integer rows, found by row
+reduction without the SI weights; the numeric rank of the equilibrated M
+only confirms it.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .lagrangian import QuadraticLagrangian, Representation, _signed_rows
+from .lagrangian import QuadraticLagrangian, Representation
 
 HBAR = 1.054571817e-34  # J s
 
@@ -233,8 +234,7 @@ def diagnose_quantizability(lagrangian: QuadraticLagrangian) -> QuantizabilityDi
     where M is not finite."""
     if not np.isfinite(lagrangian.M).all():
         raise KineticMatrixOverflow()
-    combos = [lagrangian.flux_assignment[cid] for cid in lagrangian.kinetic_components]
-    rows = _signed_rows(combos + list(lagrangian.kinetic_forms), lagrangian.labels)
+    rows = np.vstack([lagrangian.A[lagrangian.kinetic], lagrangian.kinetic_forms])
 
     null_vectors = []
     for vec in _rref_nullspace(rows):
@@ -344,13 +344,17 @@ def mode_attribution(
 ) -> dict[str, float]:
     """Assign each coordinate the angular frequency (rad/s) of the mode it
     dominates in mass-weighted magnitude.  Greedy argmax over |M^{1/2} V|,
-    ties to the lower index; conflicts resolved by optimal assignment."""
+    ties to the lower index; conflicts resolved by optimal assignment.
+    Raises KineticMatrixOverflow when |M^{1/2} V| is not finite, as for
+    capacitances near the top of the double range."""
     if not modes.dim:
         return {}
-    m = h.mass_matrix()
-    evals, q = np.linalg.eigh(m)
-    msqrt = (q * np.sqrt(np.clip(evals, 0.0, None))) @ q.T
-    w = np.abs(msqrt @ modes.modes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        evals, q = np.linalg.eigh(h.mass_matrix())
+        msqrt = (q * np.sqrt(np.clip(evals, 0.0, None))) @ q.T
+        w = np.abs(msqrt @ modes.modes)
+    if not np.isfinite(w).all():
+        raise KineticMatrixOverflow()
 
     picks = np.argmax(w, axis=0).tolist()
     if len(set(picks)) != modes.dim:

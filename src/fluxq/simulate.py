@@ -98,26 +98,22 @@ def initial_state(
     for cid in declared:
         circuit.component(cid)  # KeyError on unknown ids
 
-    def constraint(kinds: tuple[ComponentKind, ...], target):
+    def constraint(kind: ComponentKind, target):
         pinned = [
             c
             for c in circuit.components
-            if c.kind in kinds and (not c.geometric or c.id in declared)
+            if c.kind is kind and (not c.geometric or c.id in declared)
         ]
         rows = lagrangian.assignment_matrix([c.id for c in pinned])
         rhs = np.array([target(c, declared.get(c.id, 0.0)) for c in pinned])
         return rows, rhs
 
-    if _is_flux_type(lagrangian.representation):
-        rows_x, rhs_x = constraint(
-            (ComponentKind.INDUCTOR,), lambda c, ic: c.value * ic
-        )
-        rows_v, rhs_v = constraint((ComponentKind.CAPACITOR,), lambda c, ic: ic)
-    else:
-        rows_x, rhs_x = constraint(
-            (ComponentKind.CAPACITOR,), lambda c, ic: c.value * ic
-        )
-        rows_v, rhs_v = constraint((ComponentKind.INDUCTOR,), lambda c, ic: ic)
+    # the component kind whose value stores the coordinate, and the other
+    stored, other = ComponentKind.INDUCTOR, ComponentKind.CAPACITOR
+    if not _is_flux_type(lagrangian.representation):
+        stored, other = other, stored
+    rows_x, rhs_x = constraint(stored, lambda c, ic: c.value * ic)
+    rows_v, rhs_v = constraint(other, lambda c, ic: ic)
 
     x0 = _lstsq_with_check(rows_x, rhs_x, lagrangian.dim, "coordinate")
     xdot0 = _lstsq_with_check(rows_v, rhs_v, lagrangian.dim, "velocity")
@@ -273,9 +269,6 @@ def _series(
     if trajectory.lagrangian is not None and trajectory.lagrangian is not lagrangian:
         if trajectory.lagrangian.labels != lagrangian.labels:
             raise ValueError("trajectory does not match this coordinate system")
-    for c in circuit.components:
-        if c.id not in lagrangian.flux_assignment:
-            raise ValueError(f"component {c.id!r} missing from the assignment")
     a = lagrangian.assignment_matrix([c.id for c in circuit.components])
     values = np.array([c.value for c in circuit.components], dtype=float)
     flux_type = _is_flux_type(lagrangian.representation)

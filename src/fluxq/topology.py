@@ -135,19 +135,26 @@ def passive_nodes(circuit: Circuit) -> set[str]:
     return {n for n in circuit.nodes if n != GROUND and n not in with_cap}
 
 
+def loop_matrix(circuit: Circuit, loops: tuple[FundamentalLoop, ...]) -> np.ndarray:
+    """Signed loop matrix B (loops x components, in circuit order): B[i, j]
+    is the sign with which loop i traverses component j, 0 off the loop.
+    Integer-valued float64; a loop passes a component at most once."""
+    column = {c.id: j for j, c in enumerate(circuit.components)}
+    rows = [i for i, loop in enumerate(loops) for _ in loop.path]
+    cols = [column[cid] for loop in loops for cid, _ in loop.path]
+    b = np.zeros((len(loops), len(circuit.components)))
+    b[rows, cols] = [sign for loop in loops for _, sign in loop.path]
+    return b
+
+
 def inductor_participation(
     circuit: Circuit, loops: tuple[FundamentalLoop, ...]
 ) -> tuple[np.ndarray, list[str]]:
-    """Signed loop-over-inductor participation matrix B (loops x inductors)."""
-    inductors = [c.id for c in circuit.components if c.kind is ComponentKind.INDUCTOR]
-    index = {cid: j for j, cid in enumerate(inductors)}
-    B = np.zeros((len(loops), len(inductors)))
-    for i, loop in enumerate(loops):
-        for cid, sign in loop.path:
-            j = index.get(cid)
-            if j is not None:
-                B[i, j] += sign
-    return B, inductors
+    """Signed loop-over-inductor participation matrix B (loops x inductors):
+    the inductor columns of the loop matrix."""
+    inductor = [c.kind is ComponentKind.INDUCTOR for c in circuit.components]
+    ids = [c.id for c, is_inductor in zip(circuit.components, inductor) if is_inductor]
+    return loop_matrix(circuit, loops)[:, inductor], ids
 
 
 def passive_loop_deficiency(
@@ -173,7 +180,7 @@ def _checked_cycles(
     deficiency of B diag(L) B^T; raises RuntimeError where they disagree."""
     cycles = capacitor_only_cycles(circuit, loops)
     B, inductors = inductor_participation(circuit, loops)
-    W = B @ np.diag([circuit.component(cid).value for cid in inductors]) @ B.T
+    W = (B * [circuit.component(cid).value for cid in inductors]) @ B.T
     svals = np.linalg.svd(W, compute_uv=False) if W.size else np.zeros(0)
     numeric = len(loops) - int(np.sum(svals > _RANK_TOL * svals.max(initial=0.0)))
     if numeric != len(cycles):
@@ -191,51 +198,61 @@ def capacitor_only_cycles(
     fundamental-loop basis.  These span the null space of the loop-space
     inductance form."""
     caps = [c for c in circuit.components if c.kind is ComponentKind.CAPACITOR]
-    # each node's capacitors in declaration order, so the breadth-first
-    # forest is the one a scan over all capacitors per node would grow
-    node_caps: dict[str, list[Component]] = {}
-    for c in caps:
-        node_caps.setdefault(c.a, []).append(c)
-        node_caps.setdefault(c.b, []).append(c)
-    parent_node: dict[str, str] = {}
-    parent_comp: dict[str, Component] = {}
-    visited: set[str] = set()
-    forest: set[str] = set()
-    for start in circuit.nodes:
-        if start in visited:
-            continue
-        visited.add(start)
-        frontier = deque([start])
-        while frontier:
-            node = frontier.popleft()
-            for c in node_caps.get(node, ()):
-                other = c.b if c.a == node else c.a
-                if other in visited:
-                    continue
-                visited.add(other)
-                forest.add(c.id)
-                parent_node[other] = node
-                parent_comp[other] = c
-                frontier.append(other)
+    parent_node, parent_comp = _bfs_forest(_adjacency(caps), circuit.nodes)
+    forest = {c.id for c in parent_comp.values()}
 
     loop_index = {loop.chord: i for i, loop in enumerate(loops)}
     witnesses = []
     for c in caps:
         if c.id in forest:
             continue
-        # signed cycle: the extra capacitor plus the forest path b -> a
-        cycle: dict[str, int] = {c.id: +1}
-        for comp, u, v in _forest_steps(parent_node, parent_comp, c.b, c.a):
-            sign = +1 if comp.terminals == (u, v) else -1
-            cycle[comp.id] = cycle.get(comp.id, 0) + sign
+        # signed cycle: the extra capacitor plus the forest path b -> a; the
+        # sign of each chord on it is the cycle's coefficient on that loop
         w = [0] * len(loops)
-        for cid, sign in cycle.items():
-            if cid in loop_index:
-                w[loop_index[cid]] = sign
+        steps = _forest_steps(parent_node, parent_comp, c.b, c.a)
+        for comp, u, v in [(c, *c.terminals), *steps]:
+            if comp.id in loop_index:
+                w[loop_index[comp.id]] = +1 if comp.terminals == (u, v) else -1
         if not any(w):
             raise RuntimeError(f"capacitor cycle through {c.id} has no chord content")
         witnesses.append(tuple(w))
     return tuple(witnesses)
+
+
+def _adjacency(components) -> dict[str, list[tuple[str, Component]]]:
+    """node -> (other terminal, component) for the given components at it,
+    in the given order."""
+    adjacency: dict[str, list[tuple[str, Component]]] = {}
+    for c in components:
+        adjacency.setdefault(c.a, []).append((c.b, c))
+        adjacency.setdefault(c.b, []).append((c.a, c))
+    return adjacency
+
+
+def _bfs_forest(
+    adjacency: dict[str, list[tuple[str, Component]]], roots
+) -> tuple[dict[str, str], dict[str, Component]]:
+    """Breadth-first forest over an _adjacency index, one tree from each
+    root not reached before, in order: each reached non-root node's parent
+    node and the component to it.  Neighbors are expanded in adjacency
+    order and a node keeps the parent that reached it first."""
+    parent_node: dict[str, str] = {}
+    parent_comp: dict[str, Component] = {}
+    seen: set[str] = set()
+    for root in roots:
+        if root in seen:
+            continue
+        seen.add(root)
+        frontier = deque([root])
+        while frontier:
+            node = frontier.popleft()
+            for other, c in adjacency.get(node, ()):
+                if other not in seen:
+                    seen.add(other)
+                    parent_node[other] = node
+                    parent_comp[other] = c
+                    frontier.append(other)
+    return parent_node, parent_comp
 
 
 def _forest_steps(
@@ -251,10 +268,28 @@ def _forest_steps(
     down = []
     node = dst
     while node not in on_src:
-        down.append((parent_comp[node], parent_node[node], node))
-        node = parent_node[node]
+        parent = parent_node[node]
+        down.append((parent_comp[node], parent, node))
+        node = parent
+    down.reverse()
+    if node == src:  # src is an ancestor of dst, as on a tree rooted at src
+        return down
     up = up_src[: up_src.index(node)]  # node is the lowest common ancestor
-    return [(parent_comp[n], n, parent_node[n]) for n in up] + down[::-1]
+    return [(parent_comp[n], n, parent_node[n]) for n in up] + down
+
+
+def _replace_group(
+    circuit: Circuit, group, merged: Component
+) -> tuple[tuple[Component, ...], dict[str, float]]:
+    """The circuit's components with `merged` in place of group[0] and the
+    rest of the group dropped, and the initial conditions of the others."""
+    first, dropped = group[0].id, {c.id for c in group}
+    components = tuple(
+        merged if c.id == first else c
+        for c in circuit.components
+        if c.id == first or c.id not in dropped
+    )
+    return components, {k: v for k, v in circuit.ics.items() if k not in dropped}
 
 
 def _merge_parallel(circuit: Circuit) -> Circuit | None:
@@ -277,14 +312,7 @@ def _merge_parallel(circuit: Circuit) -> Circuit | None:
         first.terminals,
         geometric=all(c.geometric for c in target),
     )
-    dropped = {c.id for c in target}
-    components = []
-    for c in circuit.components:
-        if c.id == first.id:
-            components.append(merged)
-        elif c.id not in dropped:
-            components.append(c)
-    ics = {k: v for k, v in circuit.ics.items() if k not in dropped}
+    components, ics = _replace_group(circuit, target, merged)
     declared = [circuit.ics.get(c.id) for c in target]
     if all(v is not None for v in declared):
         if first.kind is ComponentKind.CAPACITOR:
@@ -297,7 +325,7 @@ def _merge_parallel(circuit: Circuit) -> Circuit | None:
                 +1 if c.terminals == first.terminals else -1 for c in target
             ]
             ics[merged_id] = sum(s * v for s, v in zip(signs, declared))
-    return Circuit(circuit.nodes, tuple(components), ics)
+    return Circuit(circuit.nodes, components, ics)
 
 
 def _eliminate_series(circuit: Circuit) -> Circuit | None:
@@ -327,15 +355,8 @@ def _eliminate_series(circuit: Circuit) -> Circuit | None:
             (outer1, outer2),
             geometric=c1.geometric and c2.geometric,
         )
-        dropped = {c1.id, c2.id}
-        components = []
-        for c in circuit.components:
-            if c.id == c1.id:
-                components.append(merged)
-            elif c.id not in dropped:
-                components.append(c)
+        components, ics = _replace_group(circuit, (c1, c2), merged)
         nodes = tuple(n for n in circuit.nodes if n != node)
-        ics = {k: v for k, v in circuit.ics.items() if k not in dropped}
         if c1.kind is ComponentKind.INDUCTOR:
             # series currents agree up to the chain orientation
             i1, i2 = circuit.ics.get(c1.id), circuit.ics.get(c2.id)
@@ -344,7 +365,7 @@ def _eliminate_series(circuit: Circuit) -> Circuit | None:
                 s2 = +1 if c2.terminals == (node, outer2) else -1
                 if s1 * i1 == s2 * i2:
                     ics[merged_id] = s1 * i1
-        return Circuit(nodes, tuple(components), ics)
+        return Circuit(nodes, components, ics)
     return None
 
 

@@ -345,7 +345,7 @@ def test_modes_floating_point_overflow_exit_code(capsys):
     # M stays finite at 6e307 F, but products in the mode attribution overflow
     code, out, err = run(capsys, "modes", ACTIVE, "--geometric", "allpairs", "--cg", "6e307")
     assert (code, out) == (3, "")
-    assert err.startswith("floating-point overflow under this configuration: ")
+    assert err.startswith("not quantizable under this configuration: kinetic matrix")
     assert err.count("\n") == 1
 
 

@@ -1,0 +1,147 @@
+"""Golden digests of `fluxq modes --format json` and `fluxq simulate
+--samples 64` over the bundled netlists in every representation and
+geometric mode.
+
+Each case runs `cli.main` in process and hashes (exit code, stdout, stderr)
+with the netlist path replaced by `<netlist>`, so a change that claims
+byte-identical CLI output is checked here.  After an intended change of
+output, regenerate the table with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+import hashlib
+import io
+import itertools
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+from fluxq.cli import main
+
+NETLISTS = Path(__file__).resolve().parent.parent / "netlists"
+NAMES = ("passive_lc.cir", "reduced_lc.cir", "active_lc.cir", "wheel.cir")
+REPS = ("node", "loop", "extended")
+MODES = ("off", "minimal", "allpairs")
+COMMANDS = {
+    "modes": ("--format", "json"),
+    "simulate": ("--samples", "64"),
+}
+CASES = [
+    "-".join(case) for case in itertools.product(COMMANDS, NAMES, REPS, MODES)
+]
+
+
+def _digest(case: str, capsys) -> str:
+    command, name, rep, mode = case.split("-")
+    path = str(NETLISTS / name)
+    code = main(
+        [command, path, "--rep", rep, "--geometric", mode, *COMMANDS[command]]
+    )
+    captured = capsys.readouterr()
+    blob = "\0".join((str(code), captured.out, captured.err))
+    return hashlib.sha256(blob.replace(path, "<netlist>").encode()).hexdigest()
+
+
+GOLDEN = {
+    "modes-passive_lc.cir-node-off": "0c331f365833c91ab0bba55702fd029c820522721d29193567993961a93bfdd8",
+    "modes-passive_lc.cir-node-minimal": "74ba2f113d232cc82f6ede29903b121b9c9af250bd033e9e2f265bc425e6f9f7",
+    "modes-passive_lc.cir-node-allpairs": "df272570e255121a24b4a5eb56870dcb77c629bc9be2e281d90bccf8d6bca8bd",
+    "modes-passive_lc.cir-loop-off": "dd9288401edf18aac92ea41b61a3b98e53ff6a827be778401ca8255d77370d28",
+    "modes-passive_lc.cir-loop-minimal": "af459c16ffb87659c4080a12fcbce1f7320787a2bcf718293331fdc4be82e4ae",
+    "modes-passive_lc.cir-loop-allpairs": "f82f1e06cc06015d14de2413a9a3476ff5f66101b1654c0960e652ebb245e21b",
+    "modes-passive_lc.cir-extended-off": "761db0b8ce3bde4410f1a32f20069743e5f8ead820a3c54cf6c92e8378150c74",
+    "modes-passive_lc.cir-extended-minimal": "b0e0504fb333435ecaaf7ccb5159d87836cd8db91f13a7ba3b950fcf43b833b0",
+    "modes-passive_lc.cir-extended-allpairs": "e5299a6788deba81d6bd16a7acbd263b500f4598090cb50ab5990060a8391653",
+    "modes-reduced_lc.cir-node-off": "c06ebca8949c8b3f276fb8099a4456fef2bca0fa9b636bdaacb3c2f9f23ceed7",
+    "modes-reduced_lc.cir-node-minimal": "c06ebca8949c8b3f276fb8099a4456fef2bca0fa9b636bdaacb3c2f9f23ceed7",
+    "modes-reduced_lc.cir-node-allpairs": "0526448bd2014c75157aa46f550937388304eebdcace89b53a98a54650d8ed35",
+    "modes-reduced_lc.cir-loop-off": "ab330cd4d89f6dd99de6ea67258d3ca0c831fac104b307f9a59b4799b0d2448b",
+    "modes-reduced_lc.cir-loop-minimal": "ab330cd4d89f6dd99de6ea67258d3ca0c831fac104b307f9a59b4799b0d2448b",
+    "modes-reduced_lc.cir-loop-allpairs": "69caab7d8c505312c384d3a3d8be25ba82b728b636acaf3067f41d1e7273cf07",
+    "modes-reduced_lc.cir-extended-off": "62f4feac0b49851716f0dde8d38cb657181e7eedb3988b65fe5db4aa0a502129",
+    "modes-reduced_lc.cir-extended-minimal": "62f4feac0b49851716f0dde8d38cb657181e7eedb3988b65fe5db4aa0a502129",
+    "modes-reduced_lc.cir-extended-allpairs": "b88da681fe1bd51bb33945ce3066651e5fa9a0ed4c06171f86e58d04e171deed",
+    "modes-active_lc.cir-node-off": "9c0d7698aedc5d29c56eb6491e49faf286ef83bea3acd7ed5e966b6e746c695d",
+    "modes-active_lc.cir-node-minimal": "9c0d7698aedc5d29c56eb6491e49faf286ef83bea3acd7ed5e966b6e746c695d",
+    "modes-active_lc.cir-node-allpairs": "da8f853d52973a1b80948b7ff894be6143aa951a63f1141a724e154d5dc1eb6e",
+    "modes-active_lc.cir-loop-off": "192f9ea2292002102e7361c47dade84c20549b41330cd535928f334fcf7e647e",
+    "modes-active_lc.cir-loop-minimal": "192f9ea2292002102e7361c47dade84c20549b41330cd535928f334fcf7e647e",
+    "modes-active_lc.cir-loop-allpairs": "5e925f7f072b68ff16f16d9c111d97f2d32e0b8c2b7c1369474566f7ee31b405",
+    "modes-active_lc.cir-extended-off": "7aeb82c33ccf00398f46136d9947cc2f9b68feb764ec192bf312915f0fb10b0c",
+    "modes-active_lc.cir-extended-minimal": "7aeb82c33ccf00398f46136d9947cc2f9b68feb764ec192bf312915f0fb10b0c",
+    "modes-active_lc.cir-extended-allpairs": "ecc9e8e09dadb444fa296ad013a184246ace5cf5eec2b83deb1b3371f00cce9a",
+    "modes-wheel.cir-node-off": "88ab3d44d88e9613b97ad29fdacea5e2583904eb97f79f24f21d6e2654eafadc",
+    "modes-wheel.cir-node-minimal": "7555fe837495ccf959d50cab2c2bcf753214d28bfabe978c29ece100e07b737f",
+    "modes-wheel.cir-node-allpairs": "226773f2c853948d59c9b4bbd3b4145bef27532c6af6ebec5e21e683dd6f74e8",
+    "modes-wheel.cir-loop-off": "974788dbd0caa6890ae44649955881db39de768e7adfb84b6f6760bcb7487b0e",
+    "modes-wheel.cir-loop-minimal": "66fec79675452d375e2ac0c01e9c1827b9f60fc7250fd9e81adfcf288a6efda2",
+    "modes-wheel.cir-loop-allpairs": "e6eacd79de803800c71aa41e27ec18c2426db24a44c9b14f0d086118d0bf1710",
+    "modes-wheel.cir-extended-off": "b40b22939f72ed8e7e95a53e9d13ff7bb37010ee86cbad80a942a37cdb445801",
+    "modes-wheel.cir-extended-minimal": "f242b903b1867579ba86b3b8d3c91cdea4c7d723580fb1d3a1fd5041bdaa3d82",
+    "modes-wheel.cir-extended-allpairs": "160a6a4b0c217544c85b808ec65d085ff4817127d28d5849948abdffd7dff0fd",
+    "simulate-passive_lc.cir-node-off": "0c331f365833c91ab0bba55702fd029c820522721d29193567993961a93bfdd8",
+    "simulate-passive_lc.cir-node-minimal": "afba63b3daa17202f7ba2922ee7205688bf570436cae16227c43b2e883f20ac6",
+    "simulate-passive_lc.cir-node-allpairs": "0500d813f0da719509d6f7359431ccfe74e7693f8d1c14c929e2080df27346a8",
+    "simulate-passive_lc.cir-loop-off": "dd9288401edf18aac92ea41b61a3b98e53ff6a827be778401ca8255d77370d28",
+    "simulate-passive_lc.cir-loop-minimal": "9cce6300989aaabb64ebe82d1665ada4a367f827b2ce26fda5e12a5feda1d163",
+    "simulate-passive_lc.cir-loop-allpairs": "626602968646d1cab15371f3468b45f2d95cd3e3c2010346c9b95d26c532374a",
+    "simulate-passive_lc.cir-extended-off": "761db0b8ce3bde4410f1a32f20069743e5f8ead820a3c54cf6c92e8378150c74",
+    "simulate-passive_lc.cir-extended-minimal": "6d2a95d4fecd3dbeb3ab56001095d02f964406a73422a0f2a5043f941a122bac",
+    "simulate-passive_lc.cir-extended-allpairs": "b24d6e854e403ddf3c3f42bc225ea0f9d7947886967424cac8025f9121c54e13",
+    "simulate-reduced_lc.cir-node-off": "28d292d1e8295a37dd3f6a70057af4f0c6d27e39ae2103677f5fefb9fc2cc540",
+    "simulate-reduced_lc.cir-node-minimal": "28d292d1e8295a37dd3f6a70057af4f0c6d27e39ae2103677f5fefb9fc2cc540",
+    "simulate-reduced_lc.cir-node-allpairs": "0702e9d8ca95192869e8e713ff0fd93e90ccbae789dbdcf0cf0a21b039e5f600",
+    "simulate-reduced_lc.cir-loop-off": "8179fb3020122554f1287ae17e32ccc63b92dbafdb41650e425ed34bcb53fb37",
+    "simulate-reduced_lc.cir-loop-minimal": "8179fb3020122554f1287ae17e32ccc63b92dbafdb41650e425ed34bcb53fb37",
+    "simulate-reduced_lc.cir-loop-allpairs": "c2be770385343fc42c9bfbb1c9cc84e889b8d540f07e2466de5c8186e8865c25",
+    "simulate-reduced_lc.cir-extended-off": "28d292d1e8295a37dd3f6a70057af4f0c6d27e39ae2103677f5fefb9fc2cc540",
+    "simulate-reduced_lc.cir-extended-minimal": "28d292d1e8295a37dd3f6a70057af4f0c6d27e39ae2103677f5fefb9fc2cc540",
+    "simulate-reduced_lc.cir-extended-allpairs": "0702e9d8ca95192869e8e713ff0fd93e90ccbae789dbdcf0cf0a21b039e5f600",
+    "simulate-active_lc.cir-node-off": "21683035aff223572b8557c47be36dfcd22fcb11d21eeb61cb057bd19a4c39aa",
+    "simulate-active_lc.cir-node-minimal": "21683035aff223572b8557c47be36dfcd22fcb11d21eeb61cb057bd19a4c39aa",
+    "simulate-active_lc.cir-node-allpairs": "b7143a4aae81027f707bf5171db41154f853a4395bf2db542d78dcaa76c6ee8a",
+    "simulate-active_lc.cir-loop-off": "37d034982872c454aac72b59ccfee0f85691fac4324c852ea44a53f855358889",
+    "simulate-active_lc.cir-loop-minimal": "37d034982872c454aac72b59ccfee0f85691fac4324c852ea44a53f855358889",
+    "simulate-active_lc.cir-loop-allpairs": "0b964ccf1f7ddc0e85235f93a83918418f799063a1a96d0bc7cd3cb45524f5e7",
+    "simulate-active_lc.cir-extended-off": "21683035aff223572b8557c47be36dfcd22fcb11d21eeb61cb057bd19a4c39aa",
+    "simulate-active_lc.cir-extended-minimal": "21683035aff223572b8557c47be36dfcd22fcb11d21eeb61cb057bd19a4c39aa",
+    "simulate-active_lc.cir-extended-allpairs": "69f9a4f1b98f6a48a6331fd11b74a32f46fb6971f76c4bc39f9f66846543ef39",
+    "simulate-wheel.cir-node-off": "88ab3d44d88e9613b97ad29fdacea5e2583904eb97f79f24f21d6e2654eafadc",
+    "simulate-wheel.cir-node-minimal": "ed628b570172cddf152288e23a477206f6d7cfb2b18593bde8fefcde50ec9ae6",
+    "simulate-wheel.cir-node-allpairs": "ed628b570172cddf152288e23a477206f6d7cfb2b18593bde8fefcde50ec9ae6",
+    "simulate-wheel.cir-loop-off": "974788dbd0caa6890ae44649955881db39de768e7adfb84b6f6760bcb7487b0e",
+    "simulate-wheel.cir-loop-minimal": "19f3bfdf810491eb952c3c464f1bb401593999ff94f769838c5ddd5f64d0ad2a",
+    "simulate-wheel.cir-loop-allpairs": "c01e5b8f7524e160ed30867487ba7bf60522c72339cdaa9f06a672980f7d150f",
+    "simulate-wheel.cir-extended-off": "b40b22939f72ed8e7e95a53e9d13ff7bb37010ee86cbad80a942a37cdb445801",
+    "simulate-wheel.cir-extended-minimal": "7a681db49b97b1632aa79f65cc93b590c9366af37afbac8186ecba43e211465e",
+    "simulate-wheel.cir-extended-allpairs": "e03070836361f757e320d6fde0922edf98c8d8a04c205e21391802d0a83958a0",
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_cli_output_matches_golden_digest(case, capsys):
+    assert _digest(case, capsys) == GOLDEN[case]
+
+
+class _Capture:
+    """capsys for a run outside pytest: what was written since the last read."""
+
+    def __init__(self):
+        self.out, self.err = io.StringIO(), io.StringIO()
+
+    def readouterr(self):
+        captured = SimpleNamespace(out=self.out.getvalue(), err=self.err.getvalue())
+        for stream in (self.out, self.err):
+            stream.seek(0)
+            stream.truncate()
+        return captured
+
+
+if __name__ == "__main__":
+    capture = _Capture()
+    with redirect_stdout(capture.out), redirect_stderr(capture.err):
+        digests = {case: _digest(case, capture) for case in CASES}
+    for case, digest in digests.items():
+        print(f'    "{case}": "{digest}",')

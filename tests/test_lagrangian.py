@@ -29,14 +29,19 @@ MINIMAL = GeometricPolicy(cap_mode=GeometricMode.MINIMAL)
 ALL_PAIRS = GeometricPolicy(cap_mode=GeometricMode.ALL_PAIRS)
 
 
+def _row(lag, cid):
+    """Component cid's nonzero coefficients in A, by coordinate label."""
+    return {lbl: c for lbl, c in zip(lag.labels, lag.assignment_row(cid)) if c != 0.0}
+
+
 def test_node_matrices_passive(passive_lc):
     lag = node_lagrangian(passive_lc, build_spanning_tree(passive_lc))
     assert lag.labels == ("phi_2", "phi_3")
     assert np.allclose(lag.M, [[6e-12, 0.0], [0.0, 0.0]])
     third = 1e9 / 3.0
     assert np.allclose(lag.K, [[1e9, -1e9], [-1e9, 1e9 + third]])
-    assert lag.flux_assignment["L3"] == {"phi_2": 1.0, "phi_3": -1.0}
-    assert lag.flux_assignment["L4"] == {"phi_3": 1.0}
+    assert _row(lag, "L3") == {"phi_2": 1.0, "phi_3": -1.0}
+    assert _row(lag, "L4") == {"phi_3": 1.0}
 
 
 def test_node_matrices_reduced(reduced_lc):
@@ -62,7 +67,7 @@ def test_loop_matrices_passive(passive_lc):
     assert lag.K[0, 0] == pytest.approx(7.5e11)
     assert lag.K[1, 1] == pytest.approx(5e11)
     assert abs(lag.K[0, 1]) == pytest.approx(5e11)
-    assert lag.flux_assignment["C2"] in ({"Q_1": 1.0}, {"Q_1": -1.0})
+    assert _row(lag, "C2") in ({"Q_1": 1.0}, {"Q_1": -1.0})
 
 
 def test_loop_matrices_reduced(reduced_lc):
@@ -157,8 +162,8 @@ def test_extended_momenta_pattern(passive_lc):
     expected[i2], expected[ip1] = -4e-12, 4e-12
     assert np.allclose(row, expected)
     # the chord of each dynamic loop carries its loop flux
-    assert lag.flux_assignment["C2"] == {"phi_2": 1.0, "Phi_1": -1.0}
-    assert lag.flux_assignment["L4"] == {"phi_3": 1.0, "Phi_2": -1.0}
+    assert _row(lag, "C2") == {"phi_2": 1.0, "Phi_1": -1.0}
+    assert _row(lag, "L4") == {"phi_3": 1.0, "Phi_2": -1.0}
 
 
 def test_extended_geometric_caps_follow_design_paths(passive_lc):
@@ -166,9 +171,9 @@ def test_extended_geometric_caps_follow_design_paths(passive_lc):
     lag = extended_node_lagrangian(passive_lc, tree, ALL_PAIRS)
     # across (3,2): shadows L3; across (3,0): shadows L4 including its loop
     # flux; across (2,0): shadows C1
-    assert lag.flux_assignment["Cg32"] == {"phi_2": -1.0, "phi_3": 1.0}
-    assert lag.flux_assignment["Cg30"] == {"phi_3": 1.0, "Phi_2": -1.0}
-    assert lag.flux_assignment["Cg20"] == {"phi_2": 1.0}
+    assert _row(lag, "Cg32") == {"phi_2": -1.0, "phi_3": 1.0}
+    assert _row(lag, "Cg30") == {"phi_3": 1.0, "Phi_2": -1.0}
+    assert _row(lag, "Cg20") == {"phi_2": 1.0}
 
 
 def _scan_design_path(circuit, u, v):
@@ -206,19 +211,21 @@ def _scan_design_path(circuit, u, v):
 @pytest.mark.parametrize("mode", list(GeometricMode))
 def test_extended_design_paths_match_scan_bfs(name, mode, monkeypatch):
     """The indexed breadth-first trees give every geometric capacitor the
-    path of a per-call scan BFS: identical assignment, M and K."""
+    path of a per-call scan BFS: identical paths, assignment, M and K."""
     circuit = ladder(64, np.random.default_rng(7)) if name == "ladder64" else load(name)
     policy = GeometricPolicy(cap_mode=mode)
     tree = build_spanning_tree(circuit)
     lag = extended_node_lagrangian(circuit, tree, policy)
     augmented, record = augment_geometric(circuit, topology_report(circuit), policy)
+    scan = [_scan_design_path(augmented, c.a, c.b) for c in record.added_capacitors]
+    assert lagrangian_module._design_paths(augmented, record.added_capacitors) == scan
     monkeypatch.setattr(
         lagrangian_module,
-        "_shortest_design_path",
-        lambda parents, u, v: _scan_design_path(augmented, u, v),
+        "_design_paths",
+        lambda aug, caps: [_scan_design_path(aug, c.a, c.b) for c in caps],
     )
     reference = extended_node_lagrangian(circuit, tree, policy)
-    assert lag.flux_assignment == reference.flux_assignment
+    assert np.array_equal(lag.A, reference.A)
     assert np.array_equal(lag.M, reference.M)
     assert np.array_equal(lag.K, reference.K)
     if mode is GeometricMode.ALL_PAIRS:

@@ -113,7 +113,8 @@ def test_pipeline_matches_stage_by_stage(name, rep, mode):
     assert q.lagrangian.labels == lag.labels
     assert np.array_equal(q.lagrangian.M, lag.M)
     assert np.array_equal(q.lagrangian.K, lag.K)
-    assert q.lagrangian.flux_assignment == lag.flux_assignment
+    assert q.lagrangian.component_ids == lag.component_ids
+    assert np.array_equal(q.lagrangian.A, lag.A)
     assert np.array_equal(q.modes.omegas, modes.omegas)
 
 

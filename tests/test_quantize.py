@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fluxq import (
     GeometricMode,
     GeometricPolicy,
     HamiltonianSystem,
+    KineticMatrixOverflow,
     RankCrossCheckFailure,
     Representation,
     SingularKineticMatrix,
@@ -296,6 +298,16 @@ def _assert_attribution_matches_reference(circuit, rep, policy):
 @pytest.mark.parametrize("rep", list(Representation), ids=lambda r: r.value)
 def test_mode_attribution_matches_reference(name, mode, rep):
     _assert_attribution_matches_reference(load(name), rep, GeometricPolicy(mode))
+
+
+def test_mode_attribution_raises_on_non_finite_weights(active_lc):
+    # M stays finite at 6e307 F, but its square root times V does not
+    policy = GeometricPolicy(GeometricMode.ALL_PAIRS, default_cg=6e307)
+    q = quantize_circuit(active_lc, Representation.NODE_FLUX, policy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KineticMatrixOverflow):
+            mode_attribution(q.modes, q.hamiltonian)
 
 
 @pytest.mark.parametrize("rep", list(Representation), ids=lambda r: r.value)

@@ -419,7 +419,7 @@ def test_charge_law_flags_perturbation(reduced_lc):
     traj = evolve_modes(h, modes, x0, p0, times, lagrangian=lag)
     # single loop through both components: doubling one participation row
     # breaks the entering-equals-leaving cancellation
-    lag.flux_assignment["C"] = {"Q_1": -2.0}
+    lag.A[lag.component_ids.index("C"), lag.labels.index("Q_1")] = -2.0
     residual = charge_law_residual(reduced_lc, loops, traj)
     assert np.abs(residual).max() > 0.0
 
