@@ -16,10 +16,10 @@ Exit codes, each with a message on stderr and no traceback:
    --lg not positive and finite while augmenting, --samples below 1,
    --tmax not positive and finite, or so large that the fastest mode's
    phase omega*t overflows float64
-3  unquantizable under the requested configuration, the kinetic
-   matrix too ill-conditioned to confirm its structural rank, M or the
-   reduced matrix of the mode solve overflowing float64 (as with --cg or
-   --lg at 1e-300, or subnormal, where the value enters M or K), or any
+3  unquantizable under the requested configuration, the kinetic matrix
+   or loop inductance form too ill-conditioned to confirm its rank, M or
+   the reduced matrix of the mode solve overflowing float64 (as with --cg
+   or --lg at 1e-300, or subnormal, where the value enters M or K), or any
    other floating-point overflow or invalid operation in the numerics
 4  inconsistent initial conditions
 """
@@ -54,8 +54,8 @@ from .netlist import (
 )
 from .pipeline import quantize_circuit
 from .quantize import (
+    HBAR,
     KineticMatrixOverflow,
-    RankCrossCheckFailure,
     ReducedMatrixOverflow,
     SingularKineticMatrix,
     diagnose_quantizability,
@@ -68,7 +68,7 @@ from .simulate import (
     evolve_modes,
     initial_state,
 )
-from .topology import reduce_circuit, topology_report
+from .topology import RankCrossCheckFailure, reduce_circuit, topology_report
 
 DEFAULT_IC_VOLTS = 2e-3
 DEFAULT_IC_AMPS = 0.0
@@ -80,8 +80,8 @@ class RunConfig:
     netlist: Path
     rep: Representation = Representation.NODE_FLUX
     geometric: GeometricMode = GeometricMode.MINIMAL
-    cg: float = 8.9e-20
-    lg: float = 1e-15
+    cg: float = GeometricPolicy.default_cg
+    lg: float = GeometricPolicy.default_lg
     tmax: float = 4e-9
     samples: int = 2000
     out: Path | None = None
@@ -89,7 +89,7 @@ class RunConfig:
 
 
 class _CliError(Exception):
-    """A documented failure with its exit code and a one-line message."""
+    """A documented failure with its exit code and its stderr message."""
 
     def __init__(self, code: int, message: str):
         super().__init__(message)
@@ -115,17 +115,15 @@ def _load_circuit(config: RunConfig) -> Circuit:
         text = config.netlist.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(1, f"cannot read netlist: {exc}") from exc
-    circuit = parse_netlist(text)
+    try:
+        circuit = parse_netlist(text)
+    except NetlistError as exc:
+        raise _CliError(1, f"parse error: {exc}") from exc
     violations = validate_circuit(circuit)
     if violations:
-        raise _ValidationFailure(violations)
+        lines = ["invalid circuit:", *(f"  - {v}" for v in violations)]
+        raise _CliError(2, "\n".join(lines))
     return circuit
-
-
-class _ValidationFailure(Exception):
-    def __init__(self, violations: list[str]):
-        super().__init__("; ".join(violations))
-        self.violations = violations
 
 
 @contextmanager
@@ -187,7 +185,7 @@ def _mode_payload(config: RunConfig, circuit: Circuit) -> dict:
         "ground_state": {
             "delta_x": dx.tolist(),
             "delta_p": dp.tolist(),
-            "products_over_hbar2": (dx * dp / (h.hbar / 2.0)).tolist(),
+            "products_over_hbar2": (dx * dp / (HBAR / 2.0)).tolist(),
         },
     }
 
@@ -496,18 +494,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--rep",
             choices=[r.value for r in Representation],
-            default=Representation.NODE_FLUX.value,
+            default=RunConfig.rep.value,
         )
         p.add_argument(
             "--geometric",
             choices=[g.value for g in GeometricMode],
-            default=GeometricMode.MINIMAL.value,
+            default=RunConfig.geometric.value,
         )
-        p.add_argument("--cg", type=float, default=8.9e-20)
-        p.add_argument("--lg", type=float, default=1e-15)
-        p.add_argument("--tmax", type=float, default=4e-9)
-        p.add_argument("--samples", type=int, default=2000)
-        p.add_argument("--out", type=Path, default=None)
+        p.add_argument("--cg", type=float, default=RunConfig.cg)
+        p.add_argument("--lg", type=float, default=RunConfig.lg)
+        p.add_argument("--tmax", type=float, default=RunConfig.tmax)
+        p.add_argument("--samples", type=int, default=RunConfig.samples)
+        p.add_argument("--out", type=Path, default=RunConfig.out)
         p.add_argument("--format", choices=formats, default=formats[0])
     return parser
 
@@ -528,14 +526,6 @@ def run(config: RunConfig) -> int:
     except _CliError as exc:
         print(exc, file=sys.stderr)
         return exc.code
-    except NetlistError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 1
-    except _ValidationFailure as exc:
-        print("invalid circuit:", file=sys.stderr)
-        for v in exc.violations:
-            print(f"  - {v}", file=sys.stderr)
-        return 2
     except (
         SingularKineticMatrix,
         RankCrossCheckFailure,
@@ -555,19 +545,9 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = RunConfig(
-        subcommand=args.subcommand,
-        netlist=args.netlist,
-        rep=Representation(args.rep),
-        geometric=GeometricMode(args.geometric),
-        cg=args.cg,
-        lg=args.lg,
-        tmax=args.tmax,
-        samples=args.samples,
-        out=args.out,
-        format=args.format,
-    )
+    config = RunConfig(**vars(build_parser().parse_args(argv)))
+    config.rep = Representation(config.rep)
+    config.geometric = GeometricMode(config.geometric)
     return run(config)
 
 

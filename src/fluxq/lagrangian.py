@@ -24,7 +24,7 @@ All quantities are SI.  Matrices are dense; circuits are small.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .topology import (
     _forest_steps,
     fundamental_loops,
     loop_matrix,
-    passive_nodes,
     topology_report,
 )
 
@@ -65,15 +64,12 @@ class GeometricPolicy:
     geometric capacitor per passive node (toward its tree parent) and one
     self-inductance per deficient loop direction; ALL_PAIRS adds a
     geometric capacitor between every unordered node pair and a
-    self-inductance on every loop.  Overrides replace the defaults for
-    specific node pairs / loop chords.
+    self-inductance on every loop.
     """
 
     cap_mode: GeometricMode = GeometricMode.MINIMAL
     default_cg: float = 8.9e-20
     default_lg: float = 1e-15
-    cap_overrides: dict[frozenset, float] = field(default_factory=dict)
-    loop_overrides: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.cap_mode is not GeometricMode.OFF:
@@ -279,7 +275,7 @@ def augment_geometric(
 
     if policy.cap_mode is GeometricMode.MINIMAL:
         pairs = []
-        for node in sorted(passive_nodes(circuit)):
+        for node in report.passive_nodes:
             neighbor = tree.parent_node.get(node)
             if neighbor is None:
                 neighbors = sorted(
@@ -292,17 +288,11 @@ def augment_geometric(
         inductance = np.zeros((l, l))
         for w in kinetic_rows:
             wv = w / np.linalg.norm(w)
-            lg = policy.default_lg
-            support = np.flatnonzero(wv)
-            if support.size == 1:
-                lg = policy.loop_overrides.get(loop_lbls[support[0]], policy.default_lg)
-            inductance += lg * np.outer(wv, wv)
+            inductance += policy.default_lg * np.outer(wv, wv)
     else:  # ALL_PAIRS
         nodes = circuit.nodes
         pairs = [(b, a) for i, a in enumerate(nodes) for b in nodes[i + 1 :]]
-        inductance = np.diag(
-            [policy.loop_overrides.get(lbl, policy.default_lg) for lbl in loop_lbls]
-        )
+        inductance = policy.default_lg * np.eye(l)
         kinetic_rows = np.eye(l)
 
     existing = {c.id for c in circuit.components}
@@ -310,9 +300,10 @@ def augment_geometric(
     for a, b in pairs:
         cid = _geometric_id(existing, a, b)
         existing.add(cid)
-        value = policy.cap_overrides.get(frozenset((a, b)), policy.default_cg)
         added.append(
-            Component(cid, ComponentKind.CAPACITOR, value, (a, b), geometric=True)
+            Component(
+                cid, ComponentKind.CAPACITOR, policy.default_cg, (a, b), geometric=True
+            )
         )
     augmented = Circuit(
         circuit.nodes, circuit.components + tuple(added), dict(circuit.ics)

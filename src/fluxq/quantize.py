@@ -18,6 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .lagrangian import QuadraticLagrangian, Representation
+from .topology import RankCrossCheckFailure, _equilibrated_rank
 
 HBAR = 1.054571817e-34  # J s
 
@@ -26,20 +27,6 @@ _M_RANK_TOL = 1e-12
 _K_RANK_TOL = 1e-10
 # zero threshold of the row reduction, relative to the largest entry
 _RREF_TOL = 1e-9
-
-
-class RankCrossCheckFailure(RuntimeError):
-    """The structural null space of M and the numeric rank of the
-    equilibrated M disagree: M is too ill-conditioned in floating point to
-    confirm the structural answer."""
-
-    def __init__(self, structural: int, numeric: int):
-        super().__init__(
-            f"kinetic matrix rank unconfirmed: structural null space dimension "
-            f"{structural} disagrees with numeric estimate {numeric}"
-        )
-        self.structural = structural
-        self.numeric = numeric
 
 
 class ReducedMatrixOverflow(RuntimeError):
@@ -83,7 +70,6 @@ class QuantizabilityDiagnosis:
     quantizable: bool
     null_space: tuple[np.ndarray, ...]
     attributions: tuple[str, ...]
-    representation: Representation
 
 
 @dataclass
@@ -93,7 +79,6 @@ class HamiltonianSystem:
     labels: tuple[str, ...]
     minv: np.ndarray
     k: np.ndarray
-    hbar: float = HBAR
     _chol_m: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -187,29 +172,6 @@ def _rref_nullspace(rows: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _equilibrated_rank(mat: np.ndarray, rel_tol: float) -> int:
-    """Numeric rank of a PSD matrix, independent of the SI scale of its rows.
-
-    Symmetric equilibration to unit diagonal keeps structurally zero
-    directions at machine-zero singular values, while physically tiny but
-    nonzero entries (a geometric Cg or Lg far below the design values) stay
-    O(1); a plain threshold against the largest singular value would
-    swallow them in stiff augmented circuits."""
-    if mat.shape[0] == 0:
-        return 0
-    diag = np.diag(mat)
-    # PSD: a zero diagonal entry forces a zero row, so scaling it by 1 is safe
-    scale = np.where(diag > 0.0, 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0)), 1.0)
-    # scaled by rows, then by columns (the outer product of the scales
-    # overflows for a subnormal diagonal entry); the singular values of a
-    # symmetric matrix are its absolute eigenvalues
-    svals = np.abs(np.linalg.eigvalsh(mat * scale[:, None] * scale))
-    smax = svals.max()
-    if smax == 0.0:
-        return 0
-    return int(np.sum(svals > rel_tol * smax))
-
-
 def _describe_null_vector(
     vec: np.ndarray, labels: tuple[str, ...], rep: Representation
 ) -> str:
@@ -245,7 +207,7 @@ def diagnose_quantizability(lagrangian: QuadraticLagrangian) -> QuantizabilityDi
 
     numeric_null = lagrangian.dim - _equilibrated_rank(lagrangian.M, _M_RANK_TOL)
     if numeric_null != len(null_vectors):
-        raise RankCrossCheckFailure(len(null_vectors), numeric_null)
+        raise RankCrossCheckFailure("kinetic matrix", len(null_vectors), numeric_null)
 
     attributions = tuple(
         _describe_null_vector(v, lagrangian.labels, lagrangian.representation)
@@ -255,7 +217,6 @@ def diagnose_quantizability(lagrangian: QuadraticLagrangian) -> QuantizabilityDi
         quantizable=not null_vectors,
         null_space=tuple(null_vectors),
         attributions=attributions,
-        representation=lagrangian.representation,
     )
 
 
@@ -323,8 +284,8 @@ def ground_state(modes: ModeDecomposition, h: HamiltonianSystem) -> GaussianStat
     dim = modes.dim
     osc = modes.omegas > 0.0
     w = modes.omegas[osc]
-    vs = modes.modes[:, osc] * np.sqrt(h.hbar / (2.0 * w))
-    us = modes.momentum_modes()[:, osc] * np.sqrt(h.hbar * w / 2.0)
+    vs = modes.modes[:, osc] * np.sqrt(HBAR / (2.0 * w))
+    us = modes.momentum_modes()[:, osc] * np.sqrt(HBAR * w / 2.0)
     cov = np.zeros((2 * dim, 2 * dim))
     cov[:dim, :dim] = vs @ vs.T
     cov[dim:, dim:] = us @ us.T

@@ -9,7 +9,7 @@ mode by mode, so nothing beyond the mode solution is ever needed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,6 @@ class Trajectory:
     energy: np.ndarray
     lagrangian: QuadraticLagrangian | None = None
     mode_solution: ModeSolution | None = None
-    observables: dict[str, ComponentSeries] = field(default_factory=dict)
 
 
 def _is_flux_type(rep: Representation) -> bool:
@@ -287,12 +286,10 @@ def observables(
     """Per-component voltage (V) and current (A) series from the branch
     assignments and the analytic trajectory derivatives."""
     voltage, current = _series(circuit, lagrangian, trajectory)
-    out = {
+    return {
         c.id: ComponentSeries(voltage=voltage[i], current=current[i])
         for i, c in enumerate(circuit.components)
     }
-    trajectory.observables.update(out)
-    return out
 
 
 def evolution_matrix(

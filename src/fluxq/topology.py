@@ -10,7 +10,45 @@ import numpy as np
 
 from .netlist import GROUND, Circuit, Component, ComponentKind
 
+# relative eigenvalue threshold of the equilibrated loop inductance form
 _RANK_TOL = 1e-12
+
+
+class RankCrossCheckFailure(RuntimeError):
+    """The structural null space of a PSD matrix and the numeric rank of the
+    equilibrated matrix disagree: the matrix is too ill-conditioned in
+    floating point to confirm the structural answer."""
+
+    def __init__(self, matrix: str, structural: int, numeric: int):
+        super().__init__(
+            f"{matrix} rank unconfirmed: structural null space dimension "
+            f"{structural} disagrees with numeric estimate {numeric}"
+        )
+        self.structural = structural
+        self.numeric = numeric
+
+
+def _equilibrated_rank(mat: np.ndarray, rel_tol: float) -> int:
+    """Numeric rank of a PSD matrix, independent of the SI scale of its rows.
+
+    Symmetric equilibration to unit diagonal keeps structurally zero
+    directions at machine-zero singular values, while physically tiny but
+    nonzero entries (a geometric Cg or Lg far below the design values) stay
+    O(1); a plain threshold against the largest singular value would
+    swallow them in stiff augmented circuits."""
+    if mat.shape[0] == 0:
+        return 0
+    diag = np.diag(mat)
+    # PSD: a zero diagonal entry forces a zero row, so scaling it by 1 is safe
+    scale = np.where(diag > 0.0, 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0)), 1.0)
+    # scaled by rows, then by columns (the outer product of the scales
+    # overflows for a subnormal diagonal entry); the singular values of a
+    # symmetric matrix are its absolute eigenvalues
+    svals = np.abs(np.linalg.eigvalsh(mat * scale[:, None] * scale))
+    smax = svals.max()
+    if smax == 0.0:
+        return 0
+    return int(np.sum(svals > rel_tol * smax))
 
 
 @dataclass(frozen=True)
@@ -177,17 +215,14 @@ def _checked_cycles(
     circuit: Circuit, loops: tuple[FundamentalLoop, ...]
 ) -> tuple[tuple[int, ...], ...]:
     """capacitor_only_cycles, cross-checked against the numeric rank
-    deficiency of B diag(L) B^T; raises RuntimeError where they disagree."""
+    deficiency of the equilibrated B diag(L) B^T; raises
+    RankCrossCheckFailure where they disagree."""
     cycles = capacitor_only_cycles(circuit, loops)
     B, inductors = inductor_participation(circuit, loops)
     W = (B * [circuit.component(cid).value for cid in inductors]) @ B.T
-    svals = np.linalg.svd(W, compute_uv=False) if W.size else np.zeros(0)
-    numeric = len(loops) - int(np.sum(svals > _RANK_TOL * svals.max(initial=0.0)))
+    numeric = len(loops) - _equilibrated_rank(W, _RANK_TOL)
     if numeric != len(cycles):
-        raise RuntimeError(
-            f"structural deficiency {len(cycles)} disagrees with numeric rank "
-            f"deficiency {numeric}"
-        )
+        raise RankCrossCheckFailure("loop inductance form", len(cycles), numeric)
     return cycles
 
 

@@ -743,3 +743,45 @@ def test_modes_zero_mode_warning_is_one_stable_line(tmp_path, capsys):
         code, _, err = run(capsys, "modes", str(netlist), "--rep", "loop")
         assert code == 0
         assert err == line
+
+
+# inductances 2e12 apart: a plain singular-value threshold on B diag(L) B^T
+# reads two deficient loop directions where there are none
+STIFF_LOOPS = "C1 1 0 1p\nL1 1 0 1n\nL2 1 2 2000\nC2 2 0 1p\nL3 2 0 1n\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("modes", "--rep", "node"),
+        ("modes", "--rep", "loop"),
+        ("modes", "--rep", "extended"),
+        ("simulate", "--samples", "8"),
+        ("analyze",),
+    ],
+)
+def test_stiff_loop_inductances_confirm_the_loop_deficiency(tmp_path, capsys, args):
+    netlist = tmp_path / "stiff_loops.cir"
+    netlist.write_text(STIFF_LOOPS)
+    code, out, err = run(capsys, args[0], str(netlist), *args[1:])
+    assert code == 0, err
+    assert out
+    assert "Traceback" not in err
+
+
+def test_unconfirmed_loop_deficiency_exit_code(tmp_path, capsys):
+    # the wheel with values spread over 230 orders of magnitude: the
+    # equilibrated loop inductance form cannot confirm the one capacitor cycle
+    netlist = tmp_path / "wheel_extreme.cir"
+    netlist.write_text(
+        "La 0 4 8.08e217\nLb 2 4 2.48e-10\nLc 3 4 3.23e-15\n"
+        "Ca 0 2 2.37e102\nCb 2 3 1.19e-4\nCc 3 0 890.8\n"
+    )
+    code, out, err = run(capsys, "modes", str(netlist))
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(
+        "not quantizable under this configuration: loop inductance form rank "
+        "unconfirmed: "
+    )
