@@ -150,11 +150,12 @@ def cmd_analyze(config: RunConfig) -> int:
             loop_lagrangian(circuit, report.loops)
         ).quantizable,
     }
+    reduced = reduce_circuit(circuit)
+    reducible = reduced is not circuit
     payload = report.to_json_dict()
+    payload["reducible"] = reducible
     payload["quantizable"] = quantizable
-    payload["reduction"] = (
-        serialize_netlist(reduce_circuit(circuit)) if report.reducible else None
-    )
+    payload["reduction"] = serialize_netlist(reduced) if reducible else None
     _emit(config, json.dumps(payload, indent=2) + "\n")
     return 0
 

@@ -36,9 +36,7 @@ from .topology import (
     _adjacency,
     _bfs_forest,
     _forest_steps,
-    fundamental_loops,
     loop_matrix,
-    topology_report,
 )
 
 _SYM_TOL = 1e-14
@@ -83,7 +81,6 @@ class GeometricPolicy:
 class AugmentationRecord:
     added_capacitors: tuple[Component, ...]
     loop_inductance: np.ndarray | None  # (l x l) PSD matrix, None when OFF
-    loop_labels: tuple[str, ...]  # chord id per fundamental loop
     # exact loop-space support of the self-inductance form (rows x l), for
     # the structural quantizability analysis
     loop_kinetic_rows: np.ndarray
@@ -267,11 +264,10 @@ def augment_geometric(
     tree = report.tree
     if sorted(tree.tree + tree.chords) != sorted(c.id for c in circuit.components):
         raise ValueError("topology report does not describe this circuit")
-    loop_lbls = tuple(loop.chord for loop in report.loops)
     l = len(report.loops)
 
     if policy.cap_mode is GeometricMode.OFF:
-        return circuit, AugmentationRecord((), None, loop_lbls, np.zeros((0, l)))
+        return circuit, AugmentationRecord((), None, np.zeros((0, l)))
 
     if policy.cap_mode is GeometricMode.MINIMAL:
         pairs = []
@@ -308,13 +304,14 @@ def augment_geometric(
     augmented = Circuit(
         circuit.nodes, circuit.components + tuple(added), dict(circuit.ics)
     )
-    return augmented, AugmentationRecord(
-        tuple(added), inductance, loop_lbls, kinetic_rows
-    )
+    return augmented, AugmentationRecord(tuple(added), inductance, kinetic_rows)
 
 
 def extended_node_lagrangian(
-    circuit: Circuit, tree: SpanningTree, policy: GeometricPolicy
+    circuit: Circuit,
+    loops: tuple[FundamentalLoop, ...],
+    augmented: Circuit,
+    record: AugmentationRecord,
 ) -> QuadraticLagrangian:
     """Node fluxes plus dynamical loop fluxes for every loop carrying a
     geometric self-inductance whose flux a capacitor sees: the loop's chord
@@ -324,22 +321,9 @@ def extended_node_lagrangian(
     carries phi_a - phi_b - Phi_l, which makes the signed flux sum around
     that loop equal -Phi_l.  Geometric capacitors copy the flux of the
     shortest design path between their terminals.  The potential gains
-    1/2 Phi^T Lg^{-1} Phi from the loop self-inductances.  The loops are
-    those of the circuit's topology report, which index the augmentation,
-    so `tree` is not read."""
-    report = topology_report(circuit)
-    augmented, record = augment_geometric(circuit, report, policy)
-    return _extended_lagrangian(circuit, report.loops, augmented, record)
-
-
-def _extended_lagrangian(
-    circuit: Circuit,
-    loops: tuple[FundamentalLoop, ...],
-    augmented: Circuit,
-    record: AugmentationRecord,
-) -> QuadraticLagrangian:
-    """extended_node_lagrangian from the circuit's fundamental loops and
-    its augment_geometric result."""
+    1/2 Phi^T Lg^{-1} Phi from the loop self-inductances.  `loops` are
+    the circuit's fundamental loops and (augmented, record) its
+    augment_geometric result over them."""
     paths = _design_paths(augmented, record.added_capacitors)
     # A loop flux enters M only through a capacitor chord or a geometric
     # capacitor whose design path crosses the chord.  A loop without either
@@ -421,21 +405,20 @@ def _signed_sums(lag: QuadraticLagrangian, laws, circuit: Circuit, trajectory):
     return (laws @ rows) @ trajectory.coords
 
 
-def flux_law_residual(circuit: Circuit, tree: SpanningTree, trajectory) -> np.ndarray:
-    """Signed sum of branch fluxes around each fundamental loop, one row
-    per loop over the trajectory grid.  Identically zero in the node
+def flux_law_residual(
+    circuit: Circuit, loops: tuple[FundamentalLoop, ...], trajectory
+) -> np.ndarray:
+    """Signed sum of branch fluxes around each of the given loops of the
+    circuit, one row per loop over the trajectory grid.  Identically zero in the node
     representation; equals -Phi_l(t) for dynamic loops of the extended
     representation."""
     lag = _trajectory_lagrangian(trajectory)
     if lag.representation is Representation.LOOP_CHARGE:
         raise ValueError("flux law applies to flux-type trajectories")
-    laws = loop_matrix(circuit, fundamental_loops(circuit, tree))
-    return _signed_sums(lag, laws, circuit, trajectory)
+    return _signed_sums(lag, loop_matrix(circuit, loops), circuit, trajectory)
 
 
-def charge_law_residual(
-    circuit: Circuit, loops: tuple[FundamentalLoop, ...], trajectory
-) -> np.ndarray:
+def charge_law_residual(circuit: Circuit, trajectory) -> np.ndarray:
     """Signed sum of branch charges at each non-ground node, one row per
     node.  Each loop charge enters and leaves every node it visits, so the
     residual vanishes identically under the fundamental-loop construction."""

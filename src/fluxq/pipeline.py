@@ -14,8 +14,8 @@ from .lagrangian import (
     GeometricPolicy,
     QuadraticLagrangian,
     Representation,
-    _extended_lagrangian,
     augment_geometric,
+    extended_node_lagrangian,
     loop_lagrangian,
     node_lagrangian,
 )
@@ -57,6 +57,6 @@ def quantize_circuit(
         )
     else:
         observed = augmented
-        lag = _extended_lagrangian(circuit, report.loops, augmented, record)
+        lag = extended_node_lagrangian(circuit, report.loops, augmented, record)
     h = legendre_transform(lag)
     return QuantizedCircuit(observed, lag, h, normal_modes(h))

@@ -34,18 +34,6 @@ class ComponentSeries:
     current: np.ndarray
 
 
-@dataclass(frozen=True)
-class ModeSolution:
-    """Per-mode cosine parameters x_k(t) = A_k cos(omega_k t + theta_k);
-    zero modes carry linear drift (offset + rate * t) instead."""
-
-    omegas: np.ndarray
-    amplitudes: np.ndarray
-    phases: np.ndarray
-    drift_offset: np.ndarray
-    drift_rate: np.ndarray
-
-
 @dataclass
 class Trajectory:
     times: np.ndarray
@@ -56,7 +44,6 @@ class Trajectory:
     momenta: np.ndarray
     energy: np.ndarray
     lagrangian: QuadraticLagrangian | None = None
-    mode_solution: ModeSolution | None = None
 
 
 def _is_flux_type(rep: Representation) -> bool:
@@ -158,7 +145,6 @@ def evolve_modes(
     xt0, pt0 = _mode_coordinates(modes, x0, p0)
     t = np.asarray(times, dtype=float)
     w = modes.omegas
-    osc = w > 0.0
     c, a, b = _mode_rotation(w, t)
     # x~ = c x~0 + a p~0 and p~ = b x~0 + c p~0, built in the rotation's
     # own arrays; c is free for reuse once both are done
@@ -177,20 +163,6 @@ def evolve_modes(
     per_mode += np.square(wx, out=wx)
     energy = 0.5 * np.sum(per_mode, axis=0)
     accelerations = v @ np.multiply(-(w[:, None] ** 2), xt, out=wx)
-
-    amplitude = np.where(osc, np.hypot(xt0, np.divide(pt0, w, out=np.zeros_like(w), where=osc)), 0.0)
-    theta = np.where(
-        osc,
-        np.arctan2(-np.divide(pt0, w, out=np.zeros_like(w), where=osc), xt0),
-        0.0,
-    )
-    solution = ModeSolution(
-        omegas=w.copy(),
-        amplitudes=amplitude,
-        phases=theta,
-        drift_offset=np.where(osc, 0.0, xt0),
-        drift_rate=np.where(osc, 0.0, pt0),
-    )
     return Trajectory(
         times=t,
         labels=h.labels,
@@ -200,7 +172,6 @@ def evolve_modes(
         momenta=momenta,
         energy=energy,
         lagrangian=lagrangian,
-        mode_solution=solution,
     )
 
 

@@ -87,7 +87,6 @@ class TopologyReport:
     passive_nodes: tuple[str, ...]
     loop_deficiency: int
     witnesses: tuple[tuple[int, ...], ...]
-    reducible: bool
     tree: SpanningTree
     loops: tuple[FundamentalLoop, ...]
 
@@ -98,7 +97,6 @@ class TopologyReport:
             "l": self.l,
             "passive_nodes": list(self.passive_nodes),
             "loop_deficiency": self.loop_deficiency,
-            "reducible": self.reducible,
         }
 
 
@@ -206,24 +204,9 @@ def passive_loop_deficiency(
     expansion in the fundamental basis is read off the chords it contains.
     The numeric rank of B diag(L) B^T cross-checks the structural count.
     """
-    cycles = _checked_cycles(circuit, loops)
+    cycles = capacitor_only_cycles(circuit, loops)
     witnesses = tuple(np.asarray(w, float) / np.linalg.norm(w) for w in cycles)
     return len(cycles), witnesses
-
-
-def _checked_cycles(
-    circuit: Circuit, loops: tuple[FundamentalLoop, ...]
-) -> tuple[tuple[int, ...], ...]:
-    """capacitor_only_cycles, cross-checked against the numeric rank
-    deficiency of the equilibrated B diag(L) B^T; raises
-    RankCrossCheckFailure where they disagree."""
-    cycles = capacitor_only_cycles(circuit, loops)
-    B, inductors = inductor_participation(circuit, loops)
-    W = (B * [circuit.component(cid).value for cid in inductors]) @ B.T
-    numeric = len(loops) - _equilibrated_rank(W, _RANK_TOL)
-    if numeric != len(cycles):
-        raise RankCrossCheckFailure("loop inductance form", len(cycles), numeric)
-    return cycles
 
 
 def capacitor_only_cycles(
@@ -231,7 +214,9 @@ def capacitor_only_cycles(
 ) -> tuple[tuple[int, ...], ...]:
     """Independent capacitor-only cycles as exact integer vectors over the
     fundamental-loop basis.  These span the null space of the loop-space
-    inductance form."""
+    inductance form; their count is cross-checked against the numeric rank
+    deficiency of the equilibrated B diag(L) B^T, and RankCrossCheckFailure
+    is raised where the two disagree."""
     caps = [c for c in circuit.components if c.kind is ComponentKind.CAPACITOR]
     parent_node, parent_comp = _bfs_forest(_adjacency(caps), circuit.nodes)
     forest = {c.id for c in parent_comp.values()}
@@ -251,6 +236,11 @@ def capacitor_only_cycles(
         if not any(w):
             raise RuntimeError(f"capacitor cycle through {c.id} has no chord content")
         witnesses.append(tuple(w))
+    B, inductors = inductor_participation(circuit, loops)
+    W = (B * [circuit.component(cid).value for cid in inductors]) @ B.T
+    numeric = len(loops) - _equilibrated_rank(W, _RANK_TOL)
+    if numeric != len(witnesses):
+        raise RankCrossCheckFailure("loop inductance form", len(witnesses), numeric)
     return tuple(witnesses)
 
 
@@ -407,7 +397,8 @@ def _eliminate_series(circuit: Circuit) -> Circuit | None:
 def reduce_circuit(circuit: Circuit) -> Circuit:
     """Fixpoint of parallel same-kind merging and series elimination of
     passive degree-2 internal nodes.  Merged ids carry provenance, e.g.
-    'C1||C2' (parallel) or 'L3+L4' (series)."""
+    'C1||C2' (parallel) or 'L3+L4' (series).  Returns `circuit` itself
+    when no step applies."""
     current = circuit
     while True:
         step = _merge_parallel(current)
@@ -424,11 +415,7 @@ def reduce_circuit(circuit: Circuit) -> Circuit:
 def topology_report(circuit: Circuit) -> TopologyReport:
     tree = build_spanning_tree(circuit)
     loops = fundamental_loops(circuit, tree)
-    cycles = _checked_cycles(circuit, loops)
-    # every reduction step changes the component ids, so one step decides
-    reducible = (
-        _merge_parallel(circuit) is not None or _eliminate_series(circuit) is not None
-    )
+    cycles = capacitor_only_cycles(circuit, loops)
     return TopologyReport(
         n=len(circuit.nodes),
         c=len(circuit.components),
@@ -436,7 +423,6 @@ def topology_report(circuit: Circuit) -> TopologyReport:
         passive_nodes=tuple(sorted(passive_nodes(circuit))),
         loop_deficiency=len(cycles),
         witnesses=cycles,
-        reducible=reducible,
         tree=tree,
         loops=loops,
     )

@@ -5,7 +5,15 @@ import hypothesis
 import numpy as np
 import pytest
 
-from fluxq import Circuit, Component, ComponentKind, parse_netlist
+from fluxq import (
+    Circuit,
+    Component,
+    ComponentKind,
+    augment_geometric,
+    extended_node_lagrangian,
+    parse_netlist,
+    topology_report,
+)
 
 hypothesis.settings.register_profile(
     "suite", max_examples=40, deadline=None, derandomize=True
@@ -17,6 +25,14 @@ NETLISTS = Path(__file__).resolve().parent.parent / "netlists"
 
 def load(name: str) -> Circuit:
     return parse_netlist((NETLISTS / name).read_text())
+
+
+def extended(circuit: Circuit, policy):
+    """The extended node-flux Lagrangian from the circuit's topology report
+    and its augmentation under the policy, as the pipeline builds it."""
+    report = topology_report(circuit)
+    augmented, record = augment_geometric(circuit, report, policy)
+    return extended_node_lagrangian(circuit, report.loops, augmented, record)
 
 
 @pytest.fixture

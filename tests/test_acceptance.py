@@ -22,7 +22,6 @@ from fluxq import (
     evolution_matrix,
     evolve_leapfrog,
     evolve_modes,
-    extended_node_lagrangian,
     flux_law_residual,
     fundamental_loops,
     ground_state,
@@ -39,7 +38,7 @@ from fluxq import (
     topology_report,
 )
 
-from conftest import pencil_frequencies_2x2, random_active_circuit
+from conftest import extended, pencil_frequencies_2x2, random_active_circuit
 
 GHZ = 1e9
 MINIMAL = GeometricPolicy(cap_mode=GeometricMode.MINIMAL)
@@ -385,31 +384,28 @@ def test_criterion_9_flux_and_charge_laws(passive_lc):
     augmented, lag_n, h_n, modes_n = augmented_node_modes(passive_lc)
     x0, p0 = initial_state(augmented, lag_n, SECTION_ICS)
     traj = evolve_modes(h_n, modes_n, x0, p0, times, lagrangian=lag_n)
-    tree_aug = build_spanning_tree(augmented)
-    residual = flux_law_residual(augmented, tree_aug, traj)
+    loops_aug = fundamental_loops(augmented, build_spanning_tree(augmented))
+    residual = flux_law_residual(augmented, loops_aug, traj)
     node_res = float(np.abs(residual).max() / np.abs(traj.coords).max())
     assert node_res <= 1e-12
 
-    tree = build_spanning_tree(passive_lc)
-    lag_e = extended_node_lagrangian(
-        passive_lc, tree, GeometricPolicy(cap_mode=GeometricMode.ALL_PAIRS)
-    )
+    lag_e = extended(passive_lc, GeometricPolicy(cap_mode=GeometricMode.ALL_PAIRS))
     h_e = legendre_transform(lag_e)
     modes_e = normal_modes(h_e)
     x0e, p0e = initial_state(passive_lc, lag_e, SECTION_ICS)
     traj_e = evolve_modes(h_e, modes_e, x0e, p0e, times, lagrangian=lag_e)
-    res_e = flux_law_residual(passive_lc, tree, traj_e)
+    loops = fundamental_loops(passive_lc, build_spanning_tree(passive_lc))
+    res_e = flux_law_residual(passive_lc, loops, traj_e)
     phi2 = traj_e.coords[lag_e.labels.index("Phi_2")]
     assert np.abs(phi2).max() > 0.0
     ext_res = float(np.abs(res_e[1] + phi2).max() / np.abs(phi2).max())
     assert ext_res <= 1e-10
 
-    loops = fundamental_loops(passive_lc, tree)
     loop_policy = GeometricPolicy(cap_mode=GeometricMode.MINIMAL, default_lg=1e-14)
     _, lag_l, h_l, modes_l = augmented_loop_modes(passive_lc, loop_policy)
     x0l, p0l = initial_state(passive_lc, lag_l, SECTION_ICS)
     traj_l = evolve_modes(h_l, modes_l, x0l, p0l, times, lagrangian=lag_l)
-    charge_res = charge_law_residual(passive_lc, loops, traj_l)
+    charge_res = charge_law_residual(passive_lc, traj_l)
     loop_res = float(np.abs(charge_res).max() / np.abs(traj_l.coords).max())
     assert loop_res <= 1e-12
     print(f"\n[criterion 9] PASS node loop-residuals {node_res:.1e}; extended "

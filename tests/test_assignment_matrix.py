@@ -18,11 +18,11 @@ from fluxq import (
     GeometricPolicy,
     Representation,
     augment_geometric,
+    extended_node_lagrangian,
     loop_lagrangian,
     node_lagrangian,
     topology_report,
 )
-from fluxq.lagrangian import _extended_lagrangian
 from fluxq.netlist import GROUND
 
 from conftest import ladder, load
@@ -151,7 +151,7 @@ def _library(circuit, rep, policy):
         return loop_lagrangian(
             circuit, report.loops, record.loop_inductance, record.loop_kinetic_rows
         )
-    return _extended_lagrangian(circuit, report.loops, augmented, record)
+    return extended_node_lagrangian(circuit, report.loops, augmented, record)
 
 
 @pytest.mark.parametrize(

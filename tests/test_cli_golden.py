@@ -1,6 +1,7 @@
 """Golden digests of `fluxq modes --format json` and `fluxq simulate
 --samples 64` over the bundled netlists in every representation and
-geometric mode.
+geometric mode, and of `fluxq analyze`, `fluxq reduce` and `fluxq reduce
+--format json` over the bundled netlists.
 
 Each case runs `cli.main` in process and hashes (exit code, stdout, stderr)
 with the netlist path replaced by `<netlist>`, so a change that claims
@@ -28,17 +29,27 @@ COMMANDS = {
     "modes": ("--format", "json"),
     "simulate": ("--samples", "64"),
 }
-CASES = [
-    "-".join(case) for case in itertools.product(COMMANDS, NAMES, REPS, MODES)
-]
+# case id -> (command, netlist, options)
+CASES = {
+    f"{command}-{name}-{rep}-{mode}": (
+        command, name, ("--rep", rep, "--geometric", mode, *COMMANDS[command])
+    )
+    for command, name, rep, mode in itertools.product(COMMANDS, NAMES, REPS, MODES)
+}
+# analyze and reduce take no representation or geometric mode
+CASES.update(
+    {
+        f"{command}-{name}-{fmt}": (command, name, ("--format", fmt))
+        for command, fmt in (("analyze", "json"), ("reduce", "text"), ("reduce", "json"))
+        for name in NAMES
+    }
+)
 
 
 def _digest(case: str, capsys) -> str:
-    command, name, rep, mode = case.split("-")
+    command, name, options = CASES[case]
     path = str(NETLISTS / name)
-    code = main(
-        [command, path, "--rep", rep, "--geometric", mode, *COMMANDS[command]]
-    )
+    code = main([command, path, *options])
     captured = capsys.readouterr()
     blob = "\0".join((str(code), captured.out, captured.err))
     return hashlib.sha256(blob.replace(path, "<netlist>").encode()).hexdigest()
@@ -117,10 +128,22 @@ GOLDEN = {
     "simulate-wheel.cir-extended-off": "b40b22939f72ed8e7e95a53e9d13ff7bb37010ee86cbad80a942a37cdb445801",
     "simulate-wheel.cir-extended-minimal": "7a681db49b97b1632aa79f65cc93b590c9366af37afbac8186ecba43e211465e",
     "simulate-wheel.cir-extended-allpairs": "e03070836361f757e320d6fde0922edf98c8d8a04c205e21391802d0a83958a0",
+    "analyze-passive_lc.cir-json": "4f851d831846d293227a7a22783564cf89b5dbc0c5f0cc144ef646fe6ef99f93",
+    "analyze-reduced_lc.cir-json": "f33193642cde09f37f60d6d643ec206c1d209ad0765c749bf900c1174cf636bb",
+    "analyze-active_lc.cir-json": "dea20476199d78e7951e9c1e4827df7e9f36a72bfff6305d0361971135053bba",
+    "analyze-wheel.cir-json": "d6b13b0656cc6ad1e0aca82833023b31291010e7439621298df61f553b0ee13f",
+    "reduce-passive_lc.cir-text": "388f5a31b4cb4d6b9ec2fb5dd9b46718b66d92c805ab4fa410329408c2d276f2",
+    "reduce-reduced_lc.cir-text": "5ceab0868f535fb9db8b7dad145f00d92f5338e4a369fa6a1042aad0ca0c1c79",
+    "reduce-active_lc.cir-text": "4ca4057dbaa374e168120b7de729cf03a1fac999992e63e170353a33740f4806",
+    "reduce-wheel.cir-text": "1a6bf9613e90aefafb8febcabf48b3fb7ef9e7b1b899d658bf7dc343e327950b",
+    "reduce-passive_lc.cir-json": "440a74126d83b4fd59c9f0888a40e39f396dac5ea66280c9269791b3f5d95526",
+    "reduce-reduced_lc.cir-json": "594be3bc6341c0d90e365928ae9c0dc6ca12703f9e918602580839e4155a3493",
+    "reduce-active_lc.cir-json": "6c29211c867b6d70af231a42d074d5f28c860e7a212d89029d83eb3aa58274e6",
+    "reduce-wheel.cir-json": "323a9ecba81f26183d711f8e1be75c6381b69235c864af187e444beebe04c937",
 }
 
 
-@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("case", list(CASES))
 def test_cli_output_matches_golden_digest(case, capsys):
     assert _digest(case, capsys) == GOLDEN[case]
 

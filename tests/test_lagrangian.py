@@ -9,7 +9,6 @@ from fluxq import (
     Representation,
     augment_geometric,
     build_spanning_tree,
-    extended_node_lagrangian,
     fundamental_loops,
     legendre_transform,
     loop_lagrangian,
@@ -23,7 +22,7 @@ from fluxq.topology import inductor_participation
 
 from fluxq import lagrangian as lagrangian_module
 
-from conftest import ladder, load, random_active_circuit
+from conftest import extended, ladder, load, random_active_circuit
 
 MINIMAL = GeometricPolicy(cap_mode=GeometricMode.MINIMAL)
 ALL_PAIRS = GeometricPolicy(cap_mode=GeometricMode.ALL_PAIRS)
@@ -100,7 +99,7 @@ def test_augment_minimal_passive(passive_lc):
     assert cg.geometric
     assert len(augmented.components) == 5
     # one self-inductance on the capacitor-only loop
-    chord_index = record.loop_labels.index("C2")
+    chord_index = [loop.chord for loop in report.loops].index("C2")
     expected = np.zeros((2, 2))
     expected[chord_index, chord_index] = 1e-15
     assert np.allclose(record.loop_inductance, expected)
@@ -151,8 +150,7 @@ def test_policy_validation():
 def test_extended_momenta_pattern(passive_lc):
     """Coefficient pattern of the augmented kinetic matrix: the loop-1
     geometric flux couples only through C2, with coefficient -C2."""
-    tree = build_spanning_tree(passive_lc)
-    lag = extended_node_lagrangian(passive_lc, tree, ALL_PAIRS)
+    lag = extended(passive_lc, ALL_PAIRS)
     assert lag.labels == ("phi_2", "phi_3", "Phi_1", "Phi_2")
     i2 = lag.labels.index("phi_2")
     ip1 = lag.labels.index("Phi_1")
@@ -167,8 +165,7 @@ def test_extended_momenta_pattern(passive_lc):
 
 
 def test_extended_geometric_caps_follow_design_paths(passive_lc):
-    tree = build_spanning_tree(passive_lc)
-    lag = extended_node_lagrangian(passive_lc, tree, ALL_PAIRS)
+    lag = extended(passive_lc, ALL_PAIRS)
     # across (3,2): shadows L3; across (3,0): shadows L4 including its loop
     # flux; across (2,0): shadows C1
     assert _row(lag, "Cg32") == {"phi_2": -1.0, "phi_3": 1.0}
@@ -214,8 +211,7 @@ def test_extended_design_paths_match_scan_bfs(name, mode, monkeypatch):
     path of a per-call scan BFS: identical paths, assignment, M and K."""
     circuit = ladder(64, np.random.default_rng(7)) if name == "ladder64" else load(name)
     policy = GeometricPolicy(cap_mode=mode)
-    tree = build_spanning_tree(circuit)
-    lag = extended_node_lagrangian(circuit, tree, policy)
+    lag = extended(circuit, policy)
     augmented, record = augment_geometric(circuit, topology_report(circuit), policy)
     scan = [_scan_design_path(augmented, c.a, c.b) for c in record.added_capacitors]
     assert lagrangian_module._design_paths(augmented, record.added_capacitors) == scan
@@ -224,7 +220,7 @@ def test_extended_design_paths_match_scan_bfs(name, mode, monkeypatch):
         "_design_paths",
         lambda aug, caps: [_scan_design_path(aug, c.a, c.b) for c in caps],
     )
-    reference = extended_node_lagrangian(circuit, tree, policy)
+    reference = extended(circuit, policy)
     assert np.array_equal(lag.A, reference.A)
     assert np.array_equal(lag.M, reference.M)
     assert np.array_equal(lag.K, reference.K)
@@ -235,9 +231,8 @@ def test_extended_design_paths_match_scan_bfs(name, mode, monkeypatch):
 def test_extended_phi_block_restriction_matches_node(passive_lc):
     """With loop fluxes frozen at zero the extended Lagrangian restricted
     to the node block is the node Lagrangian of the augmented circuit."""
-    tree = build_spanning_tree(passive_lc)
     report = topology_report(passive_lc)
-    lag_ext = extended_node_lagrangian(passive_lc, tree, ALL_PAIRS)
+    lag_ext = extended(passive_lc, ALL_PAIRS)
     augmented, _ = augment_geometric(passive_lc, report, ALL_PAIRS)
     lag_node = node_lagrangian(augmented, build_spanning_tree(augmented))
     n = len(lag_node.labels)
@@ -247,7 +242,7 @@ def test_extended_phi_block_restriction_matches_node(passive_lc):
 
 def test_extended_reduces_to_node_when_inactive(reduced_lc):
     tree = build_spanning_tree(reduced_lc)
-    lag_ext = extended_node_lagrangian(reduced_lc, tree, MINIMAL)
+    lag_ext = extended(reduced_lc, MINIMAL)
     lag_node = node_lagrangian(reduced_lc, tree)
     assert lag_ext.labels == lag_node.labels
     assert np.allclose(lag_ext.M, lag_node.M)
@@ -257,13 +252,12 @@ def test_extended_reduces_to_node_when_inactive(reduced_lc):
 def test_extended_low_mode_converges_to_reduced(passive_lc, reduced_lc):
     red = node_lagrangian(reduced_lc, build_spanning_tree(reduced_lc))
     f_red = normal_modes(legendre_transform(red)).omegas[0] / (2 * np.pi)
-    tree = build_spanning_tree(passive_lc)
     errors = []
     for cg, lg in ((8.9e-19, 1e-14), (8.9e-20, 1e-15), (8.9e-21, 1e-16)):
         policy = GeometricPolicy(
             cap_mode=GeometricMode.MINIMAL, default_cg=cg, default_lg=lg
         )
-        lag = extended_node_lagrangian(passive_lc, tree, policy)
+        lag = extended(passive_lc, policy)
         f_low = normal_modes(legendre_transform(lag)).omegas[0] / (2 * np.pi)
         errors.append(abs(f_low - f_red) / f_red)
     assert errors[0] > errors[-1]

@@ -15,7 +15,6 @@ from fluxq import (
     SingularKineticMatrix,
     augment_geometric,
     build_spanning_tree,
-    extended_node_lagrangian,
     fundamental_loops,
     legendre_transform,
     loop_lagrangian,
@@ -26,7 +25,7 @@ from fluxq import (
 )
 from fluxq.cli import main
 
-from conftest import load
+from conftest import extended, load
 
 ROOT = Path(__file__).resolve().parent.parent
 PASSIVE = str(ROOT / "netlists" / "passive_lc.cir")
@@ -44,12 +43,19 @@ STAGES = {
 }
 
 
-@pytest.fixture
-def stage_calls(monkeypatch) -> Counter:
+# what modes and simulate must leave to other commands or representations:
+# the reduction steps (read by analyze and reduce) and the other builders
+BUILDERS = {
+    "topology": ("_merge_parallel", "_eliminate_series"),
+    "lagrangian": ("node_lagrangian", "loop_lagrangian", "extended_node_lagrangian"),
+}
+
+
+def _count_calls(monkeypatch, stages) -> Counter:
     """Counts calls of each stage, wrapped in every fluxq namespace that
     holds it, so calls between fluxq modules are counted too."""
     calls: Counter = Counter()
-    for module, names in STAGES.items():
+    for module, names in stages.items():
         for name in names:
             original = getattr(importlib.import_module(f"fluxq.{module}"), name)
 
@@ -63,6 +69,11 @@ def stage_calls(monkeypatch) -> Counter:
     return calls
 
 
+@pytest.fixture
+def stage_calls(monkeypatch) -> Counter:
+    return _count_calls(monkeypatch, STAGES)
+
+
 @pytest.mark.parametrize("rep", ["node", "loop", "extended"])
 @pytest.mark.parametrize(
     "argv", [["modes"], ["simulate", "--samples", "16"]], ids=lambda a: a[0]
@@ -71,6 +82,19 @@ def test_modes_and_simulate_run_each_stage_once(stage_calls, capsys, argv, rep):
     assert main([argv[0], PASSIVE, "--rep", rep, *argv[1:]]) == 0
     everything = [name for names in STAGES.values() for name in names]
     assert stage_calls == Counter(everything)
+
+
+@pytest.mark.parametrize("rep", ["node", "loop", "extended"])
+@pytest.mark.parametrize(
+    "argv", [["modes"], ["simulate", "--samples", "16"]], ids=lambda a: a[0]
+)
+def test_modes_and_simulate_build_one_lagrangian_and_no_reduction(
+    monkeypatch, capsys, argv, rep
+):
+    calls = _count_calls(monkeypatch, BUILDERS)
+    assert main([argv[0], PASSIVE, "--rep", rep, *argv[1:]]) == 0
+    builder = {"node": "node_lagrangian", "loop": "loop_lagrangian"}
+    assert calls == Counter([builder.get(rep, "extended_node_lagrangian")])
 
 
 def test_analyze_builds_one_spanning_tree(stage_calls, capsys):
@@ -92,7 +116,7 @@ def _stage_by_stage(circuit, rep, policy):
             circuit, loops, record.loop_inductance, record.loop_kinetic_rows
         )
         return lag, circuit
-    return extended_node_lagrangian(circuit, tree, policy), augmented
+    return extended(circuit, policy), augmented
 
 
 @pytest.mark.parametrize("name", ["passive_lc", "reduced_lc", "wheel", "active_lc"])

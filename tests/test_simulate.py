@@ -35,7 +35,7 @@ from fluxq import (
 from fluxq.lagrangian import QuadraticLagrangian, Representation
 from fluxq.quantize import HBAR, SingularKineticMatrix
 
-from conftest import ladder as _ladder, load
+from conftest import extended, ladder as _ladder, load
 
 MINIMAL = GeometricPolicy(cap_mode=GeometricMode.MINIMAL)
 ALL_PAIRS = GeometricPolicy(cap_mode=GeometricMode.ALL_PAIRS)
@@ -124,17 +124,6 @@ def test_evolve_energy_conservation(passive_lc):
     traj = evolve_modes(h, modes, x0, p0, times, lagrangian=lag)
     drift = np.abs(traj.energy - traj.energy[0]).max() / traj.energy[0]
     assert drift <= 1e-10
-
-
-def test_mode_solution_reconstruction(reduced_lc):
-    lag, h, modes = node_setup(reduced_lc)
-    x0, p0 = initial_state(reduced_lc, lag, {"C": 2e-3})
-    times = np.linspace(0.0, 2e-9, 300)
-    traj = evolve_modes(h, modes, x0, p0, times, lagrangian=lag)
-    sol = traj.mode_solution
-    reconstructed = sol.amplitudes[0] * np.cos(sol.omegas[0] * times + sol.phases[0])
-    tilde = np.linalg.solve(modes.modes, traj.coords)[0]
-    assert np.abs(reconstructed - tilde).max() <= 1e-12 * np.abs(tilde).max()
 
 
 def test_leapfrog_matches_modes_reduced(reduced_lc):
@@ -375,20 +364,21 @@ def test_flux_law_node_rep(passive_lc):
     x0, p0 = initial_state(augmented, lag, {"C1": 2e-3, "C2": 2e-3})
     times = np.linspace(0.0, 4e-9, 300)
     traj = evolve_modes(h, modes, x0, p0, times, lagrangian=lag)
-    residual = flux_law_residual(augmented, build_spanning_tree(augmented), traj)
+    loops = fundamental_loops(augmented, build_spanning_tree(augmented))
+    residual = flux_law_residual(augmented, loops, traj)
     scale = np.abs(traj.coords).max()
     assert np.abs(residual).max() <= 1e-12 * scale
 
 
 def test_flux_law_extended_rep(passive_lc):
-    tree = build_spanning_tree(passive_lc)
-    lag = extended_node_lagrangian(passive_lc, tree, ALL_PAIRS)
+    lag = extended(passive_lc, ALL_PAIRS)
     h = legendre_transform(lag)
     modes = normal_modes(h)
     x0, p0 = initial_state(passive_lc, lag, {"C1": 2e-3, "C2": 2e-3})
     times = np.linspace(0.0, 4e-9, 300)
     traj = evolve_modes(h, modes, x0, p0, times, lagrangian=lag)
-    residual = flux_law_residual(passive_lc, tree, traj)
+    loops = fundamental_loops(passive_lc, build_spanning_tree(passive_lc))
+    residual = flux_law_residual(passive_lc, loops, traj)
     for i, label in enumerate(("Phi_1", "Phi_2")):
         phi = traj.coords[lag.labels.index(label)]
         assert np.abs(phi).max() > 0.0
@@ -399,7 +389,8 @@ def test_flux_law_constant_trajectory(passive_lc):
     augmented, lag, h, modes = augmented_node_setup(passive_lc)
     times = np.linspace(0.0, 1e-9, 5)
     traj = evolve_modes(h, modes, np.ones(2) * 1e-15, np.zeros(2), times, lagrangian=lag)
-    residual = flux_law_residual(augmented, build_spanning_tree(augmented), traj)
+    loops = fundamental_loops(augmented, build_spanning_tree(augmented))
+    residual = flux_law_residual(augmented, loops, traj)
     assert np.allclose(residual, residual[:, :1])
 
 
@@ -408,7 +399,7 @@ def test_charge_law_loop_rep(passive_lc):
     x0, p0 = initial_state(passive_lc, lag, {"C1": 2e-3, "C2": 2e-3})
     times = np.linspace(0.0, 4e-9, 300)
     traj = evolve_modes(h, modes, x0, p0, times, lagrangian=lag)
-    residual = charge_law_residual(passive_lc, loops, traj)
+    residual = charge_law_residual(passive_lc, traj)
     assert np.abs(residual).max() <= 1e-12 * np.abs(traj.coords).max()
 
 
@@ -420,7 +411,7 @@ def test_charge_law_flags_perturbation(reduced_lc):
     # single loop through both components: doubling one participation row
     # breaks the entering-equals-leaving cancellation
     lag.A[lag.component_ids.index("C"), lag.labels.index("Q_1")] = -2.0
-    residual = charge_law_residual(reduced_lc, loops, traj)
+    residual = charge_law_residual(reduced_lc, traj)
     assert np.abs(residual).max() > 0.0
 
 
@@ -489,7 +480,7 @@ def _rep_setup(circuit, rep, policy):
             circuit, loops, record.loop_inductance, record.loop_kinetic_rows
         )
         return circuit, lag
-    return augmented, extended_node_lagrangian(circuit, tree, policy)
+    return augmented, extended_node_lagrangian(circuit, report.loops, augmented, record)
 
 
 def _default_ics(circuit):
@@ -643,12 +634,11 @@ def test_law_residuals_match_per_law_loops(rep, passive_lc):
     x0, p0 = initial_state(obs_circuit, lag, _default_ics(circuit))
     traj = evolve_modes(h, normal_modes(h), x0, p0, np.linspace(0.0, 4e-9, 100), lag)
     if rep == "loop":
-        loops = fundamental_loops(circuit, build_spanning_tree(circuit))
-        got = charge_law_residual(circuit, loops, traj)
+        got = charge_law_residual(circuit, traj)
         want = _charge_law_by_node(circuit, traj)
     else:
         tree = build_spanning_tree(obs_circuit)
-        got = flux_law_residual(obs_circuit, tree, traj)
+        got = flux_law_residual(obs_circuit, fundamental_loops(obs_circuit, tree), traj)
         want = _flux_law_by_loop(obs_circuit, tree, traj)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13 * max(np.abs(traj.coords).max(), 1e-300)
@@ -666,7 +656,7 @@ def test_library_does_not_call_assignment_row(rep, passive_lc, monkeypatch):
     traj = evolve_modes(h, normal_modes(h), x0, p0, np.linspace(0.0, 1e-9, 10), lag)
     observables(obs_circuit, lag, traj)
     if rep == "loop":
-        loops = fundamental_loops(passive_lc, build_spanning_tree(passive_lc))
-        charge_law_residual(passive_lc, loops, traj)
+        charge_law_residual(passive_lc, traj)
     else:
-        flux_law_residual(obs_circuit, build_spanning_tree(obs_circuit), traj)
+        loops = fundamental_loops(obs_circuit, build_spanning_tree(obs_circuit))
+        flux_law_residual(obs_circuit, loops, traj)

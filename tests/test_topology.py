@@ -1,16 +1,22 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fluxq import (
+    RankCrossCheckFailure,
     build_spanning_tree,
     fundamental_loops,
+    parse_netlist,
     passive_loop_deficiency,
     passive_nodes,
     reduce_circuit,
+    serialize_netlist,
     topology_report,
 )
+from fluxq.cli import main
 from fluxq.netlist import Circuit, Component, ComponentKind
 from fluxq.topology import _forest_steps, capacitor_only_cycles
 
@@ -139,6 +145,20 @@ def test_reduce_wheel_is_identity(wheel):
     assert reduce_circuit(wheel) == wheel
 
 
+def test_capacitor_only_cycles_confirm_the_count_numerically():
+    # the wheel with values spread over 230 orders of magnitude: the
+    # equilibrated B diag(L) B^T cannot confirm its one capacitor cycle
+    circuit = parse_netlist(
+        "La 0 4 8.08e217\nLb 2 4 2.48e-10\nLc 3 4 3.23e-15\n"
+        "Ca 0 2 2.37e102\nCb 2 3 1.19e-4\nCc 3 0 890.8\n"
+    )
+    loops = fundamental_loops(circuit, build_spanning_tree(circuit))
+    with pytest.raises(
+        RankCrossCheckFailure, match="loop inductance form rank unconfirmed"
+    ):
+        capacitor_only_cycles(circuit, loops)
+
+
 def test_report_json(wheel):
     report = topology_report(wheel)
     payload = report.to_json_dict()
@@ -148,7 +168,6 @@ def test_report_json(wheel):
         "l": 3,
         "passive_nodes": ["4"],
         "loop_deficiency": 1,
-        "reducible": False,
     }
 
 
@@ -266,11 +285,16 @@ def test_tree_matches_greedy_reference_on_multigraphs(seed):
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_report_reducible_matches_full_reduction(seed):
+def test_report_reducible_matches_full_reduction(seed, tmp_path, capsys):
     circuit = _random_multigraph(np.random.default_rng(seed))
     reduced = reduce_circuit(circuit)
     changed = [c.id for c in reduced.components] != [c.id for c in circuit.components]
-    assert topology_report(circuit).reducible is changed
+    netlist = tmp_path / "multigraph.cir"
+    netlist.write_text(serialize_netlist(circuit))
+    assert main(["analyze", str(netlist)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["reducible"] is changed
+    assert payload["reduction"] == (serialize_netlist(reduced) if changed else None)
 
 
 def _capacitor_cycles_reference(circuit, loops):
