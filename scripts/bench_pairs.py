@@ -10,7 +10,9 @@ first alternating from pair to pair.  Every run's end-to-end metrics (its
 workload's entry in `--out`, keyed `<workload>/seed<seed>`, together with
 each side's median and quartiles, the pairs the change won on each
 end-to-end metric (`change_wins`; `change_wins_op_p50_s` repeats the
-`op_p50_s` count), and the machine and library versions.  With `--trace-runs K`, K traced
+`op_p50_s` count), and the machine and library versions.  The end-to-end
+metrics and whether lower or higher is better come from `end_to_end` in
+the change checkout's `BENCHMARK.json`.  With `--trace-runs K`, K traced
 runs (`--trace 1`) per side follow the pairs, alternating in the same way;
 their per-layer metrics are kept under `trace_runs` and each metric's
 median per side under `summary.trace`.  Running again with the same key
@@ -31,8 +33,13 @@ import scipy
 
 SIDES = ("parent", "change")
 RUN_FIELDS = ("correct", "attempted", "failed", "first")
-# the end-to-end metrics, each with whether lower is better
-LOWER_IS_BETTER = {"op_p50_s": True, "ops_per_s": False, "setup_s": True, "peak_rss_mb": True}
+
+
+def end_to_end(checkout: Path) -> dict[str, bool]:
+    """The end-to-end metrics of the checkout's BENCHMARK.json, each with
+    whether lower is better."""
+    spec = json.loads((checkout / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
 
 
 def run_once(
@@ -50,19 +57,23 @@ def run_once(
     return run
 
 
-def summary(runs: dict[str, list[dict]], trace_runs: dict[str, list[dict]]) -> dict:
+def summary(
+    runs: dict[str, list[dict]],
+    trace_runs: dict[str, list[dict]],
+    lower_is_better: dict[str, bool],
+) -> dict:
     out = {}
     pairs = list(zip(runs["parent"], runs["change"]))
     if pairs:
         for side in SIDES:
-            for metric in LOWER_IS_BETTER:
+            for metric in lower_is_better:
                 q1, med, q3 = np.percentile([r[metric] for r in runs[side]], [25, 50, 75])
                 out.setdefault(side, {})[metric] = {"median": med, "q1": q1, "q3": q3}
         # ties count for neither side
         out["change_wins"] = {
             metric: sum((c[metric] < p[metric]) if lower else (c[metric] > p[metric])
                         for p, c in pairs)
-            for metric, lower in LOWER_IS_BETTER.items()
+            for metric, lower in lower_is_better.items()
         }
         out["change_wins_op_p50_s"] = out["change_wins"]["op_p50_s"]
     out["pairs"] = len(pairs)
@@ -113,6 +124,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"entry was run at {entry['seconds']} s, not {args.seconds} s")
     trace_runs = entry.setdefault("trace_runs", {side: [] for side in SIDES})
     checkouts = {"parent": args.parent, "change": args.change}
+    lower_is_better = end_to_end(args.change)
 
     def alternate(count: int, done: int, runs: dict, trace: bool) -> None:
         for i in range(count):
@@ -125,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
                 shown = "" if trace else f": op_p50_s {run['op_p50_s']:.5f}"
                 print(f"{args.workload} seed {args.seed} "
                       f"{'trace' if trace else 'pair'} {i + 1} {side}{shown}", flush=True)
-            entry["summary"] = summary(entry["runs"], trace_runs)
+            entry["summary"] = summary(entry["runs"], trace_runs, lower_is_better)
             args.out.write_text(json.dumps(bench, indent=1) + "\n")
 
     alternate(args.pairs, len(entry["runs"]["parent"]), entry["runs"], False)

@@ -15,7 +15,7 @@ Exit codes, each with a message on stderr and no traceback:
 2  invalid circuit (validation failure) or invalid option value: --cg or
    --lg not positive and finite while augmenting, --samples below 1,
    --tmax not positive and finite, or so large that the fastest mode's
-   phase omega*t overflows float64
+   phase omega*t overflows float64, or --out cannot be opened to write
 3  unquantizable under the requested configuration, the kinetic matrix
    or loop inductance form too ill-conditioned to confirm its rank, M or
    the reduced matrix of the mode solve overflowing float64 (as with --cg
@@ -128,11 +128,15 @@ def _load_circuit(config: RunConfig) -> Circuit:
 
 @contextmanager
 def _output(config: RunConfig):
-    """The text stream for --out, or else stdout."""
+    """The text stream for --out, or else stdout; only the open is checked."""
     if config.out is None:
         yield sys.stdout
     else:
-        with config.out.open("w") as out:
+        try:
+            out = config.out.open("w")
+        except OSError as exc:
+            raise _CliError(2, f"invalid option: cannot write --out: {exc}") from exc
+        with out:
             yield out
 
 

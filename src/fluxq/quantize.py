@@ -11,6 +11,7 @@ only confirms it.
 """
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -72,54 +73,50 @@ class QuantizabilityDiagnosis:
     attributions: tuple[str, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class HamiltonianSystem:
-    """H(x, p) = 1/2 p^T Minv p + 1/2 x^T K x."""
+    """H(x, p) = 1/2 p^T M^{-1} p + 1/2 x^T K x, with M held as its lower
+    Cholesky factor: M = mass_factor mass_factor^T."""
 
     labels: tuple[str, ...]
-    minv: np.ndarray
+    mass_factor: np.ndarray
     k: np.ndarray
-    _chol_m: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
-    def mass_factor(self) -> np.ndarray:
-        """The lower Cholesky factor F of M, so M = F F^T."""
-        if self._chol_m is not None:
-            return self._chol_m
-        r = np.linalg.cholesky(self.minv)
-        # minv = r r^T  =>  M = r^{-T} r^{-1}
-        r_inv = scipy.linalg.solve_triangular(r, np.eye(self.dim), lower=True)
-        return np.linalg.cholesky(r_inv.T @ r_inv)
+    @functools.cached_property
+    def minv(self) -> np.ndarray:
+        """M^{-1}, formed from the factor on first read."""
+        inv = scipy.linalg.solve_triangular(
+            self.mass_factor, np.eye(self.dim), lower=True
+        )
+        # a capacitance or inductance near the bottom of the double range
+        # overflows M^-1; normal_modes reports that as ReducedMatrixOverflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            minv = inv.T @ inv
+            return 0.5 * (minv + minv.T)
 
     def mass_matrix(self) -> np.ndarray:
-        f = self.mass_factor()
-        return f @ f.T
-
-    def energy(self, x: np.ndarray, p: np.ndarray) -> float:
-        return 0.5 * float(p @ self.minv @ p) + 0.5 * float(x @ self.k @ x)
+        return self.mass_factor @ self.mass_factor.T
 
 
 @dataclass(frozen=True)
 class ModeDecomposition:
-    """K V = M V diag(omega^2) with V^T M V = I; omegas ascending."""
+    """K V = M V diag(omega^2) with V^T M V = I; omegas ascending.
+    momentum_modes holds the columns M v_k, i.e. V^{-T}, which map mode
+    momenta to coordinates; it is formed once as F U (V = F^{-T} U, so
+    M V = F U) and is read-only."""
 
     omegas: np.ndarray
     modes: np.ndarray
     zero_mode_count: int
-    _momenta: np.ndarray = field(repr=False, compare=False)
+    momentum_modes: np.ndarray = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return len(self.omegas)
-
-    def momentum_modes(self) -> np.ndarray:
-        """Columns M v_k, i.e. V^{-T}; maps mode momenta to coordinates.
-        Formed once per decomposition as F U (V = F^{-T} U, so M V = F U)
-        and returned read-only."""
-        return self._momenta
 
 
 @dataclass(frozen=True)
@@ -221,25 +218,13 @@ def diagnose_quantizability(lagrangian: QuadraticLagrangian) -> QuantizabilityDi
 
 
 def legendre_transform(lagrangian: QuadraticLagrangian) -> HamiltonianSystem:
-    """H = 1/2 p^T M^{-1} p + 1/2 x^T K x with p = M xdot.  The inverse is
-    taken through a symmetric (Cholesky) factorization."""
+    """H = 1/2 p^T M^{-1} p + 1/2 x^T K x with p = M xdot, holding M as its
+    Cholesky factor."""
     diagnosis = diagnose_quantizability(lagrangian)
     if not diagnosis.quantizable:
         raise SingularKineticMatrix(diagnosis)
-    chol = np.linalg.cholesky(lagrangian.M)
-    inv_factor = scipy.linalg.solve_triangular(
-        chol, np.eye(lagrangian.dim), lower=True
-    )
-    # a capacitance or inductance near the bottom of the double range
-    # overflows M^-1; normal_modes reports that as ReducedMatrixOverflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        minv = inv_factor.T @ inv_factor
-        minv = 0.5 * (minv + minv.T)
     return HamiltonianSystem(
-        labels=lagrangian.labels,
-        minv=minv,
-        k=lagrangian.K.copy(),
-        _chol_m=chol,
+        lagrangian.labels, np.linalg.cholesky(lagrangian.M), lagrangian.K.copy()
     )
 
 
@@ -249,7 +234,7 @@ def normal_modes(h: HamiltonianSystem) -> ModeDecomposition:
     are legal zero modes, not errors; their count is the corank of K
     (M is positive definite here, so nonzero modes = rank K).  Raises
     ReducedMatrixOverflow when the reduced matrix is not finite."""
-    f = h.mass_factor()
+    f = h.mass_factor
     # unchecked solves: an overflow to inf or nan anywhere is caught below
     kt = scipy.linalg.solve_triangular(f, h.k, lower=True, check_finite=False)
     kt = scipy.linalg.solve_triangular(f, kt.T, lower=True, check_finite=False).T
@@ -266,7 +251,7 @@ def normal_modes(h: HamiltonianSystem) -> ModeDecomposition:
     clipped[:zero_count] = 0.0
     omegas = np.sqrt(clipped)
     return ModeDecomposition(
-        omegas=omegas, modes=v, zero_mode_count=zero_count, _momenta=momenta
+        omegas=omegas, modes=v, zero_mode_count=zero_count, momentum_modes=momenta
     )
 
 
@@ -285,7 +270,7 @@ def ground_state(modes: ModeDecomposition, h: HamiltonianSystem) -> GaussianStat
     osc = modes.omegas > 0.0
     w = modes.omegas[osc]
     vs = modes.modes[:, osc] * np.sqrt(HBAR / (2.0 * w))
-    us = modes.momentum_modes()[:, osc] * np.sqrt(HBAR * w / 2.0)
+    us = modes.momentum_modes[:, osc] * np.sqrt(HBAR * w / 2.0)
     cov = np.zeros((2 * dim, 2 * dim))
     cov[:dim, :dim] = vs @ vs.T
     cov[dim:, dim:] = us @ us.T

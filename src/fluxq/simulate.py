@@ -107,12 +107,6 @@ def initial_state(
     return x0, p0
 
 
-def _mode_coordinates(modes: ModeDecomposition, x0, p0):
-    xt0 = np.linalg.solve(modes.modes, x0)
-    pt0 = modes.modes.T @ p0
-    return xt0, pt0
-
-
 def _mode_rotation(omegas: np.ndarray, t):
     """Per-mode entries (c, a, b) of the symplectic map [[c, a], [b, c]]
     that carries mode coordinates (x~, p~) over time t: cos wt, sin(wt)/w,
@@ -142,7 +136,8 @@ def evolve_modes(
     propagate_covariance).  Velocities and accelerations come from the
     analytic derivatives of the mode cosines, never finite differences.
     """
-    xt0, pt0 = _mode_coordinates(modes, x0, p0)
+    xt0 = np.linalg.solve(modes.modes, x0)
+    pt0 = modes.modes.T @ p0
     t = np.asarray(times, dtype=float)
     w = modes.omegas
     c, a, b = _mode_rotation(w, t)
@@ -154,7 +149,7 @@ def evolve_modes(
     pt += np.multiply(c, pt0[:, None], out=c)
 
     v = modes.modes
-    u = modes.momentum_modes()
+    u = modes.momentum_modes
     coords = v @ xt
     velocities = v @ pt
     momenta = u @ pt
@@ -269,7 +264,7 @@ def evolution_matrix(
     """Analytic phase-space map Phi(t) over stacked (x..., p...); it is
     symplectic: Phi^T J Phi = J."""
     v = modes.modes
-    u = modes.momentum_modes()
+    u = modes.momentum_modes
     c, a, b = _mode_rotation(modes.omegas, t)
     return np.block(
         [[(v * c) @ u.T, (v * a) @ v.T], [(u * b) @ u.T, (u * c) @ v.T]]
@@ -292,7 +287,7 @@ def propagate_covariance(
     t = np.asarray(times, dtype=float)
     n = modes.dim
     v = modes.modes
-    u = modes.momentum_modes()
+    u = modes.momentum_modes
     cov = state.cov
     s = np.empty((2, n, 2, n))
     s[0, :, 0] = u.T @ cov[:n, :n] @ u

@@ -78,7 +78,7 @@ def low_mode_only(h, modes, x0, p0, times, lag):
     keep = np.zeros_like(xt0)
     keep[0] = 1.0
     x0_low = modes.modes @ (xt0 * keep)
-    p0_low = modes.momentum_modes() @ (pt0 * keep)
+    p0_low = modes.momentum_modes @ (pt0 * keep)
     return evolve_modes(h, modes, x0_low, p0_low, times, lagrangian=lag)
 
 

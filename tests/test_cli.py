@@ -221,6 +221,17 @@ def test_simulate_out_file_matches_stdout(tmp_path, capsys):
     assert target.read_text() == out
 
 
+@pytest.mark.parametrize("target", ["missing", "directory"])
+@pytest.mark.parametrize("command", ["analyze", "modes", "simulate", "reduce"])
+def test_unwritable_out_exits_2(command, target, tmp_path, capsys):
+    out = tmp_path / "absent" / "x.out" if target == "missing" else tmp_path
+    code, stdout, stderr = run(capsys, command, REDUCED, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("invalid option: cannot write --out: ")
+    assert stderr.count("\n") == 1 and stderr.endswith("\n")
+
+
 def test_modes_agree_with_reduction(capsys):
     """Shared low modes of a circuit and its reduction agree within 1%."""
     _, out_full, _ = run(capsys, "modes", PASSIVE, "--format", "json")

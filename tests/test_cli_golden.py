@@ -1,7 +1,9 @@
 """Golden digests of `fluxq modes --format json` and `fluxq simulate
 --samples 64` over the bundled netlists in every representation and
-geometric mode, and of `fluxq analyze`, `fluxq reduce` and `fluxq reduce
---format json` over the bundled netlists.
+geometric mode, of `fluxq modes --format table` and `fluxq simulate
+--samples 64 --format json` in every representation under the minimal
+mode, and of `fluxq analyze`, `fluxq reduce` and `fluxq reduce --format
+json` over the bundled netlists.
 
 Each case runs `cli.main` in process and hashes (exit code, stdout, stderr)
 with the netlist path replaced by `<netlist>`, so a change that claims
@@ -42,6 +44,22 @@ CASES.update(
         f"{command}-{name}-{fmt}": (command, name, ("--format", fmt))
         for command, fmt in (("analyze", "json"), ("reduce", "text"), ("reduce", "json"))
         for name in NAMES
+    }
+)
+# the other output format of modes and simulate, under the minimal mode only
+CASES.update(
+    {
+        f"{command}-{name}-{rep}-minimal-{fmt}": (
+            command, name, ("--rep", rep, "--geometric", "minimal", *options)
+        )
+        for (command, fmt, options), name, rep in itertools.product(
+            (
+                ("modes", "table", ("--format", "table")),
+                ("simulate", "json", ("--samples", "64", "--format", "json")),
+            ),
+            NAMES,
+            REPS,
+        )
     }
 )
 
@@ -140,6 +158,30 @@ GOLDEN = {
     "reduce-reduced_lc.cir-json": "594be3bc6341c0d90e365928ae9c0dc6ca12703f9e918602580839e4155a3493",
     "reduce-active_lc.cir-json": "6c29211c867b6d70af231a42d074d5f28c860e7a212d89029d83eb3aa58274e6",
     "reduce-wheel.cir-json": "323a9ecba81f26183d711f8e1be75c6381b69235c864af187e444beebe04c937",
+    "modes-passive_lc.cir-node-minimal-table": "179b3e273b49f00da56d94f0a3fa0d4b1727886722ff2b8b643d7b9da4a88658",
+    "modes-passive_lc.cir-loop-minimal-table": "fbb28ad7b37d8d039bb1e5c57c8a3ac23f425cf4158a9331197bdd2b40ea8bd8",
+    "modes-passive_lc.cir-extended-minimal-table": "17d089ad859d4538a5bbfb0cad73354477e7402e84a6adf7b2b8334711454854",
+    "modes-reduced_lc.cir-node-minimal-table": "e0f6a19d49fd3332448a0e473691f7801c1d0873e4a9b3a718f9ec9a94f6561e",
+    "modes-reduced_lc.cir-loop-minimal-table": "c3e12b683897924c63832bacbd4e2571474163c8cd2c2995572b69584f4a8022",
+    "modes-reduced_lc.cir-extended-minimal-table": "0a9c333b5c29dddd8e52a633eff3f6a6837b8bd7246aaa6d75d3e5ed0babd0c6",
+    "modes-active_lc.cir-node-minimal-table": "69a290c3c9268f206a71e5ef8b0538e2c7cd6d104da736d3504b4758a345008d",
+    "modes-active_lc.cir-loop-minimal-table": "7f1f3e5264fb99ab91d341b7b8d31c5b6f3849193561e0500e0c3f4777943007",
+    "modes-active_lc.cir-extended-minimal-table": "af4c52c1605e5f0252fb70906dbf03bff264430202d5ac59a9f0d2f4e0c214cf",
+    "modes-wheel.cir-node-minimal-table": "73cbc2d6212bc23ae60e6c798eb2c6febf79e0f6ea97da5a55d2f3e62c60ee10",
+    "modes-wheel.cir-loop-minimal-table": "5868be50ba5029a6aa82acaaac6584c698b398a53db3c579e1e029963d48128a",
+    "modes-wheel.cir-extended-minimal-table": "98082ed478e9789a73fe0a38343517ec7290915d99edaf42adb738ccf59cf425",
+    "simulate-passive_lc.cir-node-minimal-json": "6fd2ff6975b127ac9090c9842c855da8a11b2702cb827abda2a6f00f90a064a5",
+    "simulate-passive_lc.cir-loop-minimal-json": "9d4a78bdce4468a9e7785a791c4d7329d068c6bb3fb767dd9405d2d7abe4430c",
+    "simulate-passive_lc.cir-extended-minimal-json": "b56770ed355cb78894f28bfc7eed28afa3f1c870e5992f4e08357353b9415fc6",
+    "simulate-reduced_lc.cir-node-minimal-json": "75b9c7f8ab376cadf6d74d6bc369c9ed40598fb36817cc732b5d4380b5be3b02",
+    "simulate-reduced_lc.cir-loop-minimal-json": "db2e457e1942a8481e6647fe55f61cc69d8695d4b1b0531353b815451e7e2a89",
+    "simulate-reduced_lc.cir-extended-minimal-json": "75b9c7f8ab376cadf6d74d6bc369c9ed40598fb36817cc732b5d4380b5be3b02",
+    "simulate-active_lc.cir-node-minimal-json": "3a6089ee3c8816a423ade4b2dc3d97d0c3edffa6d34fcb98e53fcdfe00f9a89e",
+    "simulate-active_lc.cir-loop-minimal-json": "cc99801df8d2e7bbcbd7557011c0647459d8b586750fa8dc55802f6014db1ff5",
+    "simulate-active_lc.cir-extended-minimal-json": "3a6089ee3c8816a423ade4b2dc3d97d0c3edffa6d34fcb98e53fcdfe00f9a89e",
+    "simulate-wheel.cir-node-minimal-json": "ed628b570172cddf152288e23a477206f6d7cfb2b18593bde8fefcde50ec9ae6",
+    "simulate-wheel.cir-loop-minimal-json": "98d37bb14e2218cddb088d3cad551a80d20ec3b645a1b49abfab8f3e5becd4ea",
+    "simulate-wheel.cir-extended-minimal-json": "f8cf720184cd335b99e10dc215a6e6d4dba6e41a14201c75c83e15e973b0fd3f",
 }
 
 

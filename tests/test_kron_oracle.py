@@ -1,4 +1,4 @@
-"""Singular-limit oracle for the node representation.
+"""Singular-limit oracles for the node and loop representations.
 
 As the geometric capacitance Cg of the passive nodes goes to zero, the
 low spectrum of the augmented node-flux circuit converges to that of the
@@ -10,6 +10,13 @@ IEEE TCAS-I 60, 150 (2013); Rymarz & DiVincenzo, PRX 13, 021017 (2023).
 Below Cg/C ~ 1e-8 the eigensolve's rounding, ~eps C/Cg relative on the
 low modes (the spread of the reduced matrix), outgrows the O(Cg/C) term
 on the random circuits; the wheel and passive_lc stay on the O(Cg/C) line.
+
+The loop representation is the dual: as the geometric self-inductance Lg
+of the inductance-free (capacitor-only) cycles goes to zero, its low
+spectrum converges to the Kron reduction of the cycle-space K over those
+cycles, with an error O(Lg/L) plus the rounding floor ~eps L/Lg, and the
+added modes, one per capacitor-only cycle, scale as Lg^(-1/2).  From
+Lg/L ~ 1e-9 the rounding floor leads.
 
 The reference matrices are stamped here from the netlist components, not
 taken from the library.
@@ -31,6 +38,7 @@ from fluxq import (
 from conftest import load
 
 CGS = (1e-16, 1e-17, 1e-18, 1e-19, 1e-20, 1e-21, 1e-22)
+LGS = (1e-15, 1e-16, 1e-17, 1e-18, 1e-19, 1e-20, 1e-21)
 EPS = np.finfo(float).eps
 
 
@@ -92,6 +100,36 @@ def _kron_omegas(circuit: Circuit) -> tuple[np.ndarray, float, float]:
     return np.sqrt(w2), min(caps), max(caps)
 
 
+def _loop_kron_omegas(circuit: Circuit) -> tuple[np.ndarray, int, float, float]:
+    """Angular frequencies of the design circuit's cycle space with its
+    inductance-free cycles Kron-reduced out of K, the number of
+    capacitor-free cycles (zero modes), and the smallest and largest
+    inductance."""
+    nodes = [n for n in circuit.nodes if n != "0"]
+    index = {n: i for i, n in enumerate(nodes)}
+    incidence = np.zeros((len(nodes), len(circuit.components)))
+    for j, c in enumerate(circuit.components):
+        for terminal, sign in zip(c.terminals, (1.0, -1.0)):
+            if terminal != "0":
+                incidence[index[terminal], j] += sign
+    z = scipy.linalg.null_space(incidence)  # branches x cycles
+    inductor = np.array([c.kind is ComponentKind.INDUCTOR for c in circuit.components])
+    values = np.array([c.value for c in circuit.components])
+    z_l, z_c = z[inductor], z[~inductor]
+    m0 = z_l.T @ (values[inductor, None] * z_l)
+    K = z_c.T @ (z_c / values[~inductor, None])
+    n = scipy.linalg.null_space(z_l)  # cycles without inductance
+    assert n.shape[1], "the oracle needs a capacitor-only cycle"
+    q = scipy.linalg.null_space(n.T)
+    k_qn = q.T @ K @ n
+    k_red = q.T @ K @ q - k_qn @ np.linalg.solve(n.T @ K @ n, k_qn.T)
+    w2 = scipy.linalg.eigh(k_red, q.T @ m0 @ q, eigvals_only=True)
+    zero = scipy.linalg.null_space(z_c).shape[1]
+    omegas = np.sqrt(np.clip(w2, 0.0, None))
+    omegas[:zero] = 0.0
+    return omegas, zero, values[inductor].min(), values[inductor].max()
+
+
 CIRCUITS = {
     "wheel": lambda: load("wheel.cir"),
     "passive_lc": lambda: load("passive_lc.cir"),
@@ -113,5 +151,25 @@ def test_node_spectrum_converges_to_kron_reduction(name):
         assert error <= cg / cmin + 10.0 * EPS * cmax / cg, (cg, error)
         scaled_top.append(omegas[-1] * np.sqrt(cg))
     # the added modes scale as Cg^(-1/2)
+    spread = np.ptp(scaled_top) / np.mean(scaled_top)
+    assert spread <= 1e-3, scaled_top
+
+
+@pytest.mark.parametrize("name", list(CIRCUITS))
+def test_loop_spectrum_converges_to_kron_reduction(name):
+    circuit = CIRCUITS[name]()
+    reference, zero, lmin, lmax = _loop_kron_omegas(circuit)
+    scaled_top = []
+    for lg in LGS:
+        policy = GeometricPolicy(cap_mode=GeometricMode.MINIMAL, default_lg=lg)
+        modes = quantize_circuit(circuit, Representation.LOOP_CHARGE, policy).modes
+        assert modes.dim == len(circuit.components) - len(circuit.nodes) + 1
+        # inductor-only cycles are zero modes on both sides
+        assert modes.zero_mode_count == zero
+        low = modes.omegas[: reference.size]
+        error = np.max(np.abs(low - reference)) / reference.max()
+        assert error <= lg / lmin + 10.0 * EPS * lmax / lg, (lg, error)
+        scaled_top.append(modes.omegas[-1] * np.sqrt(lg))
+    # the added modes scale as Lg^(-1/2)
     spread = np.ptp(scaled_top) / np.mean(scaled_top)
     assert spread <= 1e-3, scaled_top

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 from hypothesis import given
 from hypothesis import strategies as st
@@ -190,20 +192,27 @@ def test_mode_shape_invariants(passive_lc):
         assert np.linalg.norm(residual[:, k]) <= 1e-9 * scale
 
 
-@pytest.mark.parametrize("name", ["passive_lc", "active_lc", "wheel"])
-def test_modes_without_cached_mass_factor(name, request):
-    """A HamiltonianSystem built from (M^-1, K) alone must give the same
-    modes as the one legendre_transform returns with chol(M) attached."""
-    _, lag = augmented_node(request.getfixturevalue(name))
-    h = legendre_transform(lag)
-    bare = HamiltonianSystem(h.labels, h.minv, h.k)
-    factor = bare.mass_factor()
-    assert np.array_equal(factor, np.tril(factor))
-    assert np.abs(factor @ factor.T - lag.M).max() <= 1e-12 * np.abs(lag.M).max()
-    ref, modes = normal_modes(h), normal_modes(bare)
-    assert np.abs(modes.omegas - ref.omegas).max() <= 1e-12 * ref.omegas.max()
-    gram = modes.modes.T @ lag.M @ modes.modes
-    assert np.abs(gram - np.eye(lag.dim)).max() <= 1e-12
+@pytest.mark.parametrize("name", NETLIST_NAMES)
+@pytest.mark.parametrize("rep", list(Representation), ids=lambda r: r.value)
+def test_hamiltonian_holds_only_the_mass_factor(name, rep):
+    """M is held once, as its Cholesky factor; M^-1 is formed on first read,
+    as the symmetrized Gram product of the factor's triangular inverse."""
+    try:
+        q = quantize_circuit(load(name), rep, GeometricPolicy())
+    except SingularKineticMatrix:
+        return
+    h = q.hamiltonian
+    assert [f.name for f in dataclasses.fields(h)] == ["labels", "mass_factor", "k"]
+    assert "minv" not in vars(h)
+    assert np.array_equal(h.mass_factor, np.linalg.cholesky(q.lagrangian.M))
+    inv = scipy.linalg.solve_triangular(h.mass_factor, np.eye(h.dim), lower=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        eager = inv.T @ inv
+        eager = 0.5 * (eager + eager.T)
+    assert np.array_equal(h.minv, eager)
+    assert "minv" in vars(h)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        h.k = h.k
 
 
 def test_zero_modes_are_legal():
@@ -255,9 +264,10 @@ def test_mode_attribution_single(reduced_lc):
 def test_mode_attribution_diagonal_identity():
     from fluxq.quantize import HamiltonianSystem
 
-    minv = np.diag([1.0 / 2e-12, 1.0 / 3e-12])
     k = np.diag([5e8, 9e8])
-    h = HamiltonianSystem(labels=("a", "b"), minv=minv, k=k)
+    h = HamiltonianSystem(
+        ("a", "b"), mass_factor=np.diag(np.sqrt([2e-12, 3e-12])), k=k
+    )
     modes = normal_modes(h)
     attribution = mode_attribution(modes, h)
     assert attribution["a"] == pytest.approx(math.sqrt(5e8 / 2e-12) / 1.0)
@@ -321,7 +331,7 @@ def test_ladder_mode_attribution_matches_reference(rep):
 @pytest.mark.parametrize("rep", list(Representation), ids=lambda r: r.value)
 def test_momentum_modes_are_inverse_transpose(name, rep):
     q = quantize_circuit(load(name), rep, MINIMAL)
-    v, u = q.modes.modes, q.modes.momentum_modes()
+    v, u = q.modes.modes, q.modes.momentum_modes
     solved = np.linalg.solve(v.T, np.eye(q.modes.dim))
     assert np.abs(u - solved).max() <= 1e-12 * np.abs(solved).max()
     assert np.abs(v.T @ u - np.eye(q.modes.dim)).max() <= 1e-12

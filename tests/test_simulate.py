@@ -581,7 +581,7 @@ def _evolve_by_old_expressions(modes, x0, p0, t):
     c, a, b = np.cos(phase), np.where(osc, sin / np.where(osc, w, 1.0), t), -w * sin
     xt = c * xt0[:, None] + a * pt0[:, None]
     pt = b * xt0[:, None] + c * pt0[:, None]
-    v, u = modes.modes, modes.momentum_modes()
+    v, u = modes.modes, modes.momentum_modes
     return {
         "coords": v @ xt,
         "velocities": v @ pt,
