@@ -16,7 +16,9 @@ the change checkout's `BENCHMARK.json`.  With `--trace-runs K`, K traced
 runs (`--trace 1`) per side follow the pairs, alternating in the same way;
 their per-layer metrics are kept under `trace_runs` and each metric's
 median per side under `summary.trace`.  Running again with the same key
-adds runs to the entry.
+adds runs to the entry.  After the pairs it prints one line per end-to-end
+metric over all of the entry's pairs: each side's median, the relative
+change and the pairs the change won.
 """
 from __future__ import annotations
 
@@ -88,6 +90,20 @@ def summary(
     return out
 
 
+def summary_lines(summ: dict, lower_is_better: dict[str, bool]) -> list[str]:
+    """One line per end-to-end metric of a summary with pairs."""
+    lines = []
+    for metric in lower_is_better:
+        parent = summ["parent"][metric]["median"]
+        change = summ["change"][metric]["median"]
+        relative = f"{(change - parent) / parent:+.1%}" if parent else "n/a"
+        lines.append(
+            f"{metric}: parent {parent:.6g}, change {change:.6g} ({relative}), "
+            f"change wins {summ['change_wins'][metric]} of {summ['pairs']}"
+        )
+    return lines
+
+
 def machine() -> dict:
     cpu = platform.processor()
     cpuinfo = Path("/proc/cpuinfo")
@@ -141,6 +157,8 @@ def main(argv: list[str] | None = None) -> int:
             args.out.write_text(json.dumps(bench, indent=1) + "\n")
 
     alternate(args.pairs, len(entry["runs"]["parent"]), entry["runs"], False)
+    if entry["runs"]["parent"]:
+        print("\n".join(summary_lines(entry["summary"], lower_is_better)), flush=True)
     alternate(args.trace_runs, len(trace_runs["parent"]), trace_runs, True)
     return 0
 

@@ -288,11 +288,15 @@ def mode_uncertainty_products(state: GaussianState) -> np.ndarray:
 def mode_attribution(
     modes: ModeDecomposition, h: HamiltonianSystem
 ) -> dict[str, float]:
-    """Assign each coordinate the angular frequency (rad/s) of the mode it
-    dominates in mass-weighted magnitude.  Greedy argmax over |M^{1/2} V|,
-    ties to the lower index; conflicts resolved by optimal assignment.
-    Raises KineticMatrixOverflow when |M^{1/2} V| is not finite, as for
-    capacitances near the top of the double range."""
+    """Assign each coordinate the angular frequency (rad/s) of one mode: the
+    one-to-one assignment of modes to coordinates with the largest total
+    mass-weighted magnitude |M^{1/2} V|.  Where every mode's largest
+    magnitude sits on a different coordinate (lowest index on ties), those
+    picks are the assignment.  Among assignments of equal total it returns
+    the one reached by augmenting from the greedy picks in mode order (see
+    _max_weight_assignment).  Raises KineticMatrixOverflow when
+    |M^{1/2} V| is not finite, as for capacitances near the top of the
+    double range."""
     if not modes.dim:
         return {}
     with np.errstate(over="ignore", invalid="ignore"):
@@ -301,13 +305,86 @@ def mode_attribution(
         w = np.abs(msqrt @ modes.modes)
     if not np.isfinite(w).all():
         raise KineticMatrixOverflow()
-
-    picks = np.argmax(w, axis=0).tolist()
-    if len(set(picks)) != modes.dim:
-        # imported here: scipy.optimize costs ~0.25 s of start-up, and only
-        # conflicting picks need it
-        import scipy.optimize
-
-        rows, cols = scipy.optimize.linear_sum_assignment(-w.T)
-        picks = [int(c) for _, c in sorted(zip(rows, cols))]
+    picks = _max_weight_assignment(w)
     return {h.labels[coord]: float(modes.omegas[k]) for k, coord in enumerate(picks)}
+
+
+def _max_weight_assignment(w: np.ndarray) -> list[int]:
+    """The coordinate of each mode (column) in a one-to-one assignment with
+    the largest total of the finite square weights w[coordinate, mode].
+
+    Shortest augmenting paths on dual prices (Jonker & Volgenant, Computing
+    38, 325 (1987); Crouse, IEEE Trans. Aerosp. Electron. Syst. 52, 1679
+    (2016)), warm-started from the greedy picks: each mode takes its largest
+    weight (lowest coordinate on ties) at price u[k] = that weight, and a
+    coordinate picked by several modes stays with the lowest of them.  Each
+    unpicked coordinate j gets the lowest price v[j] that keeps
+    u[k] + v[j] >= w[j, k] for every mode and goes, in coordinate order, to
+    the lowest mode meeting it with equality if that mode is still
+    unmatched.  The modes left over then augment in mode order, each along a
+    shortest path of reduced weights u + v - w, lower coordinates first on
+    equal lengths.  The prices stay feasible and tight on every matched
+    pair, so the assignment is optimal; among optima it is the one this
+    order reaches."""
+    n = w.shape[0]
+    picks = w.argmax(0)
+    col4row = picks.tolist()  # the coordinate of each mode
+    row4col = [-1] * n  # the mode of each coordinate
+    unmatched = []
+    for k, j in enumerate(col4row):
+        if row4col[j] < 0:
+            row4col[j] = k
+        else:
+            unmatched.append(k)
+    if not unmatched:
+        return col4row
+    best = w[picks, np.arange(n)]
+    u = best.tolist()
+    v = np.zeros(n)
+    free = [j for j in range(n) if row4col[j] < 0]
+    gain = w[free] - best
+    v[free] = gain.max(1)
+    waiting = set(unmatched)
+    for j, k in zip(free, gain.argmax(1).tolist()):
+        if k in waiting:
+            waiting.remove(k)
+            row4col[j], col4row[k] = k, j
+
+    wt = w.T
+    for k in unmatched:
+        if k not in waiting:
+            continue
+        # distances are kept less u[k]; a scanned coordinate's price is inf
+        # until the path is found, so later rows cannot reach it again
+        dist = np.subtract(v, wt[k])
+        rows, cols, reached, prices, cand = [k], [], [], [], [dist]
+        dist = dist.copy()
+        while True:
+            j = int(dist.argmin())
+            d = float(dist[j])
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+            rows.append(i)
+            cols.append(j)
+            reached.append(d)
+            prices.append(float(v[j]))
+            dist[j] = v[j] = np.inf
+            r = np.subtract(v, wt[i])
+            np.add(r, d + u[i], out=r)
+            cand.append(r)
+            np.minimum(dist, r, out=dist)
+        u[k] = -d
+        for i, jj, dj, vj in zip(rows[1:], cols, reached, prices):
+            u[i] -= d - dj
+            v[jj] = vj + (d - dj)
+        # back along the path: each coordinate came from the first scanned
+        # mode that reached it at its distance
+        while True:
+            t = min(range(len(rows)), key=lambda t: cand[t][j])
+            i = rows[t]
+            row4col[j], col4row[i] = i, j
+            if t == 0:
+                break
+            j = cols[t - 1]
+    return col4row

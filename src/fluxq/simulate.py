@@ -258,9 +258,7 @@ def observables(
     }
 
 
-def evolution_matrix(
-    modes: ModeDecomposition, h: HamiltonianSystem, t: float
-) -> np.ndarray:
+def evolution_matrix(modes: ModeDecomposition, t: float) -> np.ndarray:
     """Analytic phase-space map Phi(t) over stacked (x..., p...); it is
     symplectic: Phi^T J Phi = J."""
     v = modes.modes

@@ -127,3 +127,11 @@ def ladder(n: int, rng: np.random.Generator) -> Circuit:
             lines.append(f"Cx{i} {i} 0 {2e-12 * rng.uniform(0.8, 1.2)!r}")
         prev = str(i)
     return parse_netlist("\n".join(lines) + "\n")
+
+
+def attribution_weights(modes, h) -> np.ndarray:
+    """|M^{1/2} V| as mode_attribution forms it: rows are coordinates,
+    columns modes."""
+    evals, q = np.linalg.eigh(h.mass_matrix())
+    msqrt = (q * np.sqrt(np.clip(evals, 0.0, None))) @ q.T
+    return np.abs(msqrt @ modes.modes)

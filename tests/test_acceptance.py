@@ -329,7 +329,7 @@ def test_criterion_7_quantum_invariants(passive_lc, reduced_lc):
         [[np.zeros((dim, dim)), np.eye(dim)], [-np.eye(dim), np.zeros((dim, dim))]]
     )
     sympl = max(
-        np.abs(evolution_matrix(modes, h, t).T @ J @ evolution_matrix(modes, h, t) - J).max()
+        np.abs(evolution_matrix(modes, t).T @ J @ evolution_matrix(modes, t) - J).max()
         for t in (1e-12, 7.7e-10, 4e-9)
     )
     assert sympl <= 1e-10

@@ -12,13 +12,19 @@ from hypothesis import strategies as st
 
 from fluxq import (
     ComponentKind,
+    GeometricPolicy,
+    Representation,
     cli,
     evolve_modes,
     initial_state,
     observables,
+    parse_netlist,
     quantize_circuit,
+    serialize_netlist,
 )
 from fluxq.cli import _decimal_digits, main
+
+from conftest import attribution_weights, ladder
 
 NETLISTS = Path(__file__).resolve().parent.parent / "netlists"
 PASSIVE = str(NETLISTS / "passive_lc.cir")
@@ -726,11 +732,21 @@ def test_cli_module_where_long_double_is_plain_double(monkeypatch):
 
 
 def test_cli_runs_without_scipy_optimize(tmp_path):
-    # a fresh interpreter: scipy.optimize (~0.25 s of start-up) loads only
-    # when mode_attribution's picks conflict, which none of these runs has
+    # a fresh interpreter: no run loads scipy.optimize (~0.25 s of start-up),
+    # also not modes on a ladder whose per-mode argmax picks repeat a
+    # coordinate, so that mode_attribution has to solve the assignment
+    ladder16 = tmp_path / "ladder16.cir"
+    ladder16.write_text(serialize_netlist(ladder(16, np.random.default_rng(7))))
+    q = quantize_circuit(
+        parse_netlist(ladder16.read_text()), Representation.NODE_FLUX, GeometricPolicy()
+    )
+    picks = attribution_weights(q.modes, q.hamiltonian).argmax(axis=0).tolist()
+    assert len(set(picks)) < len(picks)
     src = str(Path(cli.__file__).resolve().parent.parent)
     runs = [["simulate", PASSIVE], ["analyze", PASSIVE], ["reduce", PASSIVE]]
-    runs += [["modes", netlist] for netlist in (PASSIVE, REDUCED, WHEEL, ACTIVE)]
+    runs += [
+        ["modes", netlist] for netlist in (PASSIVE, REDUCED, WHEEL, ACTIVE, str(ladder16))
+    ]
     script = (
         f"import sys; sys.path.insert(0, {src!r})\n"
         "from fluxq.cli import main\n"

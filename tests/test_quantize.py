@@ -34,8 +34,15 @@ from fluxq import (
     reduce_circuit,
     topology_report,
 )
+from fluxq.quantize import _max_weight_assignment
 
-from conftest import ladder, load, pencil_frequencies_2x2, random_active_circuit
+from conftest import (
+    attribution_weights,
+    ladder,
+    load,
+    pencil_frequencies_2x2,
+    random_active_circuit,
+)
 
 NETLIST_NAMES = ("passive_lc.cir", "reduced_lc.cir", "wheel.cir", "active_lc.cir")
 
@@ -325,6 +332,53 @@ def test_ladder_mode_attribution_matches_reference(rep):
     # 128 nodes: per-column argmax conflicts, so the assignment path runs
     circuit = ladder(128, np.random.default_rng(7))
     _assert_attribution_matches_reference(circuit, rep, MINIMAL)
+
+
+def _optimal_picks(w):
+    """The oracle: scipy's assignment of modes (rows of -w^T) to
+    coordinates, read as the coordinate of each mode."""
+    rows, cols = scipy.optimize.linear_sum_assignment(-w.T)
+    assert rows.tolist() == list(range(w.shape[0]))
+    return cols.tolist()
+
+
+@given(st.integers(1, 64), st.booleans(), st.integers(0, 2**32 - 1))
+def test_max_weight_assignment_matches_linear_sum_assignment(n, orthogonal, seed):
+    # |orthogonal| is the shape mode_attribution passes (M^{1/2} V is
+    # orthogonal); uniform positive weights have no such structure.  The
+    # errstate is the one cli.run sets: the inf prices must not trip it.
+    rng = np.random.default_rng(seed)
+    if orthogonal:
+        w = np.abs(np.linalg.qr(rng.standard_normal((n, n)))[0])
+    else:
+        w = rng.random((n, n))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        picks = _max_weight_assignment(w)
+    assert picks == _optimal_picks(w)
+
+
+@given(st.integers(1, 24), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_max_weight_assignment_with_ties_is_optimal(n, top, seed):
+    # small integers: many optimal assignments, and every total is exact
+    w = np.random.default_rng(seed).integers(0, top, (n, n)).astype(float)
+    picks = _max_weight_assignment(w)
+    assert sorted(picks) == list(range(n))
+    assert w[picks, range(n)].sum() == w[_optimal_picks(w), range(n)].sum()
+
+
+def test_max_weight_assignment_tie_rule():
+    # all picks conflict on coordinate 0; mode 0 keeps it and the others
+    # augment in mode order, each to the lowest coordinate left
+    assert _max_weight_assignment(np.ones((5, 5))) == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize("rep", list(Representation), ids=lambda r: r.value)
+def test_max_weight_assignment_on_ladder_weights(seed, rep):
+    q = quantize_circuit(ladder(128, np.random.default_rng(seed)), rep, MINIMAL)
+    w = attribution_weights(q.modes, q.hamiltonian)
+    assert len(set(w.argmax(axis=0).tolist())) < q.modes.dim  # picks conflict
+    assert _max_weight_assignment(w) == _optimal_picks(w)
 
 
 @pytest.mark.parametrize("name", NETLIST_NAMES)

@@ -245,7 +245,7 @@ def test_evolution_matrix_symplectic(passive_lc):
         ]
     )
     for t in (0.0, 1.3e-10, 2.2e-9):
-        phi = evolution_matrix(modes, h, t)
+        phi = evolution_matrix(modes, t)
         assert np.abs(phi.T @ J @ phi - J).max() <= 1e-10
 
 
@@ -290,7 +290,7 @@ def test_covariance_of_moving_state_matches_expm(name, request):
         for blk in blocks:
             scale = np.abs(expected[blk]).max()
             assert np.abs(cov[blk] - expected[blk]).max() <= 1e-10 * scale
-        phi_modes = evolution_matrix(modes, h, t)
+        phi_modes = evolution_matrix(modes, t)
         for blk in blocks:
             scale = np.abs(phi[blk]).max()
             assert np.abs(phi_modes[blk] - phi[blk]).max() <= 1e-10 * scale
@@ -330,7 +330,7 @@ def test_covariance_matches_evolution_matrix_sandwich(name):
     assert covs.shape == (times.size, 2 * dim, 2 * dim)
     blocks = [np.s_[:dim, :dim], np.s_[:dim, dim:], np.s_[dim:, :dim], np.s_[dim:, dim:]]
     for cov, t in zip(covs, times):
-        phi = evolution_matrix(modes, h, t)
+        phi = evolution_matrix(modes, t)
         expected = phi @ state.cov @ phi.T
         for blk in blocks:
             scale = np.abs(expected[blk]).max()
