@@ -301,7 +301,7 @@ def mode_attribution(
         return {}
     with np.errstate(over="ignore", invalid="ignore"):
         evals, q = np.linalg.eigh(h.mass_matrix())
-        msqrt = (q * np.sqrt(np.clip(evals, 0.0, None))) @ q.T
+        msqrt = (q * np.sqrt(np.maximum(evals, 0.0))) @ q.T
         w = np.abs(msqrt @ modes.modes)
     if not np.isfinite(w).all():
         raise KineticMatrixOverflow()
@@ -354,10 +354,11 @@ def _max_weight_assignment(w: np.ndarray) -> list[int]:
     for k in unmatched:
         if k not in waiting:
             continue
-        # distances are kept less u[k]; a scanned coordinate's price is inf
-        # until the path is found, so later rows cannot reach it again
-        dist = np.subtract(v, wt[k])
-        rows, cols, reached, prices, cand = [k], [], [], [], [dist]
+        # Dijkstra from mode k, its distances kept less u[k]; a scanned
+        # coordinate's price in vv is inf, so no later row reaches it again
+        vv = v.copy()
+        dist = np.subtract(vv, wt[k])
+        rows, cols, reached, cand = [k], [], [], [dist]
         dist = dist.copy()
         while True:
             j = int(dist.argmin())
@@ -368,16 +369,15 @@ def _max_weight_assignment(w: np.ndarray) -> list[int]:
             rows.append(i)
             cols.append(j)
             reached.append(d)
-            prices.append(float(v[j]))
-            dist[j] = v[j] = np.inf
-            r = np.subtract(v, wt[i])
+            dist[j] = vv[j] = np.inf
+            r = np.subtract(vv, wt[i])
             np.add(r, d + u[i], out=r)
             cand.append(r)
             np.minimum(dist, r, out=dist)
         u[k] = -d
-        for i, jj, dj, vj in zip(rows[1:], cols, reached, prices):
+        for i, jj, dj in zip(rows[1:], cols, reached):
             u[i] -= d - dj
-            v[jj] = vj + (d - dj)
+            v[jj] += d - dj
         # back along the path: each coordinate came from the first scanned
         # mode that reached it at its distance
         while True:
