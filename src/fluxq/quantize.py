@@ -380,8 +380,9 @@ def _max_weight_assignment(w: np.ndarray) -> list[int]:
             v[jj] += d - dj
         # back along the path: each coordinate came from the first scanned
         # mode that reached it at its distance
+        cand = np.array(cand)
         while True:
-            t = min(range(len(rows)), key=lambda t: cand[t][j])
+            t = int(cand[:, j].argmin())
             i = rows[t]
             row4col[j], col4row[i] = i, j
             if t == 0:

@@ -733,8 +733,8 @@ def test_cli_module_where_long_double_is_plain_double(monkeypatch):
 
 def test_cli_runs_without_scipy_optimize(tmp_path):
     # a fresh interpreter: no run loads scipy.optimize (~0.25 s of start-up),
-    # also not modes on a ladder whose per-mode argmax picks repeat a
-    # coordinate, so that mode_attribution has to solve the assignment
+    # not even modes on a ladder whose per-mode argmax picks repeat a
+    # coordinate, which makes mode_attribution solve the assignment
     ladder16 = tmp_path / "ladder16.cir"
     ladder16.write_text(serialize_netlist(ladder(16, np.random.default_rng(7))))
     q = quantize_circuit(
