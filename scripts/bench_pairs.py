@@ -18,7 +18,13 @@ their per-layer metrics are kept under `trace_runs` and each metric's
 median per side under `summary.trace`.  Running again with the same key
 adds runs to the entry.  After the pairs it prints one line per end-to-end
 metric over all of the entry's pairs: each side's median, the relative
-change and the pairs the change won.
+change and the pairs the change won.  A second line per metric gives the
+verdict of the pairs, also kept under the entry's `verdict`: whether a gain
+may be claimed (the change won at least 9 of 10 pairs and its median is
+better than the parent's by more than the parent's interquartile range),
+and whether the change median is within the metric's relative `bound` of
+the parent median, or unresolved where the parent's interquartile range is
+wider than the bound and not every change run beats every parent run.
 """
 from __future__ import annotations
 
@@ -40,8 +46,17 @@ RUN_FIELDS = ("correct", "attempted", "failed", "first")
 def end_to_end(checkout: Path) -> dict[str, bool]:
     """The end-to-end metrics of the checkout's BENCHMARK.json, each with
     whether lower is better."""
-    spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+    return {m["name"]: m["better"] == "lower" for m in _spec(checkout)}
+
+
+def bounds(checkout: Path) -> dict[str, float]:
+    """The relative bound of each end-to-end metric of the checkout's
+    BENCHMARK.json."""
+    return {m["name"]: m["bound"] for m in _spec(checkout)}
+
+
+def _spec(checkout: Path) -> list[dict]:
+    return json.loads((checkout / "BENCHMARK.json").read_text())["end_to_end"]
 
 
 def run_once(
@@ -104,6 +119,41 @@ def summary_lines(summ: dict, lower_is_better: dict[str, bool]) -> list[str]:
     return lines
 
 
+def verdict_lines(
+    runs: dict[str, list[dict]],
+    summ: dict,
+    lower_is_better: dict[str, bool],
+    bound: dict[str, float],
+) -> list[str]:
+    """One verdict line per end-to-end metric of a summary with pairs: the
+    gain claim and the bound check described in the module docstring."""
+    lines = []
+    for metric, lower in lower_is_better.items():
+        parent, change = summ["parent"][metric], summ["change"][metric]
+        # how much better the change median is, and the parent's spread
+        gain = (parent["median"] - change["median"] if lower
+                else change["median"] - parent["median"])
+        spread = parent["q3"] - parent["q1"]
+        wins, pairs = summ["change_wins"][metric], summ["pairs"]
+        claim = 10 * wins >= 9 * pairs and gain > spread
+        allowed = bound[metric] * abs(parent["median"])
+        # the runs' values with higher meaning better
+        score = {side: [r[metric] * (-1 if lower else 1) for r in runs[side]]
+                 for side in SIDES}
+        beats_all = min(score["change"]) > max(score["parent"])
+        if spread > allowed and not beats_all:
+            within = "unresolved"
+        else:
+            within = "within" if gain >= -allowed else "outside"
+        lines.append(
+            f"{metric}: gain claimed {'yes' if claim else 'no'} "
+            f"(won {wins} of {pairs}, needs {(9 * pairs + 9) // 10}; median better "
+            f"by {gain:.6g}, parent IQR {spread:.6g}); "
+            f"bound {bound[metric]:.0%}: {within}"
+        )
+    return lines
+
+
 def machine() -> dict:
     cpu = platform.processor()
     cpuinfo = Path("/proc/cpuinfo")
@@ -141,6 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     trace_runs = entry.setdefault("trace_runs", {side: [] for side in SIDES})
     checkouts = {"parent": args.parent, "change": args.change}
     lower_is_better = end_to_end(args.change)
+    bound = bounds(args.change)
 
     def alternate(count: int, done: int, runs: dict, trace: bool) -> None:
         for i in range(count):
@@ -158,7 +209,12 @@ def main(argv: list[str] | None = None) -> int:
 
     alternate(args.pairs, len(entry["runs"]["parent"]), entry["runs"], False)
     if entry["runs"]["parent"]:
-        print("\n".join(summary_lines(entry["summary"], lower_is_better)), flush=True)
+        entry["verdict"] = verdict_lines(
+            entry["runs"], entry["summary"], lower_is_better, bound
+        )
+        args.out.write_text(json.dumps(bench, indent=1) + "\n")
+        lines = summary_lines(entry["summary"], lower_is_better) + entry["verdict"]
+        print("\n".join(lines), flush=True)
     alternate(args.trace_runs, len(trace_runs["parent"]), trace_runs, True)
     return 0
 

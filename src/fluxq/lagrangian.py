@@ -24,6 +24,7 @@ All quantities are SI.  Matrices are dense; circuits are small.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,11 +80,34 @@ class GeometricPolicy:
 
 @dataclass(frozen=True)
 class AugmentationRecord:
+    """What augment_geometric added under `policy`: the geometric
+    capacitors, and the exact loop-space support of the geometric
+    self-inductance form (rows x l), for the structural quantizability
+    analysis.  The (l x l) self-inductance matrix itself, loop_inductance,
+    is formed on first read: the loop and extended representations read
+    it, the node representation never does."""
+
     added_capacitors: tuple[Component, ...]
-    loop_inductance: np.ndarray | None  # (l x l) PSD matrix, None when OFF
-    # exact loop-space support of the self-inductance form (rows x l), for
-    # the structural quantizability analysis
     loop_kinetic_rows: np.ndarray
+    policy: GeometricPolicy
+
+    @functools.cached_property
+    def loop_inductance(self) -> np.ndarray | None:
+        """The PSD loop self-inductance matrix, None when OFF: default_lg
+        times the identity for ALL_PAIRS, and for MINIMAL default_lg times
+        the sum of the projectors onto the normalized kinetic rows (the
+        witnesses), added in row order."""
+        mode = self.policy.cap_mode
+        l = self.loop_kinetic_rows.shape[1]
+        if mode is GeometricMode.OFF:
+            return None
+        if mode is GeometricMode.ALL_PAIRS:
+            return self.policy.default_lg * np.eye(l)
+        inductance = np.zeros((l, l))
+        for w in self.loop_kinetic_rows:
+            wv = w / np.linalg.norm(w)
+            inductance += self.policy.default_lg * np.outer(wv, wv)
+        return inductance
 
 
 @dataclass
@@ -251,9 +275,10 @@ def augment_geometric(
     """Add geometric components per the policy.
 
     Geometric capacitors become real circuit components (flagged).  The
-    geometric loop self-inductances are returned as a loop-space matrix to
-    be added to the loop-representation kinetic matrix; inserting them as
-    series branches would create nodes the model does not contain.
+    geometric loop self-inductances are a loop-space matrix (the record's
+    loop_inductance, formed on first read) to be added to the
+    loop-representation kinetic matrix; inserting them as series branches
+    would create nodes the model does not contain.
 
     The report must be the circuit's own topology_report: its spanning
     tree places the MINIMAL capacitors, its fundamental loops index the
@@ -267,7 +292,7 @@ def augment_geometric(
     l = len(report.loops)
 
     if policy.cap_mode is GeometricMode.OFF:
-        return circuit, AugmentationRecord((), None, np.zeros((0, l)))
+        return circuit, AugmentationRecord((), np.zeros((0, l)), policy)
 
     if policy.cap_mode is GeometricMode.MINIMAL:
         pairs = []
@@ -281,14 +306,9 @@ def augment_geometric(
             pairs.append((node, neighbor))
         cycles = report.witnesses
         kinetic_rows = np.array(cycles, dtype=float).reshape(len(cycles), l)
-        inductance = np.zeros((l, l))
-        for w in kinetic_rows:
-            wv = w / np.linalg.norm(w)
-            inductance += policy.default_lg * np.outer(wv, wv)
     else:  # ALL_PAIRS
         nodes = circuit.nodes
         pairs = [(b, a) for i, a in enumerate(nodes) for b in nodes[i + 1 :]]
-        inductance = policy.default_lg * np.eye(l)
         kinetic_rows = np.eye(l)
 
     existing = {c.id for c in circuit.components}
@@ -304,7 +324,7 @@ def augment_geometric(
     augmented = Circuit(
         circuit.nodes, circuit.components + tuple(added), dict(circuit.ics)
     )
-    return augmented, AugmentationRecord(tuple(added), inductance, kinetic_rows)
+    return augmented, AugmentationRecord(tuple(added), kinetic_rows, policy)
 
 
 def extended_node_lagrangian(

@@ -7,11 +7,15 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .netlist import GROUND, Circuit, Component, ComponentKind
 
 # relative eigenvalue threshold of the equilibrated loop inductance form
 _RANK_TOL = 1e-12
+# rounding margin c n^2 eps of the Cholesky full-rank certificate
+_CERTIFICATE_C = 4.0
+_EPS = np.finfo(float).eps
 
 
 class RankCrossCheckFailure(RuntimeError):
@@ -28,27 +32,68 @@ class RankCrossCheckFailure(RuntimeError):
         self.numeric = numeric
 
 
-def _equilibrated_rank(mat: np.ndarray, rel_tol: float) -> int:
+def _equilibrated_rank(
+    mat: np.ndarray, rel_tol: float, expect_full: bool = False
+) -> int:
     """Numeric rank of a PSD matrix, independent of the SI scale of its rows.
 
     Symmetric equilibration to unit diagonal keeps structurally zero
     directions at machine-zero singular values, while physically tiny but
     nonzero entries (a geometric Cg or Lg far below the design values) stay
     O(1); a plain threshold against the largest singular value would
-    swallow them in stiff augmented circuits."""
+    swallow them in stiff augmented circuits.  The rank counts the
+    eigenvalues of the equilibrated matrix above rel_tol times the largest
+    in magnitude.
+
+    Where the caller expects full rank, one Cholesky certificate
+    (_certifies_full_rank) on the equilibrated matrix comes first; when it
+    succeeds the count would read full too and is skipped, and when it
+    fails the count runs as without it."""
     if mat.shape[0] == 0:
         return 0
     diag = np.diag(mat)
     # PSD: a zero diagonal entry forces a zero row, so scaling it by 1 is safe
     scale = np.where(diag > 0.0, 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0)), 1.0)
     # scaled by rows, then by columns (the outer product of the scales
-    # overflows for a subnormal diagonal entry); the singular values of a
-    # symmetric matrix are its absolute eigenvalues
-    svals = np.abs(np.linalg.eigvalsh(mat * scale[:, None] * scale))
+    # overflows for a subnormal diagonal entry)
+    eq = mat * scale[:, None] * scale
+    if expect_full and _certifies_full_rank(eq, rel_tol):
+        return mat.shape[0]
+    # the singular values of a symmetric matrix are its absolute eigenvalues
+    svals = np.abs(np.linalg.eigvalsh(eq))
     smax = svals.max()
     if smax == 0.0:
         return 0
     return int(np.sum(svals > rel_tol * smax))
+
+
+def _certifies_full_rank(eq: np.ndarray, rel_tol: float) -> bool:
+    """Whether one LAPACK Cholesky proves that every eigenvalue of the
+    symmetric matrix eq exceeds rel_tol times the largest by more than the
+    rounding of either this test or an eigenvalue count.
+
+    It factors S = eq - sigma I with sigma = (rel_tol + c n^2 eps) g, where
+    g = max_i sum_j |eq_ij| bounds lambda_max by Gershgorin's theorem.  A
+    factorization that runs to completion gives R^T R = S + dS with
+    |dS| <= gamma_{n+1} |R^T| |R|, gamma_{n+1} ~ (n+1) u (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, Sec. 10.1.1),
+    so ||dS||_2 <= n gamma_{n+1} g (1 + O(n u)) and
+    lambda_min(eq) >= sigma - (n (n+1) + 1) u g (the last u from rounding the
+    shifted diagonal).  The computed eigenvalues of eq lie within
+    p(n) u ||eq||_2 <= p(n) u g of the exact ones (p(n) a modest polynomial;
+    LAPACK Users' Guide, 3rd ed., Sec. 4.7), so with c = 4 (8 n^2 u) each
+    computed eigenvalue exceeds rel_tol times the largest computed one for
+    any p(n) up to ~6 n^2, and the eigenvalue rule counts full rank too.
+    A failed factorization (info > 0: a pivot <= 0 or NaN) proves nothing.
+    A zero row makes the shifted pivot -sigma, so it always fails."""
+    n = eq.shape[0]
+    g = np.abs(eq).sum(1).max()
+    shifted = eq.copy()
+    shifted.flat[:: n + 1] -= (rel_tol + _CERTIFICATE_C * n * n * _EPS) * g
+    # symmetric, so the Fortran-ordered transpose is the same matrix and
+    # LAPACK factors it in place
+    _, info = scipy.linalg.lapack.dpotrf(shifted.T, lower=1, clean=0, overwrite_a=1)
+    return info == 0
 
 
 @dataclass(frozen=True)
@@ -238,7 +283,7 @@ def capacitor_only_cycles(
         witnesses.append(tuple(w))
     B, inductors = inductor_participation(circuit, loops)
     W = (B * [circuit.component(cid).value for cid in inductors]) @ B.T
-    numeric = len(loops) - _equilibrated_rank(W, _RANK_TOL)
+    numeric = len(loops) - _equilibrated_rank(W, _RANK_TOL, expect_full=not witnesses)
     if numeric != len(witnesses):
         raise RankCrossCheckFailure("loop inductance form", len(witnesses), numeric)
     return tuple(witnesses)

@@ -48,3 +48,46 @@ def test_summary_of_trace_runs_skips_bookkeeping_fields():
     }
     out = BENCH_PAIRS["summary"]({"parent": [], "change": []}, trace_runs, LOWER_IS_BETTER)
     assert out == {"pairs": 0, "trace": {"parent": {"cli.self_s": 2.0}}}
+
+
+def test_verdict_of_a_win_a_loss_a_tie_and_an_unresolved_metric():
+    metrics = {
+        # win: every pair, by more than the parent's interquartile range
+        "op_p50_s": (True, 0.2, [2.0, 2.1, 1.9, 2.0, 2.1] * 2, [1.5] * 10),
+        # loss: worse than the parent by more than the 20 % bound
+        "ops_per_s": (False, 0.2, [10.0] * 10, [5.0] * 10),
+        "ok_frac": (False, 0.1, [1.0] * 10, [1.0] * 10),
+        # the parent's spread is wider than the bound and the change does
+        # not beat every parent run
+        "setup_s": (True, 0.25, [0.5, 1.5] * 5, [1.0] * 10),
+        # a spread wider than the bound, but every change run beats every
+        # parent run; won every pair, yet by less than the parent's spread
+        "peak_rss_mb": (True, 0.15, [50.0, 100.0] * 5, [40.0] * 10),
+    }
+    lower_is_better = {name: m[0] for name, m in metrics.items()}
+    bound = {name: m[1] for name, m in metrics.items()}
+    runs = {
+        side: [{name: m[2 + k][i] for name, m in metrics.items()} for i in range(10)]
+        for k, side in enumerate(("parent", "change"))
+    }
+    out = BENCH_PAIRS["summary"](runs, {"parent": [], "change": []}, lower_is_better)
+    lines = BENCH_PAIRS["verdict_lines"](runs, out, lower_is_better, bound)
+    assert lines == [
+        "op_p50_s: gain claimed yes (won 10 of 10, needs 9; median better by 0.5, "
+        "parent IQR 0.1); bound 20%: within",
+        "ops_per_s: gain claimed no (won 0 of 10, needs 9; median better by -5, "
+        "parent IQR 0); bound 20%: outside",
+        "ok_frac: gain claimed no (won 0 of 10, needs 9; median better by 0, "
+        "parent IQR 0); bound 10%: within",
+        "setup_s: gain claimed no (won 5 of 10, needs 9; median better by 0, "
+        "parent IQR 1); bound 25%: unresolved",
+        "peak_rss_mb: gain claimed no (won 10 of 10, needs 9; median better by 35, "
+        "parent IQR 50); bound 15%: within",
+    ]
+
+
+def test_bounds_read_from_the_benchmark_spec():
+    root = Path(__file__).resolve().parent.parent
+    bound = BENCH_PAIRS["bounds"](root)
+    assert set(bound) == set(BENCH_PAIRS["end_to_end"](root))
+    assert all(0.0 < b < 1.0 for b in bound.values())
