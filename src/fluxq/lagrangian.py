@@ -98,9 +98,9 @@ class AugmentationRecord:
         the sum of the projectors onto the normalized kinetic rows (the
         witnesses), added in row order."""
         mode = self.policy.cap_mode
-        l = self.loop_kinetic_rows.shape[1]
         if mode is GeometricMode.OFF:
             return None
+        l = self.loop_kinetic_rows.shape[1]
         if mode is GeometricMode.ALL_PAIRS:
             return self.policy.default_lg * np.eye(l)
         inductance = np.zeros((l, l))

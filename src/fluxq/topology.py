@@ -32,9 +32,7 @@ class RankCrossCheckFailure(RuntimeError):
         self.numeric = numeric
 
 
-def _equilibrated_rank(
-    mat: np.ndarray, rel_tol: float, expect_full: bool = False
-) -> int:
+def _equilibrated_rank(mat: np.ndarray, rel_tol: float, expect_full: bool) -> int:
     """Numeric rank of a PSD matrix, independent of the SI scale of its rows.
 
     Symmetric equilibration to unit diagonal keeps structurally zero
@@ -90,9 +88,9 @@ def _certifies_full_rank(eq: np.ndarray, rel_tol: float) -> bool:
     g = np.abs(eq).sum(1).max()
     shifted = eq.copy()
     shifted.flat[:: n + 1] -= (rel_tol + _CERTIFICATE_C * n * n * _EPS) * g
-    # symmetric, so the Fortran-ordered transpose is the same matrix and
-    # LAPACK factors it in place
-    _, info = scipy.linalg.lapack.dpotrf(shifted.T, lower=1, clean=0, overwrite_a=1)
+    # factored in place as the Fortran-ordered transpose, whose upper
+    # triangle is the lower triangle that eigvalsh reads
+    _, info = scipy.linalg.lapack.dpotrf(shifted.T, lower=0, clean=0, overwrite_a=1)
     return info == 0
 
 

@@ -15,6 +15,7 @@ from fluxq import (
     node_lagrangian,
     normal_modes,
     parse_netlist,
+    quantize_circuit,
     reduce_circuit,
     topology_report,
 )
@@ -26,6 +27,15 @@ from conftest import extended, ladder, load, random_active_circuit
 
 MINIMAL = GeometricPolicy(cap_mode=GeometricMode.MINIMAL)
 ALL_PAIRS = GeometricPolicy(cap_mode=GeometricMode.ALL_PAIRS)
+CIRCUIT_NAMES = (
+    "passive_lc.cir", "reduced_lc.cir", "wheel.cir", "active_lc.cir", "ladder128"
+)
+
+
+def _circuit(name):
+    if name == "ladder128":
+        return ladder(128, np.random.default_rng(7))
+    return load(name)
 
 
 def _row(lag, cid):
@@ -132,6 +142,55 @@ def test_augment_off_identity(passive_lc):
     )
     assert augmented == passive_lc
     assert record.loop_inductance is None
+
+
+def _eager_loop_inductance(report, policy):
+    """The loop self-inductance matrix as augment_geometric summed it
+    before it was formed on first read: one default_lg-weighted projector
+    per normalized witness, in witness order."""
+    l = len(report.loops)
+    if policy.cap_mode is GeometricMode.OFF:
+        return None
+    if policy.cap_mode is GeometricMode.ALL_PAIRS:
+        return policy.default_lg * np.eye(l)
+    inductance = np.zeros((l, l))
+    for w in np.array(report.witnesses, dtype=float).reshape(-1, l):
+        wv = w / np.linalg.norm(w)
+        inductance += policy.default_lg * np.outer(wv, wv)
+    return inductance
+
+
+@pytest.mark.parametrize("mode", list(GeometricMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("name", CIRCUIT_NAMES)
+def test_loop_inductance_formed_on_first_read_equals_the_eager_sum(name, mode):
+    circuit = _circuit(name)
+    report = topology_report(circuit)
+    policy = GeometricPolicy(cap_mode=mode)
+    _, record = augment_geometric(circuit, report, policy)
+    assert "loop_inductance" not in vars(record)
+    eager = _eager_loop_inductance(report, policy)
+    if eager is None:
+        assert record.loop_inductance is None
+    else:
+        assert np.array_equal(record.loop_inductance, eager)
+        assert record.loop_inductance is record.loop_inductance
+
+
+@pytest.mark.parametrize("mode", [GeometricMode.MINIMAL, GeometricMode.ALL_PAIRS])
+@pytest.mark.parametrize("name", CIRCUIT_NAMES)
+def test_node_representation_never_forms_the_loop_inductance(
+    name, mode, monkeypatch
+):
+    def unread(record):
+        raise AssertionError("loop_inductance formed")
+
+    monkeypatch.setattr(
+        lagrangian_module.AugmentationRecord, "loop_inductance", property(unread)
+    )
+    circuit, policy = _circuit(name), GeometricPolicy(cap_mode=mode)
+    quantize_circuit(circuit, Representation.NODE_FLUX, policy)
+    with pytest.raises(AssertionError, match="loop_inductance formed"):
+        quantize_circuit(circuit, Representation.LOOP_CHARGE, policy)
 
 
 @pytest.mark.parametrize("mode", list(GeometricMode), ids=lambda m: m.value)

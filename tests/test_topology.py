@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxq import (
@@ -18,7 +18,12 @@ from fluxq import (
 )
 from fluxq.cli import main
 from fluxq.netlist import Circuit, Component, ComponentKind
-from fluxq.topology import _forest_steps, capacitor_only_cycles
+from fluxq.topology import (
+    _certifies_full_rank,
+    _equilibrated_rank,
+    _forest_steps,
+    capacitor_only_cycles,
+)
 
 from conftest import random_active_circuit
 
@@ -356,3 +361,98 @@ def test_capacitor_cycles_match_scan_reference_on_netlists(
 def test_capacitor_cycles_match_scan_reference_on_multigraphs(seed):
     circuit = _random_multigraph(np.random.default_rng(seed))
     _assert_cycles_match_reference(circuit)
+
+
+def _equilibrate(mat):
+    """Symmetric scaling to unit diagonal; a zero diagonal entry is scaled
+    by 1."""
+    diag = np.diag(mat)
+    scale = np.where(diag > 0.0, 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0)), 1.0)
+    return mat * scale[:, None] * scale
+
+
+def _eigenvalue_rank(eq, rel_tol):
+    """The eigenvalue rule alone: eigenvalues of the equilibrated matrix
+    above rel_tol times the largest, in magnitude."""
+    svals = np.abs(np.linalg.eigvalsh(eq))
+    smax = svals.max()
+    return 0 if smax == 0.0 else int(np.sum(svals > rel_tol * smax))
+
+
+@st.composite
+def psd_matrices(draw):
+    """(matrix, rel_tol): Q diag(lambda) Q^T with lambda_max = 1, the
+    smallest eigenvalue placed against the thresholds, optional zero rows
+    and diagonal scalings up to 1e+-30.  Q is random orthogonal, or the
+    Fourier basis of a symmetric circulant with a nonnegative first row,
+    whose unit diagonal and Gershgorin bound equal lambda_max, so the
+    shifted Cholesky of the certificate meets the threshold without slack."""
+    n = draw(st.integers(1, 48))
+    rel_tol = draw(st.sampled_from([1e-12, 1e-10]))
+    circulant = draw(st.booleans())
+    low = draw(
+        st.sampled_from(["threshold", "near", "margin", "straddle", "zero", "wide"])
+    )
+    zero_rows = draw(st.integers(0, 2))
+    decades = draw(st.integers(0, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    sign = rng.choice([-1.0, 1.0])
+    smallest = {
+        "threshold": rel_tol,
+        "near": rel_tol * (1.0 + sign * 10.0 ** rng.uniform(-8, -1)),
+        # just above the certificate's margin
+        "margin": rel_tol + 4.0 * n * n * np.finfo(float).eps
+        * (1.0 + sign * 10.0 ** rng.uniform(-6, 0)),
+        "straddle": 10.0 ** rng.uniform(-13, -9),
+        "zero": 0.0,
+        "wide": 10.0 ** rng.uniform(-17, 0),
+    }[low]
+    floor = np.log10(max(smallest, 1e-17))
+    if circulant:
+        # mu_k = mu_{n-k} keeps the circulant real and symmetric; the
+        # others stay far below lambda_max so every c_j is positive
+        half = 10.0 ** rng.uniform(floor, max(floor, -6), n // 2 + 1)
+        half[rng.integers(1, n // 2 + 1) if n > 1 else 0] = smallest
+        k = np.arange(n)
+        mu = half[np.minimum(k, n - k)]
+        mu[0] = 1.0
+        c = np.fft.ifft(mu).real
+        mat = c[(k[None, :] - k[:, None]) % n]
+    else:
+        lam = 10.0 ** rng.uniform(floor, 0, n)
+        lam[0] = 1.0
+        if n > 1:
+            lam[rng.integers(1, n, 1 if low != "zero" else rng.integers(1, 4))] = smallest
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        mat = (q * lam) @ q.T
+    zero = rng.choice(n, min(zero_rows, n), replace=False)
+    mat[zero] = 0.0
+    mat[:, zero] = 0.0
+    d = 10.0 ** rng.uniform(-decades, decades, n)
+    return mat * d[:, None] * d, rel_tol
+
+
+@settings(max_examples=400)
+@given(psd_matrices())
+def test_certificate_decides_as_the_eigenvalue_rule(case):
+    mat, rel_tol = case
+    # the errstate is the one cli.run sets
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        eq = _equilibrate(mat)
+        reference = _eigenvalue_rank(eq, rel_tol)
+        certified = _certifies_full_rank(eq, rel_tol)
+        assert _equilibrated_rank(mat, rel_tol, expect_full=True) == reference
+        assert _equilibrated_rank(mat, rel_tol, expect_full=False) == reference
+    assert not certified or reference == mat.shape[0]
+
+
+def test_certificate_confirms_a_wide_margin_and_never_a_zero_row():
+    n = 32
+    rng = np.random.default_rng(3)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    well = (q * np.linspace(1e-6, 1.0, n)) @ q.T
+    assert _certifies_full_rank(_equilibrate(well), 1e-10)
+    well[5] = well[:, 5] = 0.0
+    assert not _certifies_full_rank(_equilibrate(well), 1e-10)
+    assert not _certifies_full_rank(np.zeros((n, n)), 1e-10)
