@@ -384,9 +384,10 @@ def psd_matrices(draw):
     """(matrix, rel_tol): Q diag(lambda) Q^T with lambda_max = 1, the
     smallest eigenvalue placed against the thresholds, optional zero rows
     and diagonal scalings up to 1e+-30.  Q is random orthogonal, or the
-    Fourier basis of a symmetric circulant with a nonnegative first row,
-    whose unit diagonal and Gershgorin bound equal lambda_max, so the
-    shifted Cholesky of the certificate meets the threshold without slack."""
+    Fourier basis of a symmetric circulant with a positive first row: its
+    diagonal is constant, so equilibration only rescales the spectrum, and
+    its Gershgorin bound equals lambda_max, so the certificate's shift
+    meets the threshold without slack."""
     n = draw(st.integers(1, 48))
     rel_tol = draw(st.sampled_from([1e-12, 1e-10]))
     circulant = draw(st.booleans())
@@ -423,7 +424,8 @@ def psd_matrices(draw):
         lam = 10.0 ** rng.uniform(floor, 0, n)
         lam[0] = 1.0
         if n > 1:
-            lam[rng.integers(1, n, 1 if low != "zero" else rng.integers(1, 4))] = smallest
+            count = rng.integers(1, 4) if low == "zero" else 1
+            lam[rng.integers(1, n, count)] = smallest
         q = np.linalg.qr(rng.standard_normal((n, n)))[0]
         mat = (q * lam) @ q.T
     zero = rng.choice(n, min(zero_rows, n), replace=False)
