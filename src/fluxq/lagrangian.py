@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ from .topology import (
     SpanningTree,
     TopologyReport,
     _adjacency,
-    _bfs_forest,
+    _bfs_walk,
     _forest_steps,
     loop_matrix,
 )
@@ -398,16 +399,25 @@ def _design_paths(
     """Each capacitor's path from its first to its second terminal on the
     breadth-first tree of its first terminal over the design (non-geometric)
     components, as (component, direction) steps; direction is +1 where a
-    component is traversed from its first to its second terminal."""
+    component is traversed from its first to its second terminal.  One
+    search runs per first terminal, resumed only until each capacitor's
+    second terminal is reached; the parents it has recorded by then are
+    those of the whole search."""
     adjacency = _adjacency(c for c in augmented.components if not c.geometric)
-    trees: dict[str, tuple[dict, dict]] = {}
+    searches: dict[str, tuple[dict, dict, Iterator[str]]] = {}
     paths = []
     for c in capacitors:
-        if c.a not in trees:
-            trees[c.a] = _bfs_forest(adjacency, (c.a,))
-        parent_node, parent_comp = trees[c.a]
+        if c.a not in searches:
+            parent_node, parent_comp = {}, {}
+            walk = _bfs_walk(adjacency, (c.a,), parent_node, parent_comp)
+            searches[c.a] = parent_node, parent_comp, walk
+        parent_node, parent_comp, walk = searches[c.a]
         if c.b not in parent_node:
-            raise ValueError(f"no design path between nodes {c.a!r} and {c.b!r}")
+            for node in walk:
+                if node == c.b:
+                    break
+            else:
+                raise ValueError(f"no design path between nodes {c.a!r} and {c.b!r}")
         steps = _forest_steps(parent_node, parent_comp, c.a, c.b)
         paths.append(
             [(comp, +1 if comp.terminals == (u, v) else -1) for comp, u, v in steps]

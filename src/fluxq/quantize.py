@@ -33,6 +33,10 @@ _M_RANK_TOL = 1e-12
 _K_RANK_TOL = 1e-10
 # zero threshold of the row reduction, relative to the largest entry
 _RREF_TOL = 1e-9
+# below this many coordinates one dense eigh of M forms M^{1/2} faster than
+# its blocks do (on the benchmark ladders, one BLAS thread: dense wins at 48
+# coordinates, the blocks from 60 on)
+_BLOCK_ROOT_MIN_DIM = 56
 
 
 class ReducedMatrixOverflow(RuntimeError):
@@ -307,13 +311,76 @@ def mode_attribution(
     if not modes.dim:
         return {}
     with np.errstate(over="ignore", invalid="ignore"):
-        evals, q = np.linalg.eigh(h.mass_matrix())
-        msqrt = (q * np.sqrt(np.maximum(evals, 0.0))) @ q.T
-        w = np.abs(msqrt @ modes.modes)
+        w = _mass_root_weights(h.mass_factor, modes.modes)
     if not np.isfinite(w).all():
         raise KineticMatrixOverflow()
     picks = _max_weight_assignment(w)
     return {h.labels[coord]: float(modes.omegas[k]) for k, coord in enumerate(picks)}
+
+
+def _mass_root_weights(f: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|M^{1/2} V| for M = f f^T with lower factor f.
+
+    The principal square root of a block-diagonal matrix is the block
+    diagonal of its blocks' roots (Higham, Functions of Matrices, SIAM
+    2008, Thm 1.13).  From _BLOCK_ROOT_MIN_DIM coordinates on, M is split
+    into the connected blocks of _mass_blocks, and the blocks of each size
+    take their roots from one batched eigh of f_b f_b^T (a 1 x 1 block's
+    root is |f_jj|).  Smaller M, or M in one block, takes its root from one
+    dense eigh of f f^T."""
+    n = len(f)
+    if n >= _BLOCK_ROOT_MIN_DIM:
+        label = _mass_blocks(f)
+        order = np.argsort(label, kind="stable")
+        ordered = label[order]
+        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+        if starts.size > 1:
+            sizes = np.diff(np.r_[starts, n])
+            w = np.empty_like(v)
+            for size in np.unique(sizes).tolist():
+                # one row of coordinates per block, ascending within it
+                idx = order[starts[sizes == size, None] + np.arange(size)]
+                if size == 1:
+                    j = idx[:, 0]
+                    w[j] = np.abs(f[j, j, None] * v[j])
+                    continue
+                fb = f[idx[:, :, None], idx[:, None, :]]
+                evals, q = np.linalg.eigh(fb @ fb.transpose(0, 2, 1))
+                qt = q.transpose(0, 2, 1)
+                root = (q * np.sqrt(np.maximum(evals, 0.0))[:, None]) @ qt
+                w[idx] = np.abs(root @ v[idx])
+            return w
+    evals, q = np.linalg.eigh(f @ f.T)
+    msqrt = (q * np.sqrt(np.maximum(evals, 0.0))) @ q.T
+    return np.abs(msqrt @ v)
+
+
+def _mass_blocks(f: np.ndarray) -> np.ndarray:
+    """A label per coordinate of M = f f^T, shared by exactly the
+    coordinates of one connected component of the nonzero pattern of the
+    lower factor f, which are the components of M's pattern.
+
+    Column j's parent is its first nonzero below the diagonal.  The trees
+    of this elimination forest are M's components (Liu, SIAM J. Matrix
+    Anal. Appl. 11, 134 (1990)), and pointer doubling labels every
+    coordinate with its tree's root.  A fill entry that cancels to an exact
+    zero can cut a tree in two; then a nonzero of f joins two labels, and
+    the larger root is hooked under the smaller until no nonzero does."""
+    n = len(f)
+    low = np.tril(f, -1) != 0
+    label = np.where(low.any(0), low.argmax(0), np.arange(n))
+    rows, cols = np.nonzero(low)
+    while True:
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+        a, b = label[rows], label[cols]
+        cross = a != b
+        if not cross.any():
+            return label
+        label[np.maximum(a[cross], b[cross])] = np.minimum(a[cross], b[cross])
 
 
 def _max_weight_assignment(w: np.ndarray) -> list[int]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -302,10 +303,26 @@ def _bfs_forest(
 ) -> tuple[dict[str, str], dict[str, Component]]:
     """Breadth-first forest over an _adjacency index, one tree from each
     root not reached before, in order: each reached non-root node's parent
-    node and the component to it.  Neighbors are expanded in adjacency
-    order and a node keeps the parent that reached it first."""
+    node and the component to it (see _bfs_walk)."""
     parent_node: dict[str, str] = {}
     parent_comp: dict[str, Component] = {}
+    deque(_bfs_walk(adjacency, roots, parent_node, parent_comp), maxlen=0)
+    return parent_node, parent_comp
+
+
+def _bfs_walk(
+    adjacency: dict[str, list[tuple[str, Component]]],
+    roots,
+    parent_node: dict[str, str],
+    parent_comp: dict[str, Component],
+) -> Iterator[str]:
+    """Breadth-first search over an _adjacency index, one tree from each
+    root not reached before, in order, yielding each non-root node as it is
+    reached once its parent node and the component to it are recorded in
+    parent_node and parent_comp.  Neighbors are expanded in adjacency order
+    and a node keeps the parent that reached it first, so a search stopped
+    early has recorded exactly the parents that the whole search records
+    for the nodes it has reached."""
     seen: set[str] = set()
     for root in roots:
         if root in seen:
@@ -320,7 +337,7 @@ def _bfs_forest(
                     parent_node[other] = node
                     parent_comp[other] = c
                     frontier.append(other)
-    return parent_node, parent_comp
+                    yield other
 
 
 def _forest_steps(

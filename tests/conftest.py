@@ -129,6 +129,38 @@ def ladder(n: int, rng: np.random.Generator) -> Circuit:
     return parse_netlist("\n".join(lines) + "\n")
 
 
+def passive_class_circuit(i: int, rng: np.random.Generator) -> Circuit:
+    """The i-th (0..19) circuit of the paper's class at the sizes of the
+    benchmark's passive sweep: 4..16 active nodes on a random capacitor
+    tree to ground, 1..3 capacitor chords closing capacitor-only loops, an
+    inductor tree over the active nodes, 0..3 inductor chords, and 1..5
+    passive nodes each reached only through two inductors."""
+    n_active = 4 + 12 * i // 19
+    value = lambda nominal: nominal * rng.uniform(0.5, 2.0)  # noqa: E731
+    lines, cap_pairs = [], set()
+    for j in range(1, n_active + 1):
+        k = int(rng.integers(0, j))
+        lines.append(f"C{j} {j} {k} {value(1e-12)!r}")
+        cap_pairs.add(frozenset((j, k)))
+    for k in range(1 + i % 3):
+        while True:
+            a, b = (int(x) for x in rng.choice(n_active + 1, size=2, replace=False))
+            if frozenset((a, b)) not in cap_pairs:
+                break
+        cap_pairs.add(frozenset((a, b)))
+        lines.append(f"Cc{k} {a} {b} {value(1e-12)!r}")
+    for j in range(1, n_active + 1):
+        lines.append(f"L{j} {j} {int(rng.integers(0, j))} {value(1e-9)!r}")
+    for k in range(i % 4):
+        a, b = rng.choice(n_active + 1, size=2, replace=False)
+        lines.append(f"Lc{k} {a} {b} {value(1e-9)!r}")
+    for k in range(1 + i % 5):
+        a, b = rng.choice(n_active + 1, size=2, replace=False)
+        lines.append(f"Lp{k}a {n_active + 1 + k} {a} {value(1e-9)!r}")
+        lines.append(f"Lp{k}b {n_active + 1 + k} {b} {value(1e-9)!r}")
+    return parse_netlist("\n".join(lines) + "\n")
+
+
 def attribution_weights(modes, h) -> np.ndarray:
     """|M^{1/2} V| as mode_attribution forms it: rows are coordinates,
     columns modes."""

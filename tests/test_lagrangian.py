@@ -23,7 +23,13 @@ from fluxq.topology import inductor_participation
 
 from fluxq import lagrangian as lagrangian_module
 
-from conftest import extended, ladder, load, random_active_circuit
+from conftest import (
+    extended,
+    ladder,
+    load,
+    passive_class_circuit,
+    random_active_circuit,
+)
 
 MINIMAL = GeometricPolicy(cap_mode=GeometricMode.MINIMAL)
 ALL_PAIRS = GeometricPolicy(cap_mode=GeometricMode.ALL_PAIRS)
@@ -285,6 +291,76 @@ def test_extended_design_paths_match_scan_bfs(name, mode, monkeypatch):
     assert np.array_equal(lag.K, reference.K)
     if mode is GeometricMode.ALL_PAIRS:
         assert record.added_capacitors  # the comparison covered some paths
+
+
+def _full_search_design_paths(augmented, capacitors):
+    """Reference: a whole-circuit breadth-first search per first terminal
+    over the design components (neighbors in declaration order, a node
+    keeps its first parent), each capacitor's path read off that tree from
+    its second terminal back to the root."""
+    neighbors = {}
+    for c in augmented.components:
+        if not c.geometric:
+            neighbors.setdefault(c.a, []).append((c.b, c))
+            neighbors.setdefault(c.b, []).append((c.a, c))
+    trees = {}
+    paths = []
+    for cap in capacitors:
+        if cap.a not in trees:
+            parent = {cap.a: None}
+            frontier = [cap.a]
+            for node in frontier:  # grows while it is read
+                for other, c in neighbors.get(node, ()):
+                    if other not in parent:
+                        parent[other] = (node, c)
+                        frontier.append(other)
+            trees[cap.a] = parent
+        parent = trees[cap.a]
+        if cap.b == cap.a or cap.b not in parent:
+            raise ValueError(f"no design path between nodes {cap.a!r} and {cap.b!r}")
+        steps, node = [], cap.b
+        while parent[node] is not None:
+            prev, c = parent[node]
+            steps.append((c, +1 if c.terminals == (prev, node) else -1))
+            node = prev
+        paths.append(steps[::-1])
+    return paths
+
+
+_PATH_CIRCUITS = (
+    "passive_lc.cir",
+    "reduced_lc.cir",
+    "wheel.cir",
+    "active_lc.cir",
+    "ladder16",
+    "ladder128",
+    *(f"sweep{i}" for i in range(20)),
+)
+
+
+def _path_circuit(name):
+    if name.startswith("ladder"):
+        return ladder(int(name[len("ladder"):]), np.random.default_rng(7))
+    if name.startswith("sweep"):
+        return passive_class_circuit(int(name[len("sweep"):]), np.random.default_rng(7))
+    return load(name)
+
+
+@pytest.mark.parametrize("name", _PATH_CIRCUITS)
+@pytest.mark.parametrize(
+    "mode", [GeometricMode.MINIMAL, GeometricMode.ALL_PAIRS], ids=lambda g: g.value
+)
+def test_design_paths_match_full_search(name, mode):
+    """Searches resumed only until each capacitor's second terminal is
+    reached give the paths of a whole search per first terminal."""
+    circuit = _path_circuit(name)
+    policy = GeometricPolicy(cap_mode=mode)
+    augmented, record = augment_geometric(circuit, topology_report(circuit), policy)
+    caps = record.added_capacitors
+    expected = _full_search_design_paths(augmented, caps)
+    assert lagrangian_module._design_paths(augmented, caps) == expected
+    if mode is GeometricMode.ALL_PAIRS:
+        assert caps  # the comparison covered some paths
 
 
 def test_extended_phi_block_restriction_matches_node(passive_lc):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxq import (
@@ -34,12 +34,18 @@ from fluxq import (
     reduce_circuit,
     topology_report,
 )
-from fluxq.quantize import _max_weight_assignment
+from fluxq.quantize import (
+    _BLOCK_ROOT_MIN_DIM,
+    _mass_blocks,
+    _mass_root_weights,
+    _max_weight_assignment,
+)
 
 from conftest import (
     attribution_weights,
     ladder,
     load,
+    passive_class_circuit,
     pencil_frequencies_2x2,
     random_active_circuit,
 )
@@ -310,11 +316,41 @@ def _assert_attribution_matches_reference(circuit, rep, policy):
     assert mode_attribution(q.modes, q.hamiltonian) == expected
 
 
-@pytest.mark.parametrize("name", NETLIST_NAMES)
-@pytest.mark.parametrize("mode", list(GeometricMode), ids=lambda g: g.value)
+# the bundled netlists under every geometric mode; ladders on both sides of
+# _BLOCK_ROOT_MIN_DIM coordinates and circuits of the passive sweep's class
+# (at its largest and smallest Cg/C) under the default policy
+ATTRIBUTION_CASES = [
+    pytest.param(GeometricPolicy(mode), name, id=f"{mode.value}-{name}")
+    for name in NETLIST_NAMES
+    for mode in GeometricMode
+] + [
+    pytest.param(MINIMAL, f"ladder{n}-seed{seed}", id=f"minimal-ladder{n}-seed{seed}")
+    for n in (16, 64, 128, 256)
+    for seed in (7, 11)
+] + [
+    pytest.param(
+        GeometricPolicy(default_cg=ratio * 1e-12, default_lg=ratio * 1e-9),
+        f"sweep{i}",
+        id=f"minimal{ratio:.0e}-sweep{i}",
+    )
+    for i in range(0, 20, 3)
+    for ratio in (1e-2, 1e-12)
+]
+
+
+def _attribution_circuit(name):
+    if name.startswith("ladder"):
+        n, seed = name[len("ladder"):].split("-seed")
+        return ladder(int(n), np.random.default_rng(int(seed)))
+    if name.startswith("sweep"):
+        return passive_class_circuit(int(name[len("sweep"):]), np.random.default_rng(7))
+    return load(name)
+
+
+@pytest.mark.parametrize(("policy", "name"), ATTRIBUTION_CASES)
 @pytest.mark.parametrize("rep", list(Representation), ids=lambda r: r.value)
-def test_mode_attribution_matches_reference(name, mode, rep):
-    _assert_attribution_matches_reference(load(name), rep, GeometricPolicy(mode))
+def test_mode_attribution_matches_reference(name, policy, rep):
+    _assert_attribution_matches_reference(_attribution_circuit(name), rep, policy)
 
 
 def test_mode_attribution_raises_on_non_finite_weights(active_lc):
@@ -332,6 +368,95 @@ def test_ladder_mode_attribution_matches_reference(rep):
     # 128 nodes: per-column argmax conflicts, so the assignment path runs
     circuit = ladder(128, np.random.default_rng(7))
     _assert_attribution_matches_reference(circuit, rep, MINIMAL)
+
+
+def _pattern_components(m):
+    """Reference: the connected components of m's nonzero pattern, by a
+    breadth-first search over its rows."""
+    parts, seen = set(), set()
+    for start in range(len(m)):
+        if start in seen:
+            continue
+        comp, frontier = {start}, [start]
+        for i in frontier:  # grows while it is read
+            for j in np.flatnonzero(m[i]).tolist():
+                if j not in comp:
+                    comp.add(j)
+                    frontier.append(j)
+        seen |= comp
+        parts.add(frozenset(comp))
+    return parts
+
+
+def _label_partition(label):
+    parts = {}
+    for j, lbl in enumerate(label.tolist()):
+        parts.setdefault(lbl, set()).add(j)
+    return {frozenset(p) for p in parts.values()}
+
+
+# The Cholesky factor of this matrix is exact, and its fill entry (2, 1) is
+# 1 - 1 * 1 = 0: coordinate 1 loses its parent 2 in the elimination forest
+# although entry (2, 0) still joins the three coordinates.
+_CANCELLED_BLOCK = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
+
+
+def _block_diagonal_mass(sizes, cancelled, rng, spread=20):
+    """A random SPD matrix with one connected component per entry of
+    `sizes` (a random tree plus random extra couplings, diagonally
+    dominant) on randomly permuted coordinates.  With `cancelled`, 4^k
+    times _CANCELLED_BLOCK, |k| <= spread, is one more component, on
+    coordinates in increasing order, which are returned too."""
+    n = sum(sizes) + 3 * cancelled
+    perm = rng.permutation(n)
+    m = np.zeros((n, n))
+    start = 0
+    for size in sizes:
+        idx = perm[start : start + size]
+        start += size
+        edges = [(k, int(rng.integers(0, k))) for k in range(1, size)]
+        edges += [(a, b) for a in range(size) for b in range(a) if rng.random() < 0.3]
+        for a, b in edges:
+            w = rng.uniform(-1.0, 1.0)
+            m[idx[a], idx[b]] = m[idx[b], idx[a]] = w
+        m[idx, idx] = np.abs(m[idx]).sum(1) + rng.uniform(0.1, 1.0, size)
+    cut = np.sort(perm[start:])
+    if cancelled:
+        m[np.ix_(cut, cut)] = 4.0 ** int(rng.integers(-spread, spread + 1)) * _CANCELLED_BLOCK
+    return m, cut
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.integers(1, 5), min_size=1, max_size=10),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_mass_blocks_are_the_components_of_m(sizes, cancelled, seed):
+    m, cut = _block_diagonal_mass(sizes, cancelled, np.random.default_rng(seed))
+    f = np.linalg.cholesky(m)
+    if cancelled:
+        assert f[cut[2], cut[1]] == 0.0 != m[cut[2], cut[1]]  # the fill cancelled
+    assert _label_partition(_mass_blocks(f)) == _pattern_components(m)
+
+
+def test_mass_blocks_join_a_factor_with_a_cancelled_fill_entry():
+    f = np.linalg.cholesky(_CANCELLED_BLOCK)
+    assert f[2, 1] == 0.0
+    assert _mass_blocks(f).tolist() == [1, 1, 1]
+
+
+@pytest.mark.parametrize("cancelled", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_block_root_weights_match_the_dense_root(seed, cancelled):
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 6, _BLOCK_ROOT_MIN_DIM).tolist()
+    m, _ = _block_diagonal_mass(sizes, cancelled, rng, spread=0)
+    v = rng.standard_normal(m.shape)
+    evals, q = np.linalg.eigh(m)
+    expected = np.abs((q * np.sqrt(evals)) @ q.T @ v)
+    w = _mass_root_weights(np.linalg.cholesky(m), v)
+    assert np.abs(w - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def _optimal_picks(w):
