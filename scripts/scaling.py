@@ -7,6 +7,7 @@ Each of --processes child processes, started with one BLAS thread, builds
 the benchmark's ladder (`perfbench.workloads.ladder(n, default_rng(seed))`)
 and times in process, best of --repeats, for each representation: one
 `eigh` of F^-1 K F^-T (the mode solve's irreducible cost), `quantize_circuit`,
+its `topology_report` (with the rank test of the loop inductance form),
 `mode_attribution` and the CLI's `modes --format json` on the ladder's
 netlist, and for the extended representation `extended_node_lagrangian`
 and its `_design_paths`.  The table gives each stage's median over the
@@ -49,6 +50,7 @@ from perfbench.workloads import ladder, netlist_text  # noqa: E402
 STAGES = (
     "eigh of F^-1 K F^-T",
     "quantize_circuit",
+    "topology_report",
     "mode_attribution",
     "extended_node_lagrangian",
     "_design_paths",
@@ -101,10 +103,11 @@ def measure(n: int, seed: int, repeats: int) -> dict[str, dict[str, float]]:
                 STAGES[1]: _best_ms(
                     quantize_circuit, repeats, lambda: (circuit, rep, policy)
                 ),
-                STAGES[2]: _best_ms(
+                STAGES[2]: _best_ms(topology_report, repeats, lambda: (circuit,)),
+                STAGES[3]: _best_ms(
                     mode_attribution, repeats, lambda: (q.modes, q.hamiltonian)
                 ),
-                STAGES[5]: _best_ms(
+                STAGES[6]: _best_ms(
                     _cli_modes,
                     repeats,
                     lambda: (["modes", str(path), "--format", "json", "--rep", rep.value],),
@@ -118,9 +121,9 @@ def measure(n: int, seed: int, repeats: int) -> dict[str, dict[str, float]]:
                     # formed on first read
                     return (circuit, report.loops, *augment_geometric(circuit, report, policy))
 
-                times[STAGES[3]] = _best_ms(extended_node_lagrangian, repeats, augmented)
+                times[STAGES[4]] = _best_ms(extended_node_lagrangian, repeats, augmented)
                 aug, record = augment_geometric(circuit, report, policy)
-                times[STAGES[4]] = _best_ms(
+                times[STAGES[5]] = _best_ms(
                     _design_paths, repeats, lambda: (aug, record.added_capacitors)
                 )
             out[rep.value] = times

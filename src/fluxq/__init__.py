@@ -1,5 +1,7 @@
 """fluxq: quantization and Gaussian simulation of lumped-element LC circuits."""
 
+from types import ModuleType as _ModuleType
+
 from .lagrangian import (
     AugmentationRecord,
     GeometricMode,
@@ -64,59 +66,9 @@ from .topology import (
     topology_report,
 )
 
-__all__ = [
-    "AugmentationRecord",
-    "Circuit",
-    "Component",
-    "ComponentKind",
-    "ComponentSeries",
-    "FundamentalLoop",
-    "GaussianState",
-    "GeometricMode",
-    "GeometricPolicy",
-    "HBAR",
-    "HamiltonianSystem",
-    "InconsistentInitialConditions",
-    "KineticMatrixOverflow",
-    "ModeDecomposition",
-    "NetlistError",
-    "QuadraticLagrangian",
-    "QuantizabilityDiagnosis",
-    "QuantizedCircuit",
-    "RankCrossCheckFailure",
-    "ReducedMatrixOverflow",
-    "Representation",
-    "SingularKineticMatrix",
-    "SpanningTree",
-    "StepTooLarge",
-    "TopologyReport",
-    "Trajectory",
-    "augment_geometric",
-    "build_spanning_tree",
-    "charge_law_residual",
-    "diagnose_quantizability",
-    "evolution_matrix",
-    "evolve_leapfrog",
-    "evolve_modes",
-    "extended_node_lagrangian",
-    "flux_law_residual",
-    "fundamental_loops",
-    "ground_state",
-    "initial_state",
-    "legendre_transform",
-    "loop_lagrangian",
-    "mode_attribution",
-    "mode_uncertainty_products",
-    "node_lagrangian",
-    "normal_modes",
-    "observables",
-    "parse_netlist",
-    "passive_loop_deficiency",
-    "passive_nodes",
-    "propagate_covariance",
-    "quantize_circuit",
-    "reduce_circuit",
-    "serialize_netlist",
-    "topology_report",
-    "validate_circuit",
-]
+# the public names imported above, without the submodules they bind
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -355,12 +355,12 @@ def extended_node_lagrangian(
         c.id for c in circuit.components if c.kind is ComponentKind.CAPACITOR
     }
     capacitive.update(comp.id for path in paths for comp, _ in path)
-    inductance = record.loop_inductance
-    dynamic = [
-        i
-        for i, loop in enumerate(loops)
-        if inductance is not None and inductance[i].any() and loop.chord in capacitive
-    ]
+    # the loops with a nonzero loop_inductance diagonal: a kinetic row touches
+    # them, and default_lg times its squared unit entry does not underflow
+    rows = record.loop_kinetic_rows
+    unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    carried = (record.policy.default_lg * (unit * unit)).any(0)
+    dynamic = [i for i, loop in enumerate(loops) if carried[i] and loop.chord in capacitive]
     phi_labels = _node_labels(circuit)
     ext_labels = phi_labels + tuple(f"Phi_{i + 1}" for i in dynamic)
 
@@ -386,7 +386,7 @@ def extended_node_lagrangian(
     M, K, kin, ids = _gram_matrices(a, comps, ComponentKind.CAPACITOR)
     if dynamic:
         # the Phi coordinates come last, in the order of `dynamic`
-        block = inductance[np.ix_(dynamic, dynamic)]
+        block = record.loop_inductance[np.ix_(dynamic, dynamic)]
         K[len(phi_labels) :, len(phi_labels) :] += np.linalg.inv(block)
     return QuadraticLagrangian(
         Representation.EXTENDED_NODE_FLUX, ext_labels, M, K, a, ids, kin

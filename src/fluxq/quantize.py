@@ -7,12 +7,11 @@ M is a positively weighted Gram matrix of the kinetic rows of the signed
 assignment matrix A (plus any geometric self-inductance forms), so its null
 space is the null space of those small-integer rows, found by row
 reduction without the SI weights; the numeric rank of the equilibrated M
-(scaled to unit diagonal) only confirms it.  Where the rows leave no null
-space, one Cholesky of the equilibrated M shifted down by the rank
-threshold plus a rounding margin confirms full rank; where it fails, or a
-null space is expected, the eigenvalues above the threshold are counted.
-normal_modes confirms the rank of K in the same way, and counts its zero
-modes where the Cholesky fails.
+(scaled to unit diagonal) only confirms it: its exactly-zero rows are null
+directions, one Cholesky of the others shifted down by the rank threshold
+plus a rounding margin confirms their full rank, and where it fails the
+eigenvalues above the threshold are counted.  normal_modes counts the
+zero modes of K in the same way.
 """
 from __future__ import annotations
 
@@ -211,9 +210,7 @@ def diagnose_quantizability(lagrangian: QuadraticLagrangian) -> QuantizabilityDi
             arr = -arr
         null_vectors.append(arr)
 
-    numeric_null = lagrangian.dim - _equilibrated_rank(
-        lagrangian.M, _M_RANK_TOL, expect_full=not null_vectors
-    )
+    numeric_null = lagrangian.dim - _equilibrated_rank(lagrangian.M, _M_RANK_TOL)
     if numeric_null != len(null_vectors):
         raise RankCrossCheckFailure("kinetic matrix", len(null_vectors), numeric_null)
 
@@ -257,7 +254,7 @@ def normal_modes(h: HamiltonianSystem) -> ModeDecomposition:
     v = scipy.linalg.solve_triangular(f, u, lower=True, trans="T")
     momenta = f @ u
     momenta.flags.writeable = False
-    zero_count = h.dim - _equilibrated_rank(h.k, _K_RANK_TOL, expect_full=True)
+    zero_count = h.dim - _equilibrated_rank(h.k, _K_RANK_TOL)
     clipped = np.clip(evals, 0.0, None)
     clipped[:zero_count] = 0.0
     omegas = np.sqrt(clipped)

@@ -33,7 +33,7 @@ class RankCrossCheckFailure(RuntimeError):
         self.numeric = numeric
 
 
-def _equilibrated_rank(mat: np.ndarray, rel_tol: float, expect_full: bool) -> int:
+def _equilibrated_rank(mat: np.ndarray, rel_tol: float) -> int:
     """Numeric rank of a PSD matrix, independent of the SI scale of its rows.
 
     Symmetric equilibration to unit diagonal keeps structurally zero
@@ -44,20 +44,28 @@ def _equilibrated_rank(mat: np.ndarray, rel_tol: float, expect_full: bool) -> in
     eigenvalues of the equilibrated matrix above rel_tol times the largest
     in magnitude.
 
-    Where the caller expects full rank, one Cholesky certificate
-    (_certifies_full_rank) on the equilibrated matrix comes first; when it
-    succeeds the count would read full too and is skipped, and when it
-    fails the count runs as without it."""
-    if mat.shape[0] == 0:
+    Exactly-zero rows (a node without a capacitor, a loop without an
+    inductor) are null directions: with a unit diagonal in their place, one
+    Cholesky certificate (_certifies_full_rank) confirms the other rows,
+    and only where it fails are the eigenvalues counted."""
+    n = mat.shape[0]
+    if n == 0:
         return 0
-    diag = np.diag(mat)
+    diag = mat.diagonal()
+    live = diag > 0.0
     # PSD: a zero diagonal entry forces a zero row, so scaling it by 1 is safe
-    scale = np.where(diag > 0.0, 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0)), 1.0)
+    scale = 1.0 / np.sqrt(np.where(live, diag, 1.0))
     # scaled by rows, then by columns (the outer product of the scales
     # overflows for a subnormal diagonal entry)
     eq = mat * scale[:, None] * scale
-    if expect_full and _certifies_full_rank(eq, rel_tol):
-        return mat.shape[0]
+    zero = (~live).nonzero()[0]
+    if zero.size:
+        if eq[zero].any():  # a zero diagonal over a nonzero row: not PSD
+            zero = zero[:0]
+        eq[zero, zero] = 1.0
+    if _certifies_full_rank(eq, rel_tol):
+        return n - zero.size
+    eq[zero, zero] = 0.0
     # the singular values of a symmetric matrix are its absolute eigenvalues
     svals = np.abs(np.linalg.eigvalsh(eq))
     smax = svals.max()
@@ -84,7 +92,14 @@ def _certifies_full_rank(eq: np.ndarray, rel_tol: float) -> bool:
     computed eigenvalue exceeds rel_tol times the largest computed one for
     any p(n) up to ~6 n^2, and the eigenvalue rule counts full rank too.
     A failed factorization (info > 0: a pivot <= 0 or NaN) proves nothing.
-    A zero row makes the shifted pivot -sigma, so it always fails."""
+    A zero row makes the shifted pivot -sigma, so it always fails.
+
+    Zero rows decouple: up to a permutation, eq is the block diagonal of
+    its live rows and zeros, so its spectrum is the live block's plus exact
+    zeros.  Ones in place of the zeros leave the live block's largest
+    eigenvalue (at least its unit diagonal) the largest and g unchanged, so
+    a certificate of that matrix, with the margin of all n rows, proves
+    that the eigenvalue rule counts every live row."""
     n = eq.shape[0]
     g = np.abs(eq).sum(1).max()
     shifted = eq.copy()
@@ -260,7 +275,9 @@ def capacitor_only_cycles(
     fundamental-loop basis.  These span the null space of the loop-space
     inductance form; their count is cross-checked against the numeric rank
     deficiency of the equilibrated B diag(L) B^T, and RankCrossCheckFailure
-    is raised where the two disagree."""
+    is raised where the two disagree.  build_spanning_tree takes capacitors
+    first, so its capacitor chords' loops are capacitor-only: the zero rows
+    of B diag(L) B^T, which span its null space."""
     caps = [c for c in circuit.components if c.kind is ComponentKind.CAPACITOR]
     parent_node, parent_comp = _bfs_forest(_adjacency(caps), circuit.nodes)
     forest = {c.id for c in parent_comp.values()}
@@ -282,7 +299,7 @@ def capacitor_only_cycles(
         witnesses.append(tuple(w))
     B, inductors = inductor_participation(circuit, loops)
     W = (B * [circuit.component(cid).value for cid in inductors]) @ B.T
-    numeric = len(loops) - _equilibrated_rank(W, _RANK_TOL, expect_full=not witnesses)
+    numeric = len(loops) - _equilibrated_rank(W, _RANK_TOL)
     if numeric != len(witnesses):
         raise RankCrossCheckFailure("loop inductance form", len(witnesses), numeric)
     return tuple(witnesses)

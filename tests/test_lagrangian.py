@@ -9,6 +9,7 @@ from fluxq import (
     Representation,
     augment_geometric,
     build_spanning_tree,
+    extended_node_lagrangian,
     fundamental_loops,
     legendre_transform,
     loop_lagrangian,
@@ -373,6 +374,24 @@ def test_extended_phi_block_restriction_matches_node(passive_lc):
     n = len(lag_node.labels)
     assert np.allclose(lag_ext.M[:n, :n], lag_node.M)
     assert np.allclose(lag_ext.K[:n, :n], lag_node.K)
+
+
+def test_extended_dynamic_loops_are_the_nonzero_loop_inductance_rows():
+    """A loop is dynamic where its row of the loop inductance is nonzero.
+    The witness (0, 1, 0, 0, 0, 1) adds Lg/2 on loop 6, which underflows to
+    zero at Lg = 5e-324; loop 2 keeps Lg from the witness (0, -1, 0, ...)."""
+    circuit = parse_netlist(
+        "L0 n2 0 1e-12\nC1 n2 0 1e-12\nC2 n1 n2 1e-12\nC3 n1 0 1e-12\n"
+        "L4 0 n1 1e-12\nC5 n2 0 1e-12\nC6 0 n2 1e-12\nC7 0 n1 1e-12\n"
+    )
+    report = topology_report(circuit)
+    for lg, phis in ((1e-15, [2, 4, 5, 6]), (5e-324, [2, 4, 5])):
+        policy = GeometricPolicy(GeometricMode.MINIMAL, default_lg=lg)
+        augmented, record = augment_geometric(circuit, report, policy)
+        rows = np.flatnonzero(record.loop_inductance.any(1)) + 1
+        lag = extended_node_lagrangian(circuit, report.loops, augmented, record)
+        assert [int(s[len("Phi_") :]) for s in lag.labels if s[0] == "P"] == phis
+        assert rows.tolist() == phis
 
 
 def test_extended_reduces_to_node_when_inactive(reduced_lc):

@@ -20,6 +20,6 @@ def test_scaling_table_on_a_small_ladder(capsys):
     for stage in ("extended_node_lagrangian", "_design_paths"):
         assert rows[stage][:2] == ["-", "-"]  # extended only
         assert rows[stage][3].endswith("x)")
-    for stage in ("quantize_circuit", "mode_attribution", "CLI modes"):
+    for stage in ("quantize_circuit", "topology_report", "mode_attribution", "CLI modes"):
         assert len(rows[stage]) == 6
         assert all(float(ms) > 0.0 for ms in rows[stage][::2])

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxq import (
+    GeometricPolicy,
     RankCrossCheckFailure,
+    Representation,
     build_spanning_tree,
     fundamental_loops,
     parse_netlist,
     passive_loop_deficiency,
     passive_nodes,
+    quantize_circuit,
     reduce_circuit,
     serialize_netlist,
     topology_report,
@@ -25,7 +28,7 @@ from fluxq.topology import (
     capacitor_only_cycles,
 )
 
-from conftest import random_active_circuit
+from conftest import ladder, random_active_circuit
 
 
 def test_tree_reduced(reduced_lc):
@@ -444,8 +447,7 @@ def test_certificate_decides_as_the_eigenvalue_rule(case):
         eq = _equilibrate(mat)
         reference = _eigenvalue_rank(eq, rel_tol)
         certified = _certifies_full_rank(eq, rel_tol)
-        assert _equilibrated_rank(mat, rel_tol, expect_full=True) == reference
-        assert _equilibrated_rank(mat, rel_tol, expect_full=False) == reference
+        assert _equilibrated_rank(mat, rel_tol) == reference
     assert not certified or reference == mat.shape[0]
 
 
@@ -458,3 +460,16 @@ def test_certificate_confirms_a_wide_margin_and_never_a_zero_row():
     well[5] = well[:, 5] = 0.0
     assert not _certifies_full_rank(_equilibrate(well), 1e-10)
     assert not _certifies_full_rank(np.zeros((n, n)), 1e-10)
+
+
+def test_node_quantization_reads_zero_rows_without_eigenvalues(monkeypatch, wheel):
+    # the capacitor-only cycles of the wheel's rim and of the ladder's
+    # parallel capacitors are zero rows of B diag(L) B^T; M and K have full
+    # rank, so one Cholesky per rank test confirms each of the three
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    for circuit in (wheel, ladder(32, np.random.default_rng(7))):
+        q = quantize_circuit(circuit, Representation.NODE_FLUX, GeometricPolicy())
+        assert q.modes.zero_mode_count == 0
