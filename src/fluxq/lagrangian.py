@@ -73,10 +73,9 @@ class GeometricPolicy:
 
     def __post_init__(self):
         if self.cap_mode is not GeometricMode.OFF:
-            if not self.default_cg > 0.0:
-                raise ValueError("default_cg must be positive when augmenting")
-            if not self.default_lg > 0.0:
-                raise ValueError("default_lg must be positive when augmenting")
+            for name in ("default_cg", "default_lg"):
+                if not 0.0 < getattr(self, name) < np.inf:
+                    raise ValueError(f"{name} must be positive and finite when augmenting")
 
 
 @dataclass(frozen=True)
@@ -96,19 +95,18 @@ class AugmentationRecord:
     def loop_inductance(self) -> np.ndarray | None:
         """The PSD loop self-inductance matrix, None when OFF: default_lg
         times the identity for ALL_PAIRS, and for MINIMAL default_lg times
-        the sum of the projectors onto the normalized kinetic rows (the
-        witnesses), added in row order."""
+        W^T W, W the kinetic rows (the witnesses) each scaled to unit norm.
+        The nonzero entries of a witness row share one magnitude, so no
+        entry of the matrix exceeds its row's diagonal in magnitude: a zero
+        diagonal marks a zero row."""
         mode = self.policy.cap_mode
         if mode is GeometricMode.OFF:
             return None
-        l = self.loop_kinetic_rows.shape[1]
+        rows = self.loop_kinetic_rows
         if mode is GeometricMode.ALL_PAIRS:
-            return self.policy.default_lg * np.eye(l)
-        inductance = np.zeros((l, l))
-        for w in self.loop_kinetic_rows:
-            wv = w / np.linalg.norm(w)
-            inductance += self.policy.default_lg * np.outer(wv, wv)
-        return inductance
+            return self.policy.default_lg * np.eye(rows.shape[1])
+        unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        return self.policy.default_lg * (unit.T @ unit)
 
 
 @dataclass
@@ -355,12 +353,11 @@ def extended_node_lagrangian(
         c.id for c in circuit.components if c.kind is ComponentKind.CAPACITOR
     }
     capacitive.update(comp.id for path in paths for comp, _ in path)
-    # the loops with a nonzero loop_inductance diagonal: a kinetic row touches
-    # them, and default_lg times its squared unit entry does not underflow
-    rows = record.loop_kinetic_rows
-    unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    carried = (record.policy.default_lg * (unit * unit)).any(0)
-    dynamic = [i for i, loop in enumerate(loops) if carried[i] and loop.chord in capacitive]
+    # the loops with a nonzero loop_inductance diagonal: exactly its nonzero
+    # rows, since no entry of the matrix exceeds its row's diagonal
+    inductance = record.loop_inductance
+    carried = () if inductance is None else np.flatnonzero(inductance.diagonal())
+    dynamic = [int(i) for i in carried if loops[i].chord in capacitive]
     phi_labels = _node_labels(circuit)
     ext_labels = phi_labels + tuple(f"Phi_{i + 1}" for i in dynamic)
 
@@ -386,7 +383,7 @@ def extended_node_lagrangian(
     M, K, kin, ids = _gram_matrices(a, comps, ComponentKind.CAPACITOR)
     if dynamic:
         # the Phi coordinates come last, in the order of `dynamic`
-        block = record.loop_inductance[np.ix_(dynamic, dynamic)]
+        block = inductance[np.ix_(dynamic, dynamic)]
         K[len(phi_labels) :, len(phi_labels) :] += np.linalg.inv(block)
     return QuadraticLagrangian(
         Representation.EXTENDED_NODE_FLUX, ext_labels, M, K, a, ids, kin

@@ -31,6 +31,7 @@ from conftest import (
     passive_class_circuit,
     random_active_circuit,
 )
+from test_topology import _random_multigraph
 
 MINIMAL = GeometricPolicy(cap_mode=GeometricMode.MINIMAL)
 ALL_PAIRS = GeometricPolicy(cap_mode=GeometricMode.ALL_PAIRS)
@@ -183,6 +184,30 @@ def test_loop_inductance_formed_on_first_read_equals_the_eager_sum(name, mode):
         assert record.loop_inductance is record.loop_inductance
 
 
+@pytest.mark.parametrize("seed", range(300))
+def test_loop_inductance_product_on_multigraphs(seed):
+    """The product equals the eager sum where no two witnesses share a loop
+    and stays within 4 eps max|L| of it elsewhere; the extended
+    representation's loop fluxes are its nonzero rows, also at a subnormal
+    Lg."""
+    circuit = _random_multigraph(np.random.default_rng(seed))
+    report = topology_report(circuit)
+    for lg in (1e-15, 5e-324):
+        policy = GeometricPolicy(GeometricMode.MINIMAL, default_lg=lg)
+        augmented, record = augment_geometric(circuit, report, policy)
+        if lg == 1e-15 and report.loops:  # the reference needs a loop
+            product, eager = record.loop_inductance, _eager_loop_inductance(report, policy)
+            if (np.count_nonzero(record.loop_kinetic_rows, axis=0) <= 1).all():
+                assert np.array_equal(product, eager)
+            else:
+                bound = 4.0 * np.finfo(float).eps * np.abs(eager).max()
+                assert np.abs(product - eager).max() <= bound
+        rows = np.flatnonzero(record.loop_inductance.any(1)) + 1
+        lag = extended_node_lagrangian(circuit, report.loops, augmented, record)
+        phis = [int(s[len("Phi_") :]) for s in lag.labels if s[0] == "P"]
+        assert phis == rows.tolist()
+
+
 @pytest.mark.parametrize("mode", [GeometricMode.MINIMAL, GeometricMode.ALL_PAIRS])
 @pytest.mark.parametrize("name", CIRCUIT_NAMES)
 def test_node_representation_never_forms_the_loop_inductance(
@@ -211,6 +236,11 @@ def test_augment_rejects_a_report_of_another_circuit(passive_lc, reduced_lc, mod
 def test_policy_validation():
     with pytest.raises(ValueError):
         GeometricPolicy(cap_mode=GeometricMode.MINIMAL, default_cg=0.0)
+    for mode in (GeometricMode.MINIMAL, GeometricMode.ALL_PAIRS):
+        for name in ("default_cg", "default_lg"):
+            for value in (np.inf, -np.inf, np.nan):
+                with pytest.raises(ValueError, match="must be positive and finite"):
+                    GeometricPolicy(cap_mode=mode, **{name: value})
 
 
 def test_extended_momenta_pattern(passive_lc):
