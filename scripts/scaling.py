@@ -7,10 +7,11 @@ Each of --processes child processes, started with one BLAS thread, builds
 the benchmark's ladder (`perfbench.workloads.ladder(n, default_rng(seed))`)
 and times in process, best of --repeats, for each representation: one
 `eigh` of F^-1 K F^-T (the mode solve's irreducible cost), `quantize_circuit`,
-its `topology_report` (with the rank test of the loop inductance form),
-`mode_attribution` and the CLI's `modes --format json` on the ladder's
-netlist; for the loop and extended representations the first read of
-`AugmentationRecord.loop_inductance` on a fresh record (the node
+its `normal_modes`, `ground_state` (the full 2n x 2n covariance, which the
+CLI does not form) and `topology_report` (with the rank test of the loop
+inductance form), `mode_attribution` and the CLI's `modes --format json` on
+the ladder's netlist; for the loop and extended representations the first
+read of `AugmentationRecord.loop_inductance` on a fresh record (the node
 representation never forms it); and for the extended representation
 `extended_node_lagrangian` and its `_design_paths`.  The table gives each
 stage's median over the processes in ms and as a multiple of the `eigh` in
@@ -42,7 +43,9 @@ from fluxq import (  # noqa: E402
     augment_geometric,
     cli,
     extended_node_lagrangian,
+    ground_state,
     mode_attribution,
+    normal_modes,
     parse_netlist,
     quantize_circuit,
     topology_report,
@@ -53,6 +56,8 @@ from perfbench.workloads import ladder, netlist_text  # noqa: E402
 STAGES = (
     "eigh of F^-1 K F^-T",
     "quantize_circuit",
+    "normal_modes",
+    "ground_state",
     "topology_report",
     "mode_attribution",
     "loop_inductance",
@@ -103,15 +108,21 @@ def measure(n: int, seed: int, repeats: int) -> dict[str, dict[str, float]]:
             q = quantize_circuit(circuit, rep, policy)
             kt = _reduced_stiffness(q.hamiltonian)
             times = {
-                STAGES[0]: _best_ms(np.linalg.eigh, repeats, lambda: (kt,)),
-                STAGES[1]: _best_ms(
+                "eigh of F^-1 K F^-T": _best_ms(np.linalg.eigh, repeats, lambda: (kt,)),
+                "quantize_circuit": _best_ms(
                     quantize_circuit, repeats, lambda: (circuit, rep, policy)
                 ),
-                STAGES[2]: _best_ms(topology_report, repeats, lambda: (circuit,)),
-                STAGES[3]: _best_ms(
+                "normal_modes": _best_ms(
+                    normal_modes, repeats, lambda: (q.hamiltonian,)
+                ),
+                "ground_state": _best_ms(
+                    ground_state, repeats, lambda: (q.modes, q.hamiltonian)
+                ),
+                "topology_report": _best_ms(topology_report, repeats, lambda: (circuit,)),
+                "mode_attribution": _best_ms(
                     mode_attribution, repeats, lambda: (q.modes, q.hamiltonian)
                 ),
-                STAGES[7]: _best_ms(
+                "CLI modes": _best_ms(
                     _cli_modes,
                     repeats,
                     lambda: (["modes", str(path), "--format", "json", "--rep", rep.value],),
@@ -125,15 +136,17 @@ def measure(n: int, seed: int, repeats: int) -> dict[str, dict[str, float]]:
                     # formed on first read
                     return (circuit, report.loops, *augment_geometric(circuit, report, policy))
 
-                times[STAGES[4]] = _best_ms(
+                times["loop_inductance"] = _best_ms(
                     lambda record: record.loop_inductance,
                     repeats,
                     lambda: augmented()[3:],
                 )
             if rep is Representation.EXTENDED_NODE_FLUX:
-                times[STAGES[5]] = _best_ms(extended_node_lagrangian, repeats, augmented)
+                times["extended_node_lagrangian"] = _best_ms(
+                    extended_node_lagrangian, repeats, augmented
+                )
                 aug, record = augment_geometric(circuit, report, policy)
-                times[STAGES[6]] = _best_ms(
+                times["_design_paths"] = _best_ms(
                     _design_paths, repeats, lambda: (aug, record.added_capacitors)
                 )
             out[rep.value] = times

@@ -58,8 +58,8 @@ from .quantize import (
     KineticMatrixOverflow,
     ReducedMatrixOverflow,
     SingularKineticMatrix,
+    _vacuum_factors,
     diagnose_quantizability,
-    ground_state,
     mode_attribution,
 )
 from .simulate import (
@@ -170,12 +170,10 @@ def _mode_payload(config: RunConfig, circuit: Circuit) -> dict:
     # one line per warning on every call, without the source location
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
-        state = ground_state(modes, h)
+        vs, us = _vacuum_factors(modes)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
-    dim = lag.dim
-    dx = np.sqrt(np.diag(state.cov)[:dim])
-    dp = np.sqrt(np.diag(state.cov)[dim:])
+    dx, dp = (np.sqrt(np.einsum("ij,ij->i", a, a)) for a in (vs, us))
     freqs_ghz = (modes.omegas / (2.0 * np.pi) / 1e9).tolist()
     attribution = {
         label: omega / (2.0 * np.pi) / 1e9

@@ -97,9 +97,7 @@ class HamiltonianSystem:
     @functools.cached_property
     def minv(self) -> np.ndarray:
         """M^{-1}, formed from the factor on first read."""
-        inv = scipy.linalg.solve_triangular(
-            self.mass_factor, np.eye(self.dim), lower=True
-        )
+        inv = _solve_lower(self.mass_factor, np.eye(self.dim))
         # a capacitance or inductance near the bottom of the double range
         # overflows M^-1; normal_modes reports that as ReducedMatrixOverflow
         with np.errstate(over="ignore", invalid="ignore"):
@@ -133,6 +131,16 @@ class GaussianState:
 
     mean: np.ndarray
     cov: np.ndarray
+
+
+def _solve_lower(f: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """f^-1 b (f^-T b, trans=1), f lower triangular: solve_triangular's dtrtrs."""
+    if not b.size:  # dtrtrs rejects an empty b
+        return np.zeros(b.shape)
+    x, info = scipy.linalg.lapack.dtrtrs(f.T, b, lower=0, trans=1 - trans)
+    if info:
+        raise np.linalg.LinAlgError(f"singular matrix: zero pivot {info - 1}")
+    return x
 
 
 def _rref_nullspace(rows: np.ndarray) -> np.ndarray:
@@ -244,45 +252,41 @@ def normal_modes(h: HamiltonianSystem) -> ModeDecomposition:
     ReducedMatrixOverflow when the reduced matrix is not finite."""
     f = h.mass_factor
     # unchecked solves: an overflow to inf or nan anywhere is caught below
-    kt = scipy.linalg.solve_triangular(f, h.k, lower=True, check_finite=False)
-    kt = scipy.linalg.solve_triangular(f, kt.T, lower=True, check_finite=False).T
+    kt = _solve_lower(f, _solve_lower(f, h.k).T).T
     with np.errstate(over="ignore", invalid="ignore"):
         kt = 0.5 * (kt + kt.T)
     if not np.isfinite(kt).all():
         raise ReducedMatrixOverflow()
-    evals, u = np.linalg.eigh(kt)
-    v = scipy.linalg.solve_triangular(f, u, lower=True, trans="T")
-    momenta = f @ u
+    evals, u, info = scipy.linalg.lapack.dsyevd(kt, compute_v=1, lower=1)
+    if info:  # the np.linalg.eigh call, bit for bit, without its wrapper
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    v = _solve_lower(f, u, trans=1)
+    momenta = f @ np.ascontiguousarray(u)  # eigh's order: F U keeps its bits
     momenta.flags.writeable = False
     zero_count = h.dim - _equilibrated_rank(h.k, _K_RANK_TOL)
     clipped = np.clip(evals, 0.0, None)
     clipped[:zero_count] = 0.0
-    omegas = np.sqrt(clipped)
-    return ModeDecomposition(
-        omegas=omegas, modes=v, zero_mode_count=zero_count, momentum_modes=momenta
-    )
+    return ModeDecomposition(np.sqrt(clipped), v, zero_count, momenta)
 
 
-def ground_state(modes: ModeDecomposition, h: HamiltonianSystem) -> GaussianState:
-    """Vacuum of the oscillating modes: in mass-normalized coordinates each
-    mode k has <x^2> = hbar / (2 omega_k) and <p^2> = hbar omega_k / 2.
-    Zero modes have no normalizable ground state and are skipped with a
-    warning; the state is then restricted to the oscillating subspace."""
+def _vacuum_factors(modes: ModeDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """V and U = momentum_modes over the oscillating modes, scaled by
+    sqrt(hbar / 2 omega) and sqrt(hbar omega / 2): the vacuum's x and p
+    covariance factors, their row norms its spreads; warns of zero modes."""
     if modes.zero_mode_count:
-        warnings.warn(
-            f"{modes.zero_mode_count} zero mode(s); ground state restricted to the "
-            "oscillating subspace",
-            stacklevel=2,
-        )
-    dim = modes.dim
+        msg = f"{modes.zero_mode_count} zero mode(s); ground state restricted to "
+        warnings.warn(msg + "the oscillating subspace", stacklevel=3)
     osc = modes.omegas > 0.0
     w = modes.omegas[osc]
     vs = modes.modes[:, osc] * np.sqrt(HBAR / (2.0 * w))
-    us = modes.momentum_modes[:, osc] * np.sqrt(HBAR * w / 2.0)
-    cov = np.zeros((2 * dim, 2 * dim))
-    cov[:dim, :dim] = vs @ vs.T
-    cov[dim:, dim:] = us @ us.T
-    return GaussianState(mean=np.zeros(2 * dim), cov=cov)
+    return vs, modes.momentum_modes[:, osc] * np.sqrt(HBAR * w / 2.0)
+
+
+def ground_state(modes: ModeDecomposition, h: HamiltonianSystem) -> GaussianState:
+    """Vacuum of the oscillating modes; zero modes have no normalizable one."""
+    vs, us = _vacuum_factors(modes)
+    cov = scipy.linalg.block_diag(vs @ vs.T, us @ us.T)
+    return GaussianState(mean=np.zeros(2 * modes.dim), cov=cov)
 
 
 def mode_uncertainty_products(state: GaussianState) -> np.ndarray:
@@ -347,7 +351,10 @@ def _mass_root_weights(f: np.ndarray, v: np.ndarray) -> np.ndarray:
                 root = (q * np.sqrt(np.maximum(evals, 0.0))[:, None]) @ qt
                 w[idx] = np.abs(root @ v[idx])
             return w
-    evals, q = np.linalg.eigh(f @ f.T)
+    evals, q, info = scipy.linalg.lapack.dsyevd(f @ f.T, compute_v=1, lower=1)
+    if info:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    q = np.ascontiguousarray(q)  # eigh's order, so the products keep their bits
     msqrt = (q * np.sqrt(np.maximum(evals, 0.0))) @ q.T
     return np.abs(msqrt @ v)
 

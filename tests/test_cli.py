@@ -772,6 +772,41 @@ def test_modes_zero_mode_warning_is_one_stable_line(tmp_path, capsys):
         assert err == line
 
 
+# the whole payload of a circuit without a coordinate
+NO_COORDINATE_JSON = """{
+  "representation": "loop",
+  "labels": [],
+  "frequencies_ghz": [],
+  "attribution": {},
+  "zero_modes": 0,
+  "ground_state": {
+    "delta_x": [],
+    "delta_p": [],
+    "products_over_hbar2": []
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("source", ["L1 1 0 1n\n", "C1 1 0 1p\nC2 1 2 1p\n"])
+def test_modes_without_loops_in_the_loop_representation(tmp_path, source):
+    # a netlist without loops has a 0 x 0 loop system; LAPACK writes its
+    # complaints to the process's stdout, so the CLI runs in a child process
+    netlist = tmp_path / "no_loops.cir"
+    netlist.write_text(source)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    script = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "from fluxq.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = ["modes", str(netlist), "--rep", "loop", "--format", "json"]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, NO_COORDINATE_JSON, "")
+
+
 # inductances 2e12 apart: a plain singular-value threshold on B diag(L) B^T
 # reads two deficient loop directions where there are none
 STIFF_LOOPS = "C1 1 0 1p\nL1 1 0 1n\nL2 1 2 2000\nC2 2 0 1p\nL3 2 0 1n\n"

@@ -75,13 +75,13 @@ def _digest(case: str, capsys) -> str:
 
 GOLDEN = {
     "modes-passive_lc.cir-node-off": "0c331f365833c91ab0bba55702fd029c820522721d29193567993961a93bfdd8",
-    "modes-passive_lc.cir-node-minimal": "74ba2f113d232cc82f6ede29903b121b9c9af250bd033e9e2f265bc425e6f9f7",
-    "modes-passive_lc.cir-node-allpairs": "df272570e255121a24b4a5eb56870dcb77c629bc9be2e281d90bccf8d6bca8bd",
+    "modes-passive_lc.cir-node-minimal": "af810e3320b0e4dd8f9fb8fc12394a8df716edd9fda900dc5645bab02940bd53",
+    "modes-passive_lc.cir-node-allpairs": "26161d9439c338ed83c4a672738df7b887625a1e069c421c7f5da7aebf75906c",
     "modes-passive_lc.cir-loop-off": "dd9288401edf18aac92ea41b61a3b98e53ff6a827be778401ca8255d77370d28",
     "modes-passive_lc.cir-loop-minimal": "af459c16ffb87659c4080a12fcbce1f7320787a2bcf718293331fdc4be82e4ae",
     "modes-passive_lc.cir-loop-allpairs": "f82f1e06cc06015d14de2413a9a3476ff5f66101b1654c0960e652ebb245e21b",
     "modes-passive_lc.cir-extended-off": "761db0b8ce3bde4410f1a32f20069743e5f8ead820a3c54cf6c92e8378150c74",
-    "modes-passive_lc.cir-extended-minimal": "b0e0504fb333435ecaaf7ccb5159d87836cd8db91f13a7ba3b950fcf43b833b0",
+    "modes-passive_lc.cir-extended-minimal": "edc44db6ecd25658539a053f417c3cb1859aa6cbcbcdfb1111da275748770816",
     "modes-passive_lc.cir-extended-allpairs": "e5299a6788deba81d6bd16a7acbd263b500f4598090cb50ab5990060a8391653",
     "modes-reduced_lc.cir-node-off": "c06ebca8949c8b3f276fb8099a4456fef2bca0fa9b636bdaacb3c2f9f23ceed7",
     "modes-reduced_lc.cir-node-minimal": "c06ebca8949c8b3f276fb8099a4456fef2bca0fa9b636bdaacb3c2f9f23ceed7",
@@ -94,22 +94,22 @@ GOLDEN = {
     "modes-reduced_lc.cir-extended-allpairs": "b88da681fe1bd51bb33945ce3066651e5fa9a0ed4c06171f86e58d04e171deed",
     "modes-active_lc.cir-node-off": "9c0d7698aedc5d29c56eb6491e49faf286ef83bea3acd7ed5e966b6e746c695d",
     "modes-active_lc.cir-node-minimal": "9c0d7698aedc5d29c56eb6491e49faf286ef83bea3acd7ed5e966b6e746c695d",
-    "modes-active_lc.cir-node-allpairs": "da8f853d52973a1b80948b7ff894be6143aa951a63f1141a724e154d5dc1eb6e",
+    "modes-active_lc.cir-node-allpairs": "f364225d47cec54864389e1b465c03d222d1267e694455451e0d7b7291acac5a",
     "modes-active_lc.cir-loop-off": "192f9ea2292002102e7361c47dade84c20549b41330cd535928f334fcf7e647e",
     "modes-active_lc.cir-loop-minimal": "192f9ea2292002102e7361c47dade84c20549b41330cd535928f334fcf7e647e",
-    "modes-active_lc.cir-loop-allpairs": "5e925f7f072b68ff16f16d9c111d97f2d32e0b8c2b7c1369474566f7ee31b405",
+    "modes-active_lc.cir-loop-allpairs": "de03217180dbd1c2a9d09331de3af1fe1db5009ea590da05715e12cb03ad6de0",
     "modes-active_lc.cir-extended-off": "7aeb82c33ccf00398f46136d9947cc2f9b68feb764ec192bf312915f0fb10b0c",
     "modes-active_lc.cir-extended-minimal": "7aeb82c33ccf00398f46136d9947cc2f9b68feb764ec192bf312915f0fb10b0c",
-    "modes-active_lc.cir-extended-allpairs": "ecc9e8e09dadb444fa296ad013a184246ace5cf5eec2b83deb1b3371f00cce9a",
+    "modes-active_lc.cir-extended-allpairs": "e24be23ca087c5003e041680d7bdf1f38ac1f9bbac2f1ecf36b52f8dd50b0fb2",
     "modes-wheel.cir-node-off": "88ab3d44d88e9613b97ad29fdacea5e2583904eb97f79f24f21d6e2654eafadc",
-    "modes-wheel.cir-node-minimal": "7555fe837495ccf959d50cab2c2bcf753214d28bfabe978c29ece100e07b737f",
+    "modes-wheel.cir-node-minimal": "da38cbf18170ec9a508758a76feae08020a58b69b1b5ba5d85bdc96be7a04fa9",
     "modes-wheel.cir-node-allpairs": "226773f2c853948d59c9b4bbd3b4145bef27532c6af6ebec5e21e683dd6f74e8",
     "modes-wheel.cir-loop-off": "974788dbd0caa6890ae44649955881db39de768e7adfb84b6f6760bcb7487b0e",
     "modes-wheel.cir-loop-minimal": "66fec79675452d375e2ac0c01e9c1827b9f60fc7250fd9e81adfcf288a6efda2",
     "modes-wheel.cir-loop-allpairs": "e6eacd79de803800c71aa41e27ec18c2426db24a44c9b14f0d086118d0bf1710",
     "modes-wheel.cir-extended-off": "b40b22939f72ed8e7e95a53e9d13ff7bb37010ee86cbad80a942a37cdb445801",
-    "modes-wheel.cir-extended-minimal": "f242b903b1867579ba86b3b8d3c91cdea4c7d723580fb1d3a1fd5041bdaa3d82",
-    "modes-wheel.cir-extended-allpairs": "160a6a4b0c217544c85b808ec65d085ff4817127d28d5849948abdffd7dff0fd",
+    "modes-wheel.cir-extended-minimal": "55d9b061601b37b03d2c8bc6c5b4accaea1754b63155e8dddc0b2a701dc24783",
+    "modes-wheel.cir-extended-allpairs": "abdb4b47471d42d934dfc3fca5a71b3dc98f1192c7720d71269233839852710e",
     "simulate-passive_lc.cir-node-off": "0c331f365833c91ab0bba55702fd029c820522721d29193567993961a93bfdd8",
     "simulate-passive_lc.cir-node-minimal": "afba63b3daa17202f7ba2922ee7205688bf570436cae16227c43b2e883f20ac6",
     "simulate-passive_lc.cir-node-allpairs": "0500d813f0da719509d6f7359431ccfe74e7693f8d1c14c929e2080df27346a8",

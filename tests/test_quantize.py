@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from fluxq import (
     SingularKineticMatrix,
     augment_geometric,
     build_spanning_tree,
+    cli,
     diagnose_quantizability,
     fundamental_loops,
     ground_state,
@@ -36,10 +38,12 @@ from fluxq import (
 )
 from fluxq.quantize import (
     _BLOCK_ROOT_MIN_DIM,
+    _K_RANK_TOL,
     _mass_blocks,
     _mass_root_weights,
     _max_weight_assignment,
 )
+from fluxq.topology import _equilibrated_rank
 
 from conftest import (
     attribution_weights,
@@ -663,3 +667,131 @@ def test_nullspace_of_large_grounded_incidence_is_empty():
         rows[r, a], rows[r, b] = 1.0, -1.0
     got = _rref_nullspace(rows[:, 1:])
     assert got.shape == (0, dim) and got.dtype == np.float64
+
+
+def _reference_modes(h):
+    """(omegas, modes, momentum_modes) of normal_modes in its earlier
+    formulation: three scipy.linalg.solve_triangular calls and
+    np.linalg.eigh."""
+    f = h.mass_factor
+    kt = scipy.linalg.solve_triangular(f, h.k, lower=True, check_finite=False)
+    kt = scipy.linalg.solve_triangular(f, kt.T, lower=True, check_finite=False).T
+    kt = 0.5 * (kt + kt.T)
+    evals, u = np.linalg.eigh(kt)
+    v = scipy.linalg.solve_triangular(f, u, lower=True, trans="T")
+    clipped = np.clip(evals, 0.0, None)
+    clipped[: h.dim - _equilibrated_rank(h.k, _K_RANK_TOL)] = 0.0
+    return np.sqrt(clipped), v, f @ u
+
+
+def _reference_minv(h):
+    inv = scipy.linalg.solve_triangular(h.mass_factor, np.eye(h.dim), lower=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        minv = inv.T @ inv
+        return 0.5 * (minv + minv.T)
+
+
+def _reference_dense_root_weights(f, v):
+    evals, q = np.linalg.eigh(f @ f.T)
+    return np.abs(((q * np.sqrt(np.maximum(evals, 0.0))) @ q.T) @ v)
+
+
+def _assert_solves_keep_their_bits(h):
+    modes = normal_modes(h)
+    omegas, v, u = _reference_modes(h)
+    assert np.array_equal(modes.omegas, omegas)
+    assert np.array_equal(modes.modes, v)
+    assert np.array_equal(modes.momentum_modes, u)
+    assert np.array_equal(h.minv, _reference_minv(h))
+    # the dense path of _mass_root_weights: few coordinates, or one block
+    if h.dim < _BLOCK_ROOT_MIN_DIM or len(set(_mass_blocks(h.mass_factor))) == 1:
+        expected = _reference_dense_root_weights(h.mass_factor, modes.modes)
+        assert np.array_equal(_mass_root_weights(h.mass_factor, modes.modes), expected)
+
+
+# the bundled netlists under every geometric mode, ladders of 16 to 128
+# nodes, and the twenty circuits of the passive sweep's class at three Cg/C
+# ratios and without augmentation
+SOLVE_CASES = [
+    pytest.param(GeometricPolicy(mode), name, id=f"{mode.value}-{name}")
+    for name in NETLIST_NAMES
+    for mode in GeometricMode
+] + [
+    pytest.param(MINIMAL, f"ladder{n}-seed7", id=f"minimal-ladder{n}-seed7")
+    for n in (16, 64, 128)
+] + [
+    pytest.param(
+        GeometricPolicy(default_cg=ratio * 1e-12, default_lg=ratio * 1e-9),
+        f"sweep{i}",
+        id=f"minimal{ratio:.0e}-sweep{i}",
+    )
+    for i in range(20)
+    for ratio in (1e-2, 1e-6, 1e-12)
+] + [
+    pytest.param(GeometricPolicy(GeometricMode.OFF), f"sweep{i}", id=f"off-sweep{i}")
+    for i in range(20)
+]
+
+
+@pytest.mark.parametrize(("policy", "name"), SOLVE_CASES)
+@pytest.mark.parametrize("rep", list(Representation), ids=lambda r: r.value)
+def test_mode_solve_keeps_its_bits(name, policy, rep):
+    try:
+        q = quantize_circuit(_attribution_circuit(name), rep, policy)
+    except SingularKineticMatrix:
+        return
+    _assert_solves_keep_their_bits(q.hamiltonian)
+
+
+# at 32 to 34 coordinates the GEMMs after the eigensolve round differently
+# unless the eigenvectors come in np.linalg.eigh's C order
+@pytest.mark.parametrize("n", [8, 16, 30, 32, 33, 128])
+def test_mode_solve_keeps_its_bits_on_random_matrices(n):
+    rng = np.random.default_rng(n)
+    a, b = rng.standard_normal((2, n, n))
+    m = a @ a.T + n * np.eye(n)
+    k = b @ b.T
+    h = HamiltonianSystem(tuple(map(str, range(n))), np.linalg.cholesky(m), k)
+    _assert_solves_keep_their_bits(h)
+
+
+@pytest.mark.parametrize("source", ["L1 1 0 1n", "C1 1 0 1p\nC2 1 2 1p"])
+def test_mode_solve_of_an_empty_system(source, capfd):
+    # no loops: the loop representation has no coordinate, and LAPACK's
+    # dtrtrs would reject the empty system with a message on stdout
+    h = legendre_transform(loop_system(parse_netlist(source + "\n")))
+    modes = normal_modes(h)
+    assert modes.omegas.shape == (0,) and modes.zero_mode_count == 0
+    assert modes.modes.shape == modes.momentum_modes.shape == (0, 0)
+    assert h.minv.shape == (0, 0)
+    assert ground_state(modes, h).cov.shape == (0, 0)
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize(("policy", "name"), SOLVE_CASES)
+@pytest.mark.parametrize("rep", list(Representation), ids=lambda r: r.value)
+def test_payload_spreads_match_the_ground_state_covariance(name, policy, rep, capsys):
+    """The CLI reads delta_x and delta_p as row norms of the vacuum factors;
+    they agree with the roots of the covariance diagonal within 4 eps, and
+    the zero-mode warning keeps its one stderr line."""
+    circuit = _attribution_circuit(name)
+    config = cli.RunConfig(
+        "modes", Path(name), rep, policy.cap_mode, policy.default_cg, policy.default_lg
+    )
+    try:
+        payload = cli._mode_payload(config, circuit)
+    except SingularKineticMatrix:
+        return
+    err = capsys.readouterr().err
+    q = quantize_circuit(circuit, rep, policy)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        var = np.diag(ground_state(q.modes, q.hamiltonian).cov).reshape(2, -1)
+    eps = np.finfo(float).eps
+    for spread, expected in zip(("delta_x", "delta_p"), np.sqrt(var)):
+        got = np.array(payload["ground_state"][spread])
+        assert np.all(np.abs(got - expected) <= 4 * eps * expected)
+    n = q.modes.zero_mode_count
+    message = f"{n} zero mode(s); ground state restricted to the oscillating subspace"
+    assert err == (f"warning: {message}\n" if n else "")
+    assert [str(w.message) for w in caught] == ([message] if n else [])

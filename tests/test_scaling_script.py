@@ -23,6 +23,9 @@ def test_scaling_table_on_a_small_ladder(capsys):
     inductance = rows["loop_inductance"]  # the node representation never forms it
     assert inductance[0] == "-" and len(inductance) == 5
     assert inductance[2].endswith("x)") and inductance[4].endswith("x)")
-    for stage in ("quantize_circuit", "topology_report", "mode_attribution", "CLI modes"):
+    for stage in (
+        "quantize_circuit", "normal_modes", "ground_state", "topology_report",
+        "mode_attribution", "CLI modes",
+    ):
         assert len(rows[stage]) == 6
         assert all(float(ms) > 0.0 for ms in rows[stage][::2])
