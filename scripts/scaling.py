@@ -9,8 +9,10 @@ and times in process, best of --repeats, for each representation: one
 `eigh` of F^-1 K F^-T (the mode solve's irreducible cost), `quantize_circuit`,
 its `normal_modes`, `ground_state` (the full 2n x 2n covariance, which the
 CLI does not form) and `topology_report` (with the rank test of the loop
-inductance form), `mode_attribution` and the CLI's `modes --format json` on
-the ladder's netlist; for the loop and extended representations the first
+inductance form), `mode_attribution`, `parse_netlist` + `validate_circuit`
+of the ladder's netlist text (the same work in every column), the indented
+JSON text of the CLI's `modes` payload and the CLI's `modes --format json`
+on the ladder's netlist; for the loop and extended representations the first
 read of `AugmentationRecord.loop_inductance` on a fresh record (the node
 representation never forms it); and for the extended representation
 `extended_node_lagrangian` and its `_design_paths`.  The table gives each
@@ -49,6 +51,7 @@ from fluxq import (  # noqa: E402
     parse_netlist,
     quantize_circuit,
     topology_report,
+    validate_circuit,
 )
 from fluxq.lagrangian import _design_paths  # noqa: E402
 from perfbench.workloads import ladder, netlist_text  # noqa: E402
@@ -60,6 +63,8 @@ STAGES = (
     "ground_state",
     "topology_report",
     "mode_attribution",
+    "parse_netlist + validate",
+    "modes JSON",
     "loop_inductance",
     "extended_node_lagrangian",
     "_design_paths",
@@ -107,6 +112,7 @@ def measure(n: int, seed: int, repeats: int) -> dict[str, dict[str, float]]:
         for rep in Representation:
             q = quantize_circuit(circuit, rep, policy)
             kt = _reduced_stiffness(q.hamiltonian)
+            payload = cli._mode_payload(cli.RunConfig("modes", path, rep=rep), circuit)
             times = {
                 "eigh of F^-1 K F^-T": _best_ms(np.linalg.eigh, repeats, lambda: (kt,)),
                 "quantize_circuit": _best_ms(
@@ -122,6 +128,10 @@ def measure(n: int, seed: int, repeats: int) -> dict[str, dict[str, float]]:
                 "mode_attribution": _best_ms(
                     mode_attribution, repeats, lambda: (q.modes, q.hamiltonian)
                 ),
+                "parse_netlist + validate": _best_ms(
+                    lambda: validate_circuit(parse_netlist(text)), repeats
+                ),
+                "modes JSON": _best_ms(cli._indented_json, repeats, lambda: (payload,)),
                 "CLI modes": _best_ms(
                     _cli_modes,
                     repeats,

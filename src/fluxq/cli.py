@@ -145,6 +145,26 @@ def _emit(config: RunConfig, text: str) -> None:
         out.write(text)
 
 
+def _indented_json(value, depth: int = 0) -> str:
+    """json.dumps(value, indent=2) for str keys.  `indent` picks the Python
+    encoder, so here each list or dict without one inside is one call of the
+    C encoder, its indentation carried in the item separator."""
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return json.dumps(value)
+    inner = "\n" + "  " * (depth + 1)
+    pairs = isinstance(value, dict)
+    items = value.values() if pairs else value
+    if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, items))):
+        texts = (_indented_json(v, depth + 1) for v in items)
+        if pairs:
+            texts = map("{}: {}".format, map(json.dumps, value), texts)
+        body = ("," + inner).join(texts)
+    else:
+        body = json.dumps(value, separators=("," + inner, ": "))[1:-1]
+    start, end = "{}" if pairs else "[]"
+    return f"{start}{inner}{body}\n{'  ' * depth}{end}"
+
+
 def cmd_analyze(config: RunConfig) -> int:
     circuit = _load_circuit(config)
     report = topology_report(circuit)
@@ -160,7 +180,7 @@ def cmd_analyze(config: RunConfig) -> int:
     payload["reducible"] = reducible
     payload["quantizable"] = quantizable
     payload["reduction"] = serialize_netlist(reduced) if reducible else None
-    _emit(config, json.dumps(payload, indent=2) + "\n")
+    _emit(config, _indented_json(payload) + "\n")
     return 0
 
 
@@ -197,7 +217,7 @@ def cmd_modes(config: RunConfig) -> int:
     circuit = _load_circuit(config)
     payload = _mode_payload(config, circuit)
     if config.format == "json":
-        _emit(config, json.dumps(payload, indent=2) + "\n")
+        _emit(config, _indented_json(payload) + "\n")
         return 0
     lines = [f"representation: {payload['representation']}"]
     lines.append(f"{'coordinate':<12} {'freq (GHz)':>12} {'delta_x':>12} {'delta_p':>12}")
@@ -469,7 +489,7 @@ def cmd_reduce(config: RunConfig) -> int:
                 for c in reduced.components
             ],
         }
-        _emit(config, json.dumps(payload, indent=2) + "\n")
+        _emit(config, _indented_json(payload) + "\n")
     else:
         _emit(config, serialize_netlist(reduced))
     return 0

@@ -55,6 +55,7 @@ class ComponentKind(enum.Enum):
     INDUCTOR = "L"
 
 
+_KINDS = {kind.value: kind for kind in ComponentKind}
 # unit letter expected for a component value / an initial condition
 _VALUE_UNIT = {ComponentKind.CAPACITOR: "F", ComponentKind.INDUCTOR: "H"}
 _IC_UNIT = {ComponentKind.CAPACITOR: "V", ComponentKind.INDUCTOR: "A"}
@@ -107,30 +108,35 @@ class Circuit:
         # once on the assumption that `components` is never reassigned
         index: dict[str, list[Component]] = {}
         for c in self.components:
-            for n in dict.fromkeys(c.terminals):
-                index.setdefault(n, []).append(c)
+            a, b = c.terminals
+            index.setdefault(a, []).append(c)
+            if b != a:
+                index.setdefault(b, []).append(c)
         return {n: tuple(cs) for n, cs in index.items()}
 
 
-def _normalize_node(token: str) -> str:
-    if token.upper() == "GND":
-        return GROUND
-    return token
+def _error(message: str, line: int, raw: str, tokens: list[str], i: int = 0) -> NetlistError:
+    """NetlistError at the column of tokens[i], tokens being the
+    whitespace-split fields of the line raw: each is found after the last."""
+    end = 0
+    for token in tokens[: i + 1]:
+        end = raw.find(token, end) + len(token)
+    return NetlistError(message, line, end - len(tokens[i]) + 1)
 
 
-def _parse_value(token: str, expected_unit: str, line: int, column: int) -> float:
+def _parse_value(unit: str, line: int, raw: str, tokens: list[str], index: int) -> float:
+    """tokens[index] of the line raw in SI units; unit is the one allowed."""
+    token = tokens[index]
     m = _VALUE_RE.match(token)
-    if m is None:
-        if re.match(r"^[+-]?(?:\d|\.\d)", token):
-            raise NetlistError(f"unknown unit in value {token!r}", line, column)
-        raise NetlistError(f"malformed value {token!r}", line, column)
-    number, prefix, unit = m.groups()
-    if unit and unit != expected_unit:
-        raise NetlistError(
-            f"unit {unit!r} does not match expected {expected_unit!r}", line, column
-        )
-    scale = _SI_PREFIXES.get(prefix, 1.0)
-    return float(number) * scale
+    if m is not None and m[3] in ("", unit):
+        return float(m[1]) * _SI_PREFIXES.get(m[2], 1.0)
+    if m is not None:
+        message = f"unit {m[3]!r} does not match expected {unit!r}"
+    elif re.match(r"^[+-]?(?:\d|\.\d)", token):
+        message = f"unknown unit in value {token!r}"
+    else:
+        message = f"malformed value {token!r}"
+    raise _error(message, line, raw, tokens, index)
 
 
 def parse_netlist(text: str) -> Circuit:
@@ -139,67 +145,62 @@ def parse_netlist(text: str) -> Circuit:
     Components keep declaration order; unit suffixes are resolved to SI;
     '.ic' directives are captured.  Raises NetlistError on syntax errors,
     unknown units, duplicate ids, non-positive values and self-loop
-    terminal pairs.
+    terminal pairs, at the column of the field at fault.
     """
     components: list[Component] = []
-    ids: set[str] = set()
+    kinds: dict[str, ComponentKind] = {}
     nodes: dict[str, None] = {}  # insertion-ordered set
-    pending_ics: list[tuple[int, int, str, str]] = []
+    pending_ics: list[tuple[int, str, list[str]]] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0]
-        tokens = stripped.split()
+    for line, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
-        col = raw.find(tokens[0]) + 1
-
-        if tokens[0].lower() == ".ic":
+        cid = tokens[0]
+        if cid.lower() == ".ic":
             if len(tokens) != 3:
-                raise NetlistError(".ic expects: .ic ID value", lineno, col)
-            pending_ics.append((lineno, col, tokens[1], tokens[2]))
+                raise _error(".ic expects: .ic ID value", line, raw, tokens)
+            pending_ics.append((line, raw, tokens))
             continue
 
         if len(tokens) != 4:
-            raise NetlistError(
-                f"component line expects 'ID node node value', got {len(tokens)} fields",
-                lineno,
-                col,
-            )
-        cid, na, nb, vtok = tokens
-        first = cid[0].upper()
-        if first == "C":
-            kind = ComponentKind.CAPACITOR
-        elif first == "L":
-            kind = ComponentKind.INDUCTOR
-        else:
-            raise NetlistError(
-                f"component id {cid!r} must start with C or L", lineno, col
-            )
-        if cid in ids:
-            raise NetlistError(f"duplicate component id {cid!r}", lineno, col)
-        na, nb = _normalize_node(na), _normalize_node(nb)
+            expected = "component line expects 'ID node node value'"
+            raise _error(f"{expected}, got {len(tokens)} fields", line, raw, tokens)
+        _, na, nb, _ = tokens
+        kind = _KINDS.get(cid[0].upper())
+        if kind is None:
+            raise _error(f"component id {cid!r} must start with C or L", line, raw, tokens)
+        if cid in kinds:
+            raise _error(f"duplicate component id {cid!r}", line, raw, tokens)
+        na = GROUND if na.upper() == "GND" else na
+        nb = GROUND if nb.upper() == "GND" else nb
         if na == nb:
-            raise NetlistError(
-                f"component {cid!r} connects node {na!r} to itself", lineno, col
-            )
-        vcol = raw.find(vtok) + 1
-        value = _parse_value(vtok, _VALUE_UNIT[kind], lineno, vcol)
+            message = f"component {cid!r} connects node {na!r} to itself"
+            raise _error(message, line, raw, tokens)
+        vtok = tokens[3]
+        # float reads the grammar's bare SI numbers, and beyond them only
+        # digits joined by "_" and inf/nan spellings, which end in a letter
+        if vtok[-1] in "0123456789." and "_" not in vtok:
+            try:
+                value = float(vtok)
+            except ValueError:
+                value = _parse_value(_VALUE_UNIT[kind], line, raw, tokens, 3)
+        else:
+            value = _parse_value(_VALUE_UNIT[kind], line, raw, tokens, 3)
         if not value > 0.0:
-            raise NetlistError(f"non-positive value for {cid!r}", lineno, vcol)
-        ids.add(cid)
+            raise _error(f"non-positive value for {cid!r}", line, raw, tokens, 3)
+        kinds[cid] = kind
         components.append(Component(cid, kind, value, (na, nb)))
-        nodes.setdefault(na)
-        nodes.setdefault(nb)
+        nodes[na] = nodes[nb] = None
 
-    by_id = {c.id: c for c in components}
     ics: dict[str, float] = {}
-    for lineno, col, cid, vtok in pending_ics:
-        comp = by_id.get(cid)
-        if comp is None:
-            raise NetlistError(f".ic references unknown component {cid!r}", lineno, col)
+    for line, raw, tokens in pending_ics:
+        cid = tokens[1]
+        if cid not in kinds:
+            raise _error(f".ic references unknown component {cid!r}", line, raw, tokens)
         if cid in ics:
-            raise NetlistError(f"duplicate .ic for {cid!r}", lineno, col)
-        ics[cid] = _parse_value(vtok, _IC_UNIT[comp.kind], lineno, col)
+            raise _error(f"duplicate .ic for {cid!r}", line, raw, tokens)
+        ics[cid] = _parse_value(_IC_UNIT[kinds[cid]], line, raw, tokens, 2)
 
     if GROUND in nodes:
         nodes = {GROUND: None, **nodes}  # ground first, the rest in order
@@ -229,33 +230,39 @@ def validate_circuit(circuit: Circuit) -> list[str]:
         violations.append("no ground node ('0' or 'GND') present")
 
     seen: set[str] = set()
+    undeclared: set[str] = set()
     for c in circuit.components:
-        if c.id in seen:
-            violations.append(f"duplicate component id {c.id!r}")
-        seen.add(c.id)
-        if not c.value > 0.0:
-            violations.append(f"component {c.id!r} has non-positive value {c.value!r}")
-        elif not math.isfinite(c.value):
-            violations.append(f"component {c.id!r} has non-finite value {c.value!r}")
-        if c.a == c.b:
-            violations.append(f"component {c.id!r} connects node {c.a!r} to itself")
-        for n in c.terminals:
+        cid, value, (a, b) = c.id, c.value, c.terminals
+        if cid in seen:
+            violations.append(f"duplicate component id {cid!r}")
+        seen.add(cid)
+        if not value > 0.0:
+            violations.append(f"component {cid!r} has non-positive value {value!r}")
+        elif value == math.inf:
+            violations.append(f"component {cid!r} has non-finite value {value!r}")
+        if a == b:
+            violations.append(f"component {cid!r} connects node {a!r} to itself")
+        for n in (a, b):
             if n not in declared:
-                violations.append(
-                    f"component {c.id!r} references undeclared node {n!r}"
-                )
+                violations.append(f"component {cid!r} references undeclared node {n!r}")
+                undeclared.add(n)
 
     for cid in circuit.ics:
         if cid not in seen:
             violations.append(f"initial condition for unknown component {cid!r}")
 
     if circuit.nodes and circuit.components:
-        from .topology import _adjacency, _bfs_forest  # topology imports this module
-
+        # undeclared nodes count as reached: no component at one is walked
         start = GROUND if GROUND in declared else circuit.nodes[0]
-        usable = (c for c in circuit.components if declared.issuperset(c.terminals))
-        reached, _ = _bfs_forest(_adjacency(usable), (start,))
-        unreached = [n for n in circuit.nodes if n != start and n not in reached]
+        reached = {start, *undeclared}
+        frontier = [start]
+        for node in frontier:  # grows as nodes are reached
+            for c in circuit.incident(node):
+                for other in c.terminals:
+                    if other not in reached:
+                        reached.add(other)
+                        frontier.append(other)
+        unreached = [n for n in circuit.nodes if n not in reached]
         if unreached:
             violations.append(
                 "circuit is not connected; unreachable nodes: "

@@ -279,7 +279,10 @@ def capacitor_only_cycles(
     first, so its capacitor chords' loops are capacitor-only: the zero rows
     of B diag(L) B^T, which span its null space."""
     caps = [c for c in circuit.components if c.kind is ComponentKind.CAPACITOR]
-    parent_node, parent_comp = _bfs_forest(_adjacency(caps), circuit.nodes)
+    # the breadth-first capacitor forest, one tree from each node not reached
+    parent_node: dict[str, str] = {}
+    parent_comp: dict[str, Component] = {}
+    deque(_bfs_walk(_adjacency(caps), circuit.nodes, parent_node, parent_comp), maxlen=0)
     forest = {c.id for c in parent_comp.values()}
 
     loop_index = {loop.chord: i for i, loop in enumerate(loops)}
@@ -313,18 +316,6 @@ def _adjacency(components) -> dict[str, list[tuple[str, Component]]]:
         adjacency.setdefault(c.a, []).append((c.b, c))
         adjacency.setdefault(c.b, []).append((c.a, c))
     return adjacency
-
-
-def _bfs_forest(
-    adjacency: dict[str, list[tuple[str, Component]]], roots
-) -> tuple[dict[str, str], dict[str, Component]]:
-    """Breadth-first forest over an _adjacency index, one tree from each
-    root not reached before, in order: each reached non-root node's parent
-    node and the component to it (see _bfs_walk)."""
-    parent_node: dict[str, str] = {}
-    parent_comp: dict[str, Component] = {}
-    deque(_bfs_walk(adjacency, roots, parent_node, parent_comp), maxlen=0)
-    return parent_node, parent_comp
 
 
 def _bfs_walk(

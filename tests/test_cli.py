@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fluxq import (
@@ -847,3 +847,24 @@ def test_unconfirmed_loop_deficiency_exit_code(tmp_path, capsys):
         "not quantizable under this configuration: loop inductance form rank "
         "unconfirmed: "
     )
+
+
+_JSON_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)  # surrogates too
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | _ANY_FLOAT | st.sampled_from([-0.0]) | _JSON_TEXT
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(_JSON_TEXT, children, max_size=5),
+    max_leaves=30,
+)
+
+
+@given(_JSON_VALUES)
+@example([])
+@example({})
+@example({"a": [[], {}, [1.0, {"b": [float("nan"), -0.0, float("inf"), -float("inf")]}]]})
+@example([[["é \x00\x1f\"\\", "\ud800"]], (1, (2.5, None)), {"x": {"y": {"z": True}}}])
+def test_indented_json_matches_the_pure_python_encoder(value):
+    assert cli._indented_json(value) == json.dumps(value, indent=2)

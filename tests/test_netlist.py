@@ -1,3 +1,5 @@
+import re
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
@@ -75,6 +77,79 @@ def test_parse_errors(text, fragment):
     with pytest.raises(NetlistError) as err:
         parse_netlist(text)
     assert fragment in str(err.value)
+
+
+# one malformed netlist per NetlistError branch, in the order parse_netlist
+# checks them; each text also breaks the checks after its own, so the table
+# pins their precedence
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (".ic C1 1V 2V", "line 1, col 1: .ic expects: .ic ID value"),
+        (
+            "X1 1 0",
+            "line 1, col 1: component line expects 'ID node node value', got 3 fields",
+        ),
+        ("R1 1 1 0", "line 1, col 1: component id 'R1' must start with C or L"),
+        ("C1 1 0 1pF\nC1 2 2 0", "line 2, col 1: duplicate component id 'C1'"),
+        ("C1 GND 0 0", "line 1, col 1: component 'C1' connects node '0' to itself"),
+        ("C1 1 0 2pX", "line 1, col 8: unknown unit in value '2pX'"),
+        ("C1 1 0 inf", "line 1, col 8: malformed value 'inf'"),
+        ("C1 1 0 -2pH", "line 1, col 8: unit 'H' does not match expected 'F'"),
+        ("C1 1 0 0", "line 1, col 8: non-positive value for 'C1'"),
+        (".ic C9 1X\nC1 1 0 1pF", "line 1, col 1: .ic references unknown component 'C9'"),
+        (".ic C1 1V\n.ic C1 1X\nC1 1 0 1pF", "line 2, col 1: duplicate .ic for 'C1'"),
+        ("C1 1 0 1pF\n.ic C1 2mX", "line 2, col 8: unknown unit in value '2mX'"),
+        ("C1 1 0 1pF\n.ic C1 two", "line 2, col 8: malformed value 'two'"),
+        ("L1 1 0 1nH\n.ic L1 1V", "line 2, col 8: unit 'V' does not match expected 'A'"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(NetlistError) as err:
+        parse_netlist(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text,line,column",
+    [
+        ("C1 1 0 0", 1, 8),  # the value, not the node '0' before it
+        ("L1 10 1 0", 1, 9),  # the value, not the '0' inside '10'
+        ("C1 0 1 0pF", 1, 8),
+        ("  C1\t1  0 \t 0  # 0", 1, 13),
+        ("C1 1 0 1pF\n.ic C1 1A", 2, 8),
+        ("L1 1 0 1nH\n  .IC  L1   1mV", 2, 13),
+        ("C11 1 0 1pF\n .ic C1 1", 2, 2),  # an unknown id: the directive
+    ],
+)
+def test_parse_error_columns(text, line, column):
+    with pytest.raises(NetlistError) as err:
+        parse_netlist(text)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+_GRAMMAR_VALUE = re.compile(
+    r"([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)([afpnum]?)(F?)"
+)
+
+
+@given(
+    st.text(alphabet="0123456789.eE+-_afpnumFHinINfty\u0661", min_size=1, max_size=12)
+    | st.sampled_from(["inf", "-Infinity", "nan", "1_0", "5.", ".5e-3", "\u0661.5"])
+)
+def test_values_follow_the_grammar(token):
+    """A value token is read exactly when the grammar's number, SI prefix
+    and unit match all of it; float's wider syntax (digits joined by "_",
+    inf, nan) is refused."""
+    m = _GRAMMAR_VALUE.fullmatch(token)
+    try:
+        value = parse_netlist(f"C1 1 0 {token}").components[0].value
+    except NetlistError as err:
+        assert m is None or not float(m[1]) > 0.0, str(err)
+        return
+    assert m is not None
+    scale = {"": 1.0, "a": 1e-18, "f": 1e-15, "p": 1e-12, "n": 1e-9, "u": 1e-6, "m": 1e-3}
+    assert value == float(m[1]) * scale[m[2]]
 
 
 def test_error_carries_line_number():

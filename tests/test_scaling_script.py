@@ -25,7 +25,7 @@ def test_scaling_table_on_a_small_ladder(capsys):
     assert inductance[2].endswith("x)") and inductance[4].endswith("x)")
     for stage in (
         "quantize_circuit", "normal_modes", "ground_state", "topology_report",
-        "mode_attribution", "CLI modes",
+        "mode_attribution", "parse_netlist + validate", "modes JSON", "CLI modes",
     ):
         assert len(rows[stage]) == 6
         assert all(float(ms) > 0.0 for ms in rows[stage][::2])
