@@ -177,16 +177,7 @@ def parse_netlist(text: str) -> Circuit:
         if na == nb:
             message = f"component {cid!r} connects node {na!r} to itself"
             raise _error(message, line, raw, tokens)
-        vtok = tokens[3]
-        # float reads the grammar's bare SI numbers, and beyond them only
-        # digits joined by "_" and inf/nan spellings, which end in a letter
-        if vtok[-1] in "0123456789." and "_" not in vtok:
-            try:
-                value = float(vtok)
-            except ValueError:
-                value = _parse_value(_VALUE_UNIT[kind], line, raw, tokens, 3)
-        else:
-            value = _parse_value(_VALUE_UNIT[kind], line, raw, tokens, 3)
+        value = _parse_value(_VALUE_UNIT[kind], line, raw, tokens, 3)
         if not value > 0.0:
             raise _error(f"non-positive value for {cid!r}", line, raw, tokens, 3)
         kinds[cid] = kind
