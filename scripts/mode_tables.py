@@ -10,9 +10,12 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
-from fluxq import (
+import numpy as np  # noqa: E402
+
+from fluxq import (  # noqa: E402
     GeometricMode,
     GeometricPolicy,
     Representation,
@@ -22,7 +25,7 @@ from fluxq import (
     quantize_circuit,
 )
 
-NETLISTS = Path(__file__).resolve().parent.parent / "netlists"
+NETLISTS = ROOT / "netlists"
 
 
 def show(title, q):

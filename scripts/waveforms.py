@@ -7,11 +7,14 @@ voltages), and in the loop representation (noise on the individual
 capacitor currents).  Initial conditions: 2 mV per design capacitor, 0 A
 per design inductor.
 """
-import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from fluxq import cli  # noqa: E402
+
 NETLISTS = ROOT / "netlists"
 
 
@@ -38,8 +41,9 @@ def main():
     ]
     for name, args in runs:
         target = outdir / name
-        cmd = [sys.executable, "-m", "fluxq.cli", "simulate", *args, "--out", str(target)]
-        subprocess.run(cmd, check=True)
+        code = cli.main(["simulate", *args, "--out", str(target)])
+        if code:
+            return code
         print(f"wrote {target}")
     return 0
 

@@ -35,7 +35,6 @@ from .topology import (
     FundamentalLoop,
     SpanningTree,
     TopologyReport,
-    _adjacency,
     _bfs_walk,
     _forest_steps,
     loop_matrix,
@@ -61,9 +60,9 @@ class GeometricPolicy:
     """How to introduce geometric (parasitic) components.
 
     cap_mode selects the augmentation: OFF adds nothing; MINIMAL adds one
-    geometric capacitor per passive node (toward its tree parent) and one
-    self-inductance per deficient loop direction; ALL_PAIRS adds a
-    geometric capacitor between every unordered node pair and a
+    geometric capacitor per passive node (toward its tree parent) and a
+    self-inductance on every capacitor-only fundamental loop; ALL_PAIRS
+    adds a geometric capacitor between every unordered node pair and a
     self-inductance on every loop.
     """
 
@@ -82,10 +81,11 @@ class GeometricPolicy:
 class AugmentationRecord:
     """What augment_geometric added under `policy`: the geometric
     capacitors, and the exact loop-space support of the geometric
-    self-inductance form (rows x l), for the structural quantizability
-    analysis.  The (l x l) self-inductance matrix itself, loop_inductance,
-    is formed on first read: the loop and extended representations read
-    it, the node representation never does."""
+    self-inductance form (rows x l, unit vectors of the loops it covers),
+    for the structural quantizability analysis.  The (l x l)
+    self-inductance matrix itself, loop_inductance, is formed on first
+    read: the loop and extended representations read it, the node
+    representation never does."""
 
     added_capacitors: tuple[Component, ...]
     loop_kinetic_rows: np.ndarray
@@ -93,20 +93,14 @@ class AugmentationRecord:
 
     @functools.cached_property
     def loop_inductance(self) -> np.ndarray | None:
-        """The PSD loop self-inductance matrix, None when OFF: default_lg
-        times the identity for ALL_PAIRS, and for MINIMAL default_lg times
-        W^T W, W the kinetic rows (the witnesses) each scaled to unit norm.
-        The nonzero entries of a witness row share one magnitude, so no
-        entry of the matrix exceeds its row's diagonal in magnitude: a zero
-        diagonal marks a zero row."""
-        mode = self.policy.cap_mode
-        if mode is GeometricMode.OFF:
+        """The diagonal loop self-inductance matrix, None when OFF:
+        default_lg on the diagonal of every loop the kinetic rows touch,
+        which is default_lg times the identity for ALL_PAIRS and the
+        capacitor-only loops for MINIMAL."""
+        if self.policy.cap_mode is GeometricMode.OFF:
             return None
-        rows = self.loop_kinetic_rows
-        if mode is GeometricMode.ALL_PAIRS:
-            return self.policy.default_lg * np.eye(rows.shape[1])
-        unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-        return self.policy.default_lg * (unit.T @ unit)
+        touched = self.loop_kinetic_rows.any(axis=0)
+        return np.diag(np.where(touched, self.policy.default_lg, 0.0))
 
 
 @dataclass
@@ -281,7 +275,7 @@ def augment_geometric(
 
     The report must be the circuit's own topology_report: its spanning
     tree places the MINIMAL capacitors, its fundamental loops index the
-    loop matrix, and its witnesses (the capacitor-only cycles) carry the
+    loop matrix, and its witnesses (the capacitor-only loops) carry the
     MINIMAL self-inductances.  Raises ValueError when the report's tree
     and chords do not partition the circuit's component ids.
     """
@@ -343,7 +337,7 @@ def extended_node_lagrangian(
     1/2 Phi^T Lg^{-1} Phi from the loop self-inductances.  `loops` are
     the circuit's fundamental loops and (augmented, record) its
     augment_geometric result over them."""
-    paths = _design_paths(augmented, record.added_capacitors)
+    paths = _design_paths(circuit, record.added_capacitors)
     # A loop flux enters M only through a capacitor chord or a geometric
     # capacitor whose design path crosses the chord.  A loop without either
     # has an inductive chord, so its current already meets an inductance;
@@ -353,10 +347,8 @@ def extended_node_lagrangian(
         c.id for c in circuit.components if c.kind is ComponentKind.CAPACITOR
     }
     capacitive.update(comp.id for path in paths for comp, _ in path)
-    # the loops with a nonzero loop_inductance diagonal: exactly its nonzero
-    # rows, since no entry of the matrix exceeds its row's diagonal
-    inductance = record.loop_inductance
-    carried = () if inductance is None else np.flatnonzero(inductance.diagonal())
+    # the loops that carry a geometric self-inductance
+    carried = np.flatnonzero(record.loop_kinetic_rows.any(axis=0))
     dynamic = [int(i) for i in carried if loops[i].chord in capacitive]
     phi_labels = _node_labels(circuit)
     ext_labels = phi_labels + tuple(f"Phi_{i + 1}" for i in dynamic)
@@ -383,7 +375,7 @@ def extended_node_lagrangian(
     M, K, kin, ids = _gram_matrices(a, comps, ComponentKind.CAPACITOR)
     if dynamic:
         # the Phi coordinates come last, in the order of `dynamic`
-        block = inductance[np.ix_(dynamic, dynamic)]
+        block = record.loop_inductance[np.ix_(dynamic, dynamic)]
         K[len(phi_labels) :, len(phi_labels) :] += np.linalg.inv(block)
     return QuadraticLagrangian(
         Representation.EXTENDED_NODE_FLUX, ext_labels, M, K, a, ids, kin
@@ -391,22 +383,21 @@ def extended_node_lagrangian(
 
 
 def _design_paths(
-    augmented: Circuit, capacitors: tuple[Component, ...]
+    circuit: Circuit, capacitors: tuple[Component, ...]
 ) -> list[list[tuple[Component, int]]]:
     """Each capacitor's path from its first to its second terminal on the
-    breadth-first tree of its first terminal over the design (non-geometric)
-    components, as (component, direction) steps; direction is +1 where a
-    component is traversed from its first to its second terminal.  One
-    search runs per first terminal, resumed only until each capacitor's
-    second terminal is reached; the parents it has recorded by then are
-    those of the whole search."""
-    adjacency = _adjacency(c for c in augmented.components if not c.geometric)
+    breadth-first tree of its first terminal over the circuit's design
+    (non-geometric) components, as (component, direction) steps; direction
+    is +1 where a component is traversed from its first to its second
+    terminal.  One search runs per first terminal, resumed only until each
+    capacitor's second terminal is reached; the parents it has recorded by
+    then are those of the whole search."""
     searches: dict[str, tuple[dict, dict, Iterator[str]]] = {}
     paths = []
     for c in capacitors:
         if c.a not in searches:
             parent_node, parent_comp = {}, {}
-            walk = _bfs_walk(adjacency, (c.a,), parent_node, parent_comp)
+            walk = _bfs_walk(circuit, c.a, parent_node, parent_comp)
             searches[c.a] = parent_node, parent_comp, walk
         parent_node, parent_comp, walk = searches[c.a]
         if c.b not in parent_node:

@@ -136,9 +136,9 @@ class FundamentalLoop:
 @dataclass(frozen=True)
 class TopologyReport:
     """Counts and passive variables of a circuit, with the stages later
-    steps reuse: the spanning tree, its fundamental loops and the integer
-    capacitor-only cycles over those loops (`witnesses`, as returned by
-    capacitor_only_cycles).  to_json_dict prints only the counts."""
+    steps reuse: the spanning tree, its fundamental loops and the unit
+    integer vectors of its capacitor-only loops (`witnesses`, as returned
+    by capacitor_only_cycles).  to_json_dict prints only the counts."""
 
     n: int
     c: int
@@ -256,96 +256,62 @@ def passive_loop_deficiency(
     circuit: Circuit, loops: tuple[FundamentalLoop, ...]
 ) -> tuple[int, tuple[np.ndarray, ...]]:
     """Rank deficiency of the inductance form over the loop basis, with
-    unit witness loop-space vectors.
-
-    Structurally, a deficient direction is an independent cycle of the
-    capacitor-only subgraph (a loop combination with no inductance); its
-    expansion in the fundamental basis is read off the chords it contains.
-    The numeric rank of B diag(L) B^T cross-checks the structural count.
-    """
+    unit witness loop-space vectors: the capacitor-only fundamental loops
+    of capacitor_only_cycles, whose count the numeric rank of
+    B diag(L) B^T cross-checks."""
     cycles = capacitor_only_cycles(circuit, loops)
-    witnesses = tuple(np.asarray(w, float) / np.linalg.norm(w) for w in cycles)
-    return len(cycles), witnesses
+    return len(cycles), tuple(np.asarray(w, float) for w in cycles)
 
 
 def capacitor_only_cycles(
     circuit: Circuit, loops: tuple[FundamentalLoop, ...]
 ) -> tuple[tuple[int, ...], ...]:
     """Independent capacitor-only cycles as exact integer vectors over the
-    fundamental-loop basis.  These span the null space of the loop-space
-    inductance form; their count is cross-checked against the numeric rank
-    deficiency of the equilibrated B diag(L) B^T, and RankCrossCheckFailure
-    is raised where the two disagree.  build_spanning_tree takes capacitors
-    first, so its capacitor chords' loops are capacitor-only: the zero rows
-    of B diag(L) B^T, which span its null space."""
-    caps = [c for c in circuit.components if c.kind is ComponentKind.CAPACITOR]
-    # the breadth-first capacitor forest, one tree from each node not reached
-    parent_node: dict[str, str] = {}
-    parent_comp: dict[str, Component] = {}
-    deque(_bfs_walk(_adjacency(caps), circuit.nodes, parent_node, parent_comp), maxlen=0)
-    forest = {c.id for c in parent_comp.values()}
-
-    loop_index = {loop.chord: i for i, loop in enumerate(loops)}
-    witnesses = []
-    for c in caps:
-        if c.id in forest:
-            continue
-        # signed cycle: the extra capacitor plus the forest path b -> a; the
-        # sign of each chord on it is the cycle's coefficient on that loop
-        w = [0] * len(loops)
-        steps = _forest_steps(parent_node, parent_comp, c.b, c.a)
-        for comp, u, v in [(c, *c.terminals), *steps]:
-            if comp.id in loop_index:
-                w[loop_index[comp.id]] = +1 if comp.terminals == (u, v) else -1
-        if not any(w):
-            raise RuntimeError(f"capacitor cycle through {c.id} has no chord content")
-        witnesses.append(tuple(w))
+    fundamental-loop basis: the unit vector of each loop whose row of the
+    inductor participation B is zero.  The loops must be the
+    fundamental_loops of build_spanning_tree, which takes capacitors first:
+    every tree path between a capacitor chord's terminals is then
+    capacitor-only (a minimum spanning tree's cycle property), so those
+    chords' loops span the null space of B diag(L) B^T.  Their count is
+    cross-checked against the numeric rank deficiency of the equilibrated
+    B diag(L) B^T, and RankCrossCheckFailure is raised where the two
+    disagree, as it is for loops of any other tree that miss a direction."""
     B, inductors = inductor_participation(circuit, loops)
+    unit = np.eye(len(loops), dtype=int)[~B.any(axis=1)]
+    witnesses = tuple(map(tuple, unit.tolist()))
     W = (B * [circuit.component(cid).value for cid in inductors]) @ B.T
     numeric = len(loops) - _equilibrated_rank(W, _RANK_TOL)
     if numeric != len(witnesses):
         raise RankCrossCheckFailure("loop inductance form", len(witnesses), numeric)
-    return tuple(witnesses)
-
-
-def _adjacency(components) -> dict[str, list[tuple[str, Component]]]:
-    """node -> (other terminal, component) for the given components at it,
-    in the given order."""
-    adjacency: dict[str, list[tuple[str, Component]]] = {}
-    for c in components:
-        adjacency.setdefault(c.a, []).append((c.b, c))
-        adjacency.setdefault(c.b, []).append((c.a, c))
-    return adjacency
+    return witnesses
 
 
 def _bfs_walk(
-    adjacency: dict[str, list[tuple[str, Component]]],
-    roots,
+    circuit: Circuit,
+    root: str,
     parent_node: dict[str, str],
     parent_comp: dict[str, Component],
 ) -> Iterator[str]:
-    """Breadth-first search over an _adjacency index, one tree from each
-    root not reached before, in order, yielding each non-root node as it is
-    reached once its parent node and the component to it are recorded in
-    parent_node and parent_comp.  Neighbors are expanded in adjacency order
-    and a node keeps the parent that reached it first, so a search stopped
-    early has recorded exactly the parents that the whole search records
-    for the nodes it has reached."""
-    seen: set[str] = set()
-    for root in roots:
-        if root in seen:
-            continue
-        seen.add(root)
-        frontier = deque([root])
-        while frontier:
-            node = frontier.popleft()
-            for other, c in adjacency.get(node, ()):
-                if other not in seen:
-                    seen.add(other)
-                    parent_node[other] = node
-                    parent_comp[other] = c
-                    frontier.append(other)
-                    yield other
+    """Breadth-first search from root over the circuit's design
+    (non-geometric) components, read off the cached Circuit.incident index,
+    yielding each node as it is reached once its parent node and the
+    component to it are recorded in parent_node and parent_comp.
+    Neighbors are expanded in declaration order and a node keeps the
+    parent that reached it first, so a search stopped early has recorded
+    exactly the parents that the whole search records for the nodes it
+    has reached."""
+    seen = {root}
+    frontier = deque([root])
+    while frontier:
+        node = frontier.popleft()
+        for c in circuit.incident(node):
+            other = c.b if c.a == node else c.a
+            if other not in seen and not c.geometric:
+                seen.add(other)
+                parent_node[other] = node
+                parent_comp[other] = c
+                frontier.append(other)
+                yield other
 
 
 def _forest_steps(

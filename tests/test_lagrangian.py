@@ -189,9 +189,10 @@ def test_loop_inductance_product_on_multigraphs(seed):
     """The product equals the eager sum where no two witnesses share a loop
     and stays within 4 eps max|L| of it elsewhere; the extended
     representation's loop fluxes are its nonzero rows, also at a subnormal
-    Lg."""
+    Lg, where they are those at 1e-15."""
     circuit = _random_multigraph(np.random.default_rng(seed))
     report = topology_report(circuit)
+    labels = {}
     for lg in (1e-15, 5e-324):
         policy = GeometricPolicy(GeometricMode.MINIMAL, default_lg=lg)
         augmented, record = augment_geometric(circuit, report, policy)
@@ -206,6 +207,8 @@ def test_loop_inductance_product_on_multigraphs(seed):
         lag = extended_node_lagrangian(circuit, report.loops, augmented, record)
         phis = [int(s[len("Phi_") :]) for s in lag.labels if s[0] == "P"]
         assert phis == rows.tolist()
+        labels[lg] = lag.labels
+    assert labels[5e-324] == labels[1e-15]
 
 
 @pytest.mark.parametrize("mode", [GeometricMode.MINIMAL, GeometricMode.ALL_PAIRS])
@@ -408,14 +411,14 @@ def test_extended_phi_block_restriction_matches_node(passive_lc):
 
 def test_extended_dynamic_loops_are_the_nonzero_loop_inductance_rows():
     """A loop is dynamic where its row of the loop inductance is nonzero.
-    The witness (0, 1, 0, 0, 0, 1) adds Lg/2 on loop 6, which underflows to
-    zero at Lg = 5e-324; loop 2 keeps Lg from the witness (0, -1, 0, ...)."""
+    Every capacitor-only loop carries Lg itself on the diagonal, so none
+    is dropped at the subnormal Lg = 5e-324."""
     circuit = parse_netlist(
         "L0 n2 0 1e-12\nC1 n2 0 1e-12\nC2 n1 n2 1e-12\nC3 n1 0 1e-12\n"
         "L4 0 n1 1e-12\nC5 n2 0 1e-12\nC6 0 n2 1e-12\nC7 0 n1 1e-12\n"
     )
     report = topology_report(circuit)
-    for lg, phis in ((1e-15, [2, 4, 5, 6]), (5e-324, [2, 4, 5])):
+    for lg, phis in ((1e-15, [2, 4, 5, 6]), (5e-324, [2, 4, 5, 6])):
         policy = GeometricPolicy(GeometricMode.MINIMAL, default_lg=lg)
         augmented, record = augment_geometric(circuit, report, policy)
         rows = np.flatnonzero(record.loop_inductance.any(1)) + 1

@@ -22,9 +22,9 @@ from fluxq import (
 from fluxq.cli import main
 from fluxq.netlist import Circuit, Component, ComponentKind
 from fluxq.topology import (
+    SpanningTree,
     _certifies_full_rank,
     _equilibrated_rank,
-    _forest_steps,
     capacitor_only_cycles,
 )
 
@@ -225,17 +225,17 @@ def test_reduce_sums_parallel_inductor_currents():
     assert reduced.ics[merged.id] == pytest.approx(1e-6 + 2e-6 - 3e-6)
 
 
-def _greedy_tree_reference(circuit):
+def _greedy_tree_reference(circuit, first=ComponentKind.CAPACITOR):
     """The O(N*C) tree growth build_spanning_tree replaced: scan every
     component per added node for the least (kind, declaration order) one
-    with exactly one visited terminal."""
+    with exactly one visited terminal, the kind `first` before the other."""
     root = "0" if "0" in circuit.nodes else circuit.nodes[0]
     visited = {root}
     tree, parent_node, parent_component = [], {}, {}
     order = {c.id: i for i, c in enumerate(circuit.components)}
 
     def key(c):
-        return (0 if c.kind is ComponentKind.CAPACITOR else 1, order[c.id])
+        return (0 if c.kind is first else 1, order[c.id])
 
     while len(visited) < len(circuit.nodes):
         best = None
@@ -305,65 +305,71 @@ def test_report_reducible_matches_full_reduction(seed, tmp_path, capsys):
     assert payload["reduction"] == (serialize_netlist(reduced) if changed else None)
 
 
-def _capacitor_cycles_reference(circuit, loops):
-    """The O(N*C) traversal capacitor_only_cycles replaced: a breadth-first
-    forest grown with a list frontier, scanning every capacitor for each
-    visited node, then one witness per capacitor outside the forest."""
-    caps = [c for c in circuit.components if c.kind is ComponentKind.CAPACITOR]
-    parent_node, parent_comp, visited, forest = {}, {}, set(), set()
-    for start in circuit.nodes:
-        if start in visited:
-            continue
-        visited.add(start)
-        frontier = [start]
-        while frontier:
-            node = frontier.pop(0)
-            for c in caps:
-                if node not in c.terminals:
-                    continue
-                other = c.b if c.a == node else c.a
-                if other in visited:
-                    continue
-                visited.add(other)
-                forest.add(c.id)
-                parent_node[other] = node
-                parent_comp[other] = c
-                frontier.append(other)
-    loop_index = {loop.chord: i for i, loop in enumerate(loops)}
-    witnesses = []
-    for c in caps:
-        if c.id in forest:
-            continue
-        cycle = {c.id: +1}
-        for comp, u, v in _forest_steps(parent_node, parent_comp, c.b, c.a):
-            sign = +1 if comp.terminals == (u, v) else -1
-            cycle[comp.id] = cycle.get(comp.id, 0) + sign
-        w = [0] * len(loops)
-        for cid, sign in cycle.items():
-            if cid in loop_index:
-                w[loop_index[cid]] = sign
-        witnesses.append(tuple(w))
-    return tuple(witnesses)
+def _capacitor_cycle_rank(circuit):
+    """Independent cycles of the capacitor subgraph, counted by union-find:
+    the capacitors that close a cycle among the nodes already joined."""
+    root = {n: n for n in circuit.nodes}
+
+    def find(n):
+        while root[n] != n:
+            root[n] = root[root[n]]
+            n = root[n]
+        return n
+
+    rank = 0
+    for c in circuit.components:
+        if c.kind is ComponentKind.CAPACITOR:
+            a, b = find(c.a), find(c.b)
+            rank += a == b
+            root[a] = b
+    return rank
 
 
-def _assert_cycles_match_reference(circuit):
+def _assert_cycles_are_the_capacitor_loops(circuit):
     loops = fundamental_loops(circuit, build_spanning_tree(circuit))
-    assert capacitor_only_cycles(circuit, loops) == _capacitor_cycles_reference(
-        circuit, loops
-    )
+    witnesses = capacitor_only_cycles(circuit, loops)
+    kinds = {c.id: c.kind for c in circuit.components}
+    capacitor_loops = [
+        i
+        for i, loop in enumerate(loops)
+        if all(kinds[cid] is ComponentKind.CAPACITOR for cid, _ in loop.path)
+    ]
+    # each witness is the unit vector of one capacitor-only loop, and every
+    # such loop has one
+    units = [tuple(int(j == i) for j in range(len(loops))) for i in capacitor_loops]
+    assert witnesses == tuple(units)
+    assert len(witnesses) == _capacitor_cycle_rank(circuit)
 
 
-def test_capacitor_cycles_match_scan_reference_on_netlists(
+def test_capacitor_cycles_are_the_capacitor_loops_on_netlists(
     passive_lc, reduced_lc, wheel, active_lc
 ):
     for circuit in (passive_lc, reduced_lc, wheel, active_lc):
-        _assert_cycles_match_reference(circuit)
+        _assert_cycles_are_the_capacitor_loops(circuit)
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_capacitor_cycles_match_scan_reference_on_multigraphs(seed):
+def test_capacitor_cycles_are_the_capacitor_loops_on_multigraphs(seed):
     circuit = _random_multigraph(np.random.default_rng(seed))
-    _assert_cycles_match_reference(circuit)
+    _assert_cycles_are_the_capacitor_loops(circuit)
+
+
+def test_capacitor_cycles_of_an_inductor_first_tree_never_fall_short():
+    """Loops of a tree that takes inductors first may miss capacitor-only
+    directions; the rank cross-check then raises rather than return too
+    few witnesses."""
+    raised = 0
+    for seed in range(300):
+        circuit = _random_multigraph(np.random.default_rng(seed))
+        tree = SpanningTree(*_greedy_tree_reference(circuit, ComponentKind.INDUCTOR))
+        loops = fundamental_loops(circuit, tree)
+        try:
+            witnesses = capacitor_only_cycles(circuit, loops)
+        except RankCrossCheckFailure:
+            raised += 1
+            continue
+        assert len(witnesses) == _capacitor_cycle_rank(circuit)
+    assert 0 < raised < 300
 
 
 def _equilibrate(mat):
