@@ -7,18 +7,22 @@ Each of --processes child processes, started with one BLAS thread, builds
 the benchmark's ladder (`perfbench.workloads.ladder(n, default_rng(seed))`)
 and times in process, best of --repeats, for each representation: one
 `eigh` of F^-1 K F^-T (the mode solve's irreducible cost), `quantize_circuit`,
-its `normal_modes`, `ground_state` (the full 2n x 2n covariance, which the
-CLI does not form) and `topology_report` (with the rank test of the loop
-inductance form), `mode_attribution`, `parse_netlist` + `validate_circuit`
-of the ladder's netlist text (the same work in every column), the indented
-JSON text of the CLI's `modes` payload and the CLI's `modes --format json`
-on the ladder's netlist; for the loop and extended representations the first
-read of `AugmentationRecord.loop_inductance` on a fresh record (the node
-representation never forms it); and for the extended representation
-`extended_node_lagrangian` and its `_design_paths`.  The table gives each
-stage's median over the processes in ms and as a multiple of the `eigh` in
-the same column.  The sources timed are those of the checkout holding this
-script.
+its `legendre_transform` and `normal_modes`, `ground_state` (the full
+2n x 2n covariance, which the CLI does not form) and `topology_report`
+(with the rank test of the loop inductance form), `mode_attribution`,
+`parse_netlist` + `validate_circuit` of the ladder's netlist text (the same
+work in every column), the indented JSON text of the CLI's `modes` payload
+and the CLI's `modes --format json` on the ladder's netlist; for the loop
+and extended representations the first read of
+`AugmentationRecord.loop_inductance` on a fresh record (the node
+representation never forms it); for the node representation
+`node_lagrangian` of the augmented circuit; and for the extended
+representation `extended_node_lagrangian` and its `_design_paths`.  The
+table gives each stage's median over the processes in ms and as a multiple
+of the `eigh` in the same column; a last line gives the median and
+quartiles over the processes of each one's node CLI `modes` time as a
+multiple of its own `eigh`.  The sources timed are those of the checkout
+holding this script.
 """
 from __future__ import annotations
 
@@ -46,7 +50,9 @@ from fluxq import (  # noqa: E402
     cli,
     extended_node_lagrangian,
     ground_state,
+    legendre_transform,
     mode_attribution,
+    node_lagrangian,
     normal_modes,
     parse_netlist,
     quantize_circuit,
@@ -59,6 +65,8 @@ from perfbench.workloads import ladder, netlist_text  # noqa: E402
 STAGES = (
     "eigh of F^-1 K F^-T",
     "quantize_circuit",
+    "node_lagrangian",
+    "legendre_transform",
     "normal_modes",
     "ground_state",
     "topology_report",
@@ -118,6 +126,9 @@ def measure(n: int, seed: int, repeats: int) -> dict[str, dict[str, float]]:
                 "quantize_circuit": _best_ms(
                     quantize_circuit, repeats, lambda: (circuit, rep, policy)
                 ),
+                "legendre_transform": _best_ms(
+                    legendre_transform, repeats, lambda: (q.lagrangian,)
+                ),
                 "normal_modes": _best_ms(
                     normal_modes, repeats, lambda: (q.hamiltonian,)
                 ),
@@ -138,8 +149,13 @@ def measure(n: int, seed: int, repeats: int) -> dict[str, dict[str, float]]:
                     lambda: (["modes", str(path), "--format", "json", "--rep", rep.value],),
                 ),
             }
-            if rep is not Representation.NODE_FLUX:
-                report = topology_report(circuit)
+            report = topology_report(circuit)
+            if rep is Representation.NODE_FLUX:
+                observed, _ = augment_geometric(circuit, report, policy)
+                times["node_lagrangian"] = _best_ms(
+                    node_lagrangian, repeats, lambda: (observed,)
+                )
+            else:
 
                 def augmented():
                     # a fresh record each time: its loop inductance is
@@ -185,6 +201,12 @@ def table(runs: list[dict], n: int, seed: int, repeats: int) -> str:
             eigh = float(np.median([run[rep][STAGES[0]] for run in runs]))
             cells.append(f"{ms:.2f} ({ms / eigh:.2f}x)")
         lines.append(f"{stage:<26}" + "".join(f"{c:>20}" for c in cells))
+    node = [run["node"]["CLI modes"] / run["node"][STAGES[0]] for run in runs]
+    q1, median, q3 = np.quantile(node, [0.25, 0.5, 0.75])
+    lines.append(
+        f"node CLI modes / eigh per process: median {median:.2f}x, "
+        f"quartiles {q1:.2f}x-{q3:.2f}x"
+    )
     return "\n".join(lines)
 
 

@@ -19,7 +19,8 @@ coordinates.  M and K are Gram matrices of its kinetic and potential rows.
   the branch flux of the shortest design-component path between its
   terminals, so the tiny loop it forms with that path threads no flux.
 
-All quantities are SI.  Matrices are dense; circuits are small.
+All quantities are SI.  A, M and K are dense arrays; M and K are summed
+over the pairs of nonzeros in each row of A, in component order.
 """
 from __future__ import annotations
 
@@ -129,13 +130,13 @@ class QuadraticLagrangian:
         forms = np.asarray(self.kinetic_forms, dtype=float)
         self.kinetic_forms = forms.reshape(len(forms), self.dim)
         for name, mat in (("M", self.M), ("K", self.K)):
-            if not mat.size:
-                continue
-            scale = np.abs(mat).max()
+            scratch = np.abs(mat)
+            scale = scratch.max(initial=0.0)
             # an overflowed (inf) entry is left to the diagnosis (M) or the
             # mode solve (K) to report
             with np.errstate(invalid="ignore"):
-                asymmetry = np.abs(mat - mat.T).max()
+                np.abs(np.subtract(mat, mat.T, out=scratch), out=scratch)
+                asymmetry = scratch.max(initial=0.0)
             if scale and asymmetry > _SYM_TOL * scale:
                 raise ValueError(f"{name} is not symmetric")
 
@@ -198,14 +199,27 @@ def _gram_matrices(
     """M = A_kin^T diag(value) A_kin and K = A_pot^T diag(1/value) A_pot over
     the assignment matrix A, whose rows are the components; the kinetic
     rows are those of kinetic_kind.  Returns M, K, the kinetic row mask and
-    the row ids."""
+    the row ids.  One bincount adds each row's value a_i a_j to entry (i, j)
+    for each pair of its nonzeros, in component order: M and K are exactly
+    symmetric, and the GEMM's unless its blocking regroups the sums."""
     values = np.array([c.value for c in components], dtype=float)
     kin = np.array([c.kind is kinetic_kind for c in components], dtype=bool)
+    n = a.shape[1]
+    rows, cols = np.nonzero(a != 0)  # a bool scan, faster than a float one
+    count = np.bincount(rows, minlength=len(a))[rows]  # nonzeros in the row
+    # nonzero p once per nonzero of its row, paired with each in turn
+    left = np.repeat(np.arange(rows.size), count)
+    shift = np.searchsorted(rows, rows) - np.cumsum(count) + count
+    right = np.arange(left.size) + np.repeat(shift, count)
+    sign = a[rows, cols]
     # values near either end of the double range overflow M or K; the
     # diagnosis and the mode solve report that
-    with np.errstate(over="ignore", invalid="ignore"):
-        M = (a[kin].T * values[kin]) @ a[kin]
-        K = (a[~kin].T * (1.0 / values[~kin])) @ a[~kin]
+    with np.errstate(over="ignore"):
+        weight = np.divide(1.0, values, out=values.copy(), where=~kin)
+    # per nonzero (k, i): w_k a_ki, and where row i of M (or K) starts
+    term, start = weight[rows] * sign, (~kin[rows] * n + cols) * n
+    grams = np.bincount(start[left] + cols[right], term[left] * sign[right], 2 * n * n)
+    M, K = grams.astype(float, copy=False).reshape(2, n, n)  # int when empty
     return M, K, kin, tuple(c.id for c in components)
 
 
@@ -246,7 +260,7 @@ def loop_lagrangian(
         extra = np.asarray(loop_inductance, dtype=float)
         if extra.shape != (dim, dim):
             raise ValueError("loop inductance matrix has wrong shape")
-        M = M + extra
+        M += extra
     return QuadraticLagrangian(
         Representation.LOOP_CHARGE, labels, M, K, a, ids, kin, loop_kinetic_rows
     )

@@ -134,10 +134,10 @@ class GaussianState:
 
 
 def _solve_lower(f: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
-    """f^-1 b (f^-T b, trans=1), f lower triangular: solve_triangular's dtrtrs."""
+    """f^-1 b (f^-T b, trans=1), f lower triangular, by dtrtrs over an F-ordered b."""
     if not b.size:  # dtrtrs rejects an empty b
         return np.zeros(b.shape)
-    x, info = scipy.linalg.lapack.dtrtrs(f.T, b, lower=0, trans=1 - trans)
+    x, info = scipy.linalg.lapack.dtrtrs(f.T, b, lower=0, trans=1 - trans, overwrite_b=1)
     if info:
         raise np.linalg.LinAlgError(f"singular matrix: zero pivot {info - 1}")
     return x
@@ -154,8 +154,9 @@ def _rref_nullspace(rows: np.ndarray) -> np.ndarray:
     certificate is exact.  Otherwise Gauss-Jordan with partial pivoting, one
     numpy elimination per column, builds the basis.  The reduced row
     echelon form does not depend on the pivot chosen, so this is the exact
-    rational basis up to rounding, and exact on totally unimodular rows."""
-    m = np.array(rows, dtype=float)
+    rational basis up to rounding, and exact on totally unimodular rows.
+    Float rows are reduced in place."""
+    m = np.asarray(rows, dtype=float)
     dim = m.shape[1]
     tol = _RREF_TOL * max(1.0, np.abs(m).max(initial=0.0))
     if m.shape[0] >= dim > 0:
@@ -235,12 +236,13 @@ def diagnose_quantizability(lagrangian: QuadraticLagrangian) -> QuantizabilityDi
 
 def legendre_transform(lagrangian: QuadraticLagrangian) -> HamiltonianSystem:
     """H = 1/2 p^T M^{-1} p + 1/2 x^T K x with p = M xdot, holding M as its
-    Cholesky factor."""
+    Cholesky factor.  The system shares K with the Lagrangian, read-only."""
     diagnosis = diagnose_quantizability(lagrangian)
     if not diagnosis.quantizable:
         raise SingularKineticMatrix(diagnosis)
+    lagrangian.K.flags.writeable = False
     return HamiltonianSystem(
-        lagrangian.labels, np.linalg.cholesky(lagrangian.M), lagrangian.K.copy()
+        lagrangian.labels, np.linalg.cholesky(lagrangian.M), lagrangian.K
     )
 
 
@@ -252,17 +254,19 @@ def normal_modes(h: HamiltonianSystem) -> ModeDecomposition:
     ReducedMatrixOverflow when the reduced matrix is not finite."""
     f = h.mass_factor
     # unchecked solves: an overflow to inf or nan anywhere is caught below
-    kt = _solve_lower(f, _solve_lower(f, h.k).T).T
+    kt = _solve_lower(f, _solve_lower(f, np.array(h.k, order="F")).T).T
     with np.errstate(over="ignore", invalid="ignore"):
-        kt = 0.5 * (kt + kt.T)
+        kt = np.add(kt, kt.T)
+        kt *= 0.5
     if not np.isfinite(kt).all():
         raise ReducedMatrixOverflow()
-    evals, u, info = scipy.linalg.lapack.dsyevd(kt, compute_v=1, lower=1)
+    # kt.T is the exactly symmetric kt in Fortran order: U is written over it
+    evals, u, info = scipy.linalg.lapack.dsyevd(kt.T, compute_v=1, lower=1, overwrite_a=1)
     if info:  # the np.linalg.eigh call, bit for bit, without its wrapper
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    v = _solve_lower(f, u, trans=1)
     momenta = f @ np.ascontiguousarray(u)  # eigh's order: F U keeps its bits
     momenta.flags.writeable = False
+    v = _solve_lower(f, u, trans=1)  # in U's storage
     zero_count = h.dim - _equilibrated_rank(h.k, _K_RANK_TOL)
     clipped = np.clip(evals, 0.0, None)
     clipped[:zero_count] = 0.0
@@ -276,10 +280,10 @@ def _vacuum_factors(modes: ModeDecomposition) -> tuple[np.ndarray, np.ndarray]:
     if modes.zero_mode_count:
         msg = f"{modes.zero_mode_count} zero mode(s); ground state restricted to "
         warnings.warn(msg + "the oscillating subspace", stacklevel=3)
-    osc = modes.omegas > 0.0
-    w = modes.omegas[osc]
-    vs = modes.modes[:, osc] * np.sqrt(HBAR / (2.0 * w))
-    return vs, modes.momentum_modes[:, osc] * np.sqrt(HBAR * w / 2.0)
+    z = modes.dim - np.count_nonzero(modes.omegas)  # omegas ascend from z zeros
+    w = modes.omegas[z:]
+    vs = np.multiply(modes.modes[:, z:], np.sqrt(HBAR / (2.0 * w)), order="F")
+    return vs, np.multiply(modes.momentum_modes[:, z:], np.sqrt(HBAR * w / 2.0), order="F")
 
 
 def ground_state(modes: ModeDecomposition, h: HamiltonianSystem) -> GaussianState:
@@ -351,7 +355,8 @@ def _mass_root_weights(f: np.ndarray, v: np.ndarray) -> np.ndarray:
                 root = (q * np.sqrt(np.maximum(evals, 0.0))[:, None]) @ qt
                 w[idx] = np.abs(root @ v[idx])
             return w
-    evals, q, info = scipy.linalg.lapack.dsyevd(f @ f.T, compute_v=1, lower=1)
+    m = f @ f.T  # one syrk, exactly symmetric: dsyevd overwrites its transpose
+    evals, q, info = scipy.linalg.lapack.dsyevd(m.T, compute_v=1, lower=1, overwrite_a=1)
     if info:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     q = np.ascontiguousarray(q)  # eigh's order, so the products keep their bits

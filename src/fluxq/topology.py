@@ -56,8 +56,9 @@ def _equilibrated_rank(mat: np.ndarray, rel_tol: float) -> int:
     # PSD: a zero diagonal entry forces a zero row, so scaling it by 1 is safe
     scale = 1.0 / np.sqrt(np.where(live, diag, 1.0))
     # scaled by rows, then by columns (the outer product of the scales
-    # overflows for a subnormal diagonal entry)
-    eq = mat * scale[:, None] * scale
+    # overflows for a subnormal diagonal entry), in one buffer
+    eq = np.multiply(mat, scale[:, None])
+    eq *= scale
     zero = (~live).nonzero()[0]
     if zero.size:
         if eq[zero].any():  # a zero diagonal over a nonzero row: not PSD
@@ -65,6 +66,7 @@ def _equilibrated_rank(mat: np.ndarray, rel_tol: float) -> int:
         eq[zero, zero] = 1.0
     if _certifies_full_rank(eq, rel_tol):
         return n - zero.size
+    eq = mat * scale[:, None] * scale  # again: the certificate factored it
     eq[zero, zero] = 0.0
     # the singular values of a symmetric matrix are its absolute eigenvalues
     svals = np.abs(np.linalg.eigvalsh(eq))
@@ -92,7 +94,8 @@ def _certifies_full_rank(eq: np.ndarray, rel_tol: float) -> bool:
     computed eigenvalue exceeds rel_tol times the largest computed one for
     any p(n) up to ~6 n^2, and the eigenvalue rule counts full rank too.
     A failed factorization (info > 0: a pivot <= 0 or NaN) proves nothing.
-    A zero row makes the shifted pivot -sigma, so it always fails.
+    A zero row makes the shifted pivot -sigma, so it always fails.  eq is
+    shifted and factored in place.
 
     Zero rows decouple: up to a permutation, eq is the block diagonal of
     its live rows and zeros, so its spectrum is the live block's plus exact
@@ -102,11 +105,10 @@ def _certifies_full_rank(eq: np.ndarray, rel_tol: float) -> bool:
     that the eigenvalue rule counts every live row."""
     n = eq.shape[0]
     g = np.abs(eq).sum(1).max()
-    shifted = eq.copy()
-    shifted.flat[:: n + 1] -= (rel_tol + _CERTIFICATE_C * n * n * _EPS) * g
+    eq.flat[:: n + 1] -= (rel_tol + _CERTIFICATE_C * n * n * _EPS) * g
     # factored in place as the Fortran-ordered transpose, whose upper
     # triangle is the lower triangle that eigvalsh reads
-    _, info = scipy.linalg.lapack.dpotrf(shifted.T, lower=0, clean=0, overwrite_a=1)
+    _, info = scipy.linalg.lapack.dpotrf(eq.T, lower=0, clean=0, overwrite_a=1)
     return info == 0
 
 
@@ -207,15 +209,14 @@ def fundamental_loops(
 ) -> tuple[FundamentalLoop, ...]:
     """One loop per chord, in chord order; each loop is the chord plus the
     unique tree path between its terminals."""
-    by_id = {c.id: c for c in circuit.components}
     loops = []
     for chord_id in tree.chords:
-        chord = by_id[chord_id]
+        chord = circuit.component(chord_id)
         path: list[tuple[str, int]] = [(chord_id, +1)]
         for cid, u, v in _forest_steps(
             tree.parent_node, tree.parent_component, chord.b, chord.a
         ):
-            sign = +1 if by_id[cid].terminals == (u, v) else -1
+            sign = +1 if circuit.component(cid).terminals == (u, v) else -1
             path.append((cid, sign))
         loops.append(FundamentalLoop(chord_id, tuple(path)))
     return tuple(loops)

@@ -5,7 +5,8 @@ fluxq once stored it: one {coordinate label: coefficient} dict per
 component, with each geometric capacitor's dict summed over the design
 path a breadth-first search from its first terminal finds.  The dicts are
 densified in label order and give A, M and K, which must equal the
-library's exactly.
+library's exactly; M and K add each component's rank-one term in
+declaration order.
 """
 from collections import deque
 
@@ -35,6 +36,14 @@ def _difference(a, b):
     if b != GROUND:
         combo[f"phi_{b}"] = combo.get(f"phi_{b}", 0.0) - 1.0
     return {k: v for k, v in combo.items() if v != 0.0}
+
+
+def _component_order_gram(rows, weights):
+    """sum_k weights[k] rows[k]^T rows[k], the terms added in row order."""
+    gram = np.zeros((rows.shape[1], rows.shape[1]))
+    for row, weight in zip(rows, weights):
+        gram += weight * np.outer(row, row)
+    return gram
 
 
 def _design_path(circuit, u, v):
@@ -129,8 +138,8 @@ def _reference(circuit, rep, policy):
     a = dense([assignment[c.id] for c in components])
     values = np.array([c.value for c in components], dtype=float)
     kin = np.array([c.kind is kinetic_kind for c in components], dtype=bool)
-    M = (a[kin].T * values[kin]) @ a[kin]
-    K = (a[~kin].T * (1.0 / values[~kin])) @ a[~kin]
+    M = _component_order_gram(a[kin], values[kin])
+    K = _component_order_gram(a[~kin], 1.0 / values[~kin])
     if rep is Representation.LOOP_CHARGE and record.loop_inductance is not None:
         M = M + record.loop_inductance
     if rep is Representation.EXTENDED_NODE_FLUX and dynamic:

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import hypothesis.strategies as st
@@ -13,6 +14,30 @@ from fluxq import (
     serialize_netlist,
     validate_circuit,
 )
+
+
+def test_component_stays_a_frozen_dataclass():
+    comp = Component("C1", ComponentKind.CAPACITOR, 2e-12, ("2", "0"))
+    assert comp.geometric is False
+    for name in ("id", "value", "geometric"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(comp, name, None)
+    assert [f.name for f in dataclasses.fields(comp)] == [
+        "id", "kind", "value", "terminals", "geometric"
+    ]
+    assert repr(comp) == (
+        "Component(id='C1', kind=<ComponentKind.CAPACITOR: 'C'>, value=2e-12, "
+        "terminals=('2', '0'), geometric=False)"
+    )
+    same = Component(
+        id="C1", kind=ComponentKind.CAPACITOR, value=2e-12, terminals=("2", "0")
+    )
+    assert comp == same and hash(comp) == hash(same)
+    assert hash(comp) == hash(("C1", ComponentKind.CAPACITOR, 2e-12, ("2", "0"), False))
+    assert comp != dataclasses.replace(comp, geometric=True)
+    moved = dataclasses.replace(comp, value=3e-12, terminals=("2", "1"))
+    assert moved == Component("C1", ComponentKind.CAPACITOR, 3e-12, ("2", "1"))
+    assert dataclasses.astuple(moved)[2:4] == (3e-12, ("2", "1"))
 
 
 def test_parse_single_capacitor():

@@ -36,6 +36,7 @@ from fluxq import (
     reduce_circuit,
     topology_report,
 )
+from fluxq import lagrangian
 from fluxq.quantize import (
     _BLOCK_ROOT_MIN_DIM,
     _K_RANK_TOL,
@@ -766,6 +767,44 @@ def test_mode_solve_of_an_empty_system(source, capfd):
     assert h.minv.shape == (0, 0)
     assert ground_state(modes, h).cov.shape == (0, 0)
     assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize(("policy", "name"), SOLVE_CASES)
+@pytest.mark.parametrize("rep", list(Representation), ids=lambda r: r.value)
+def test_gram_scatter_equals_the_dense_product(name, policy, rep, monkeypatch):
+    """_gram_matrices' component-order scatter gives M and K bit for bit as
+    the dense GEMM A^T diag(w) A of these circuits, exactly symmetric."""
+    calls, gram = [], lagrangian._gram_matrices
+
+    def recorded(a, components, kinetic_kind):
+        M, K, kin, ids = gram(a, components, kinetic_kind)
+        # copies: the loop and extended Lagrangians add to M and K in place
+        calls.append((a.copy(), components, kinetic_kind, M.copy(), K.copy(), kin, ids))
+        return M, K, kin, ids
+
+    monkeypatch.setattr(lagrangian, "_gram_matrices", recorded)
+    try:
+        quantize_circuit(_attribution_circuit(name), rep, policy)
+    except SingularKineticMatrix:
+        pass
+    (a, components, kinetic_kind, M, K, kin, ids), = calls
+    values = np.array([c.value for c in components])
+    assert np.array_equal(kin, [c.kind is kinetic_kind for c in components])
+    assert ids == tuple(c.id for c in components)
+    for got, rows, weights in ((M, kin, values), (K, ~kin, 1.0 / values)):
+        expected = (a[rows].T * weights[rows]) @ a[rows]
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+        assert got.tobytes() == got.T.copy().tobytes()
+
+
+def test_hamiltonian_shares_k_read_only(active_lc):
+    lag = node_lagrangian(active_lc)
+    h = legendre_transform(lag)
+    assert h.k is lag.K
+    for k in (lag.K, h.k):
+        with pytest.raises(ValueError, match="read-only"):
+            k[0, 0] = 1.0
 
 
 @pytest.mark.parametrize(("policy", "name"), SOLVE_CASES)

@@ -1,3 +1,4 @@
+import re
 import runpy
 from pathlib import Path
 
@@ -14,17 +15,25 @@ def test_scaling_table_on_a_small_ladder(capsys):
     assert lines[1].split()[1:] == [
         "node", "(16)", "loop", "(12)", "extended", "(20)"
     ]
-    rows = {line[:26].strip(): line[26:].split() for line in lines[2:]}
+    rows = {line[:26].strip(): line[26:].split() for line in lines[2:-1]}
     assert list(rows) == list(SCALING["STAGES"])
+    assert re.fullmatch(
+        r"node CLI modes / eigh per process: median (\d+\.\d\d)x, "
+        r"quartiles (\d+\.\d\d)x-(\d+\.\d\d)x",
+        lines[-1],
+    )
     assert rows["eigh of F^-1 K F^-T"][1::2] == ["(1.00x)"] * 3
     for stage in ("extended_node_lagrangian", "_design_paths"):
         assert rows[stage][:2] == ["-", "-"]  # extended only
         assert rows[stage][3].endswith("x)")
+    node_only = rows["node_lagrangian"]
+    assert node_only[1].endswith("x)") and node_only[2:] == ["-", "-"]
     inductance = rows["loop_inductance"]  # the node representation never forms it
     assert inductance[0] == "-" and len(inductance) == 5
     assert inductance[2].endswith("x)") and inductance[4].endswith("x)")
     for stage in (
-        "quantize_circuit", "normal_modes", "ground_state", "topology_report",
+        "quantize_circuit", "legendre_transform", "normal_modes", "ground_state",
+        "topology_report",
         "mode_attribution", "parse_netlist + validate", "modes JSON", "CLI modes",
     ):
         assert len(rows[stage]) == 6

@@ -21,6 +21,7 @@ from fluxq import (
 )
 from fluxq.cli import main
 from fluxq.netlist import Circuit, Component, ComponentKind
+from fluxq.quantize import _K_RANK_TOL
 from fluxq.topology import (
     SpanningTree,
     _certifies_full_rank,
@@ -28,7 +29,7 @@ from fluxq.topology import (
     capacitor_only_cycles,
 )
 
-from conftest import ladder, random_active_circuit
+from conftest import ladder, passive_class_circuit, random_active_circuit
 
 
 def test_tree_reduced(reduced_lc):
@@ -479,3 +480,19 @@ def test_node_quantization_reads_zero_rows_without_eigenvalues(monkeypatch, whee
     for circuit in (wheel, ladder(32, np.random.default_rng(7))):
         q = quantize_circuit(circuit, Representation.NODE_FLUX, GeometricPolicy())
         assert q.modes.zero_mode_count == 0
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_rank_fallback_counts_eigenvalues_and_leaves_its_argument(seed):
+    # the loop-representation K of the passive sweep's circuits has zero
+    # modes that are not zero rows, so the in-place certificate fails and
+    # the eigenvalue rule runs on the matrix scaled again
+    circuit = passive_class_circuit(seed, np.random.default_rng(7))
+    k = quantize_circuit(circuit, Representation.LOOP_CHARGE, GeometricPolicy()).lagrangian.K
+    before = k.tobytes()
+    eq = _equilibrate(k)
+    assert not _certifies_full_rank(eq.copy(), _K_RANK_TOL)
+    expected = _eigenvalue_rank(eq, _K_RANK_TOL)
+    assert expected < len(k)
+    assert _equilibrated_rank(k, _K_RANK_TOL) == expected
+    assert k.tobytes() == before
