@@ -30,7 +30,6 @@ import functools
 import json
 import math
 import sys
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,6 +53,7 @@ from .netlist import (
 )
 from .pipeline import quantize_circuit
 from .quantize import (
+    _ZERO_MODE_WARNING,
     HBAR,
     KineticMatrixOverflow,
     ReducedMatrixOverflow,
@@ -187,12 +187,10 @@ def cmd_analyze(config: RunConfig) -> int:
 def _mode_payload(config: RunConfig, circuit: Circuit) -> dict:
     q = quantize_circuit(circuit, config.rep, _policy(config))
     lag, h, modes = q.lagrangian, q.hamiltonian, q.modes
-    # one line per warning on every call, without the source location
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", UserWarning)
-        vs, us = _vacuum_factors(modes)
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
+    vs, us = _vacuum_factors(modes)
+    if modes.zero_mode_count:
+        message = _ZERO_MODE_WARNING.format(modes.zero_mode_count)
+        print(f"warning: {message}", file=sys.stderr)
     dx, dp = (np.sqrt(np.einsum("ij,ij->i", a, a)) for a in (vs, us))
     freqs_ghz = (modes.omegas / (2.0 * np.pi) / 1e9).tolist()
     attribution = {

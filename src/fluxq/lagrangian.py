@@ -85,8 +85,8 @@ class AugmentationRecord:
     self-inductance form (rows x l, unit vectors of the loops it covers),
     for the structural quantizability analysis.  The (l x l)
     self-inductance matrix itself, loop_inductance, is formed on first
-    read: the loop and extended representations read it, the node
-    representation never does."""
+    read: the loop representation reads it, the node and extended ones
+    never do."""
 
     added_capacitors: tuple[Component, ...]
     loop_kinetic_rows: np.ndarray
@@ -305,11 +305,9 @@ def augment_geometric(
         pairs = []
         for node in report.passive_nodes:
             neighbor = tree.parent_node.get(node)
-            if neighbor is None:
-                neighbors = sorted(
-                    {t for c in circuit.incident(node) for t in c.terminals} - {node}
-                )
-                neighbor = GROUND if GROUND in neighbors else neighbors[0]
+            if neighbor is None:  # the root, so the circuit has no ground
+                ends = {t for c in circuit.incident(node) for t in c.terminals}
+                neighbor = min(ends - {node})
             pairs.append((node, neighbor))
         cycles = report.witnesses
         kinetic_rows = np.array(cycles, dtype=float).reshape(len(cycles), l)
@@ -388,9 +386,12 @@ def extended_node_lagrangian(
 
     M, K, kin, ids = _gram_matrices(a, comps, ComponentKind.CAPACITOR)
     if dynamic:
-        # the Phi coordinates come last, in the order of `dynamic`
-        block = record.loop_inductance[np.ix_(dynamic, dynamic)]
-        K[len(phi_labels) :, len(phi_labels) :] += np.linalg.inv(block)
+        # the Phi coordinates come last, each with 1/Lg on its diagonal; a
+        # subnormal Lg makes that inf, which the mode solve reports
+        with np.errstate(over="ignore"):
+            inverse = 1.0 / np.float64(record.policy.default_lg)
+        phi = np.arange(len(phi_labels), len(ext_labels))
+        K[phi, phi] += inverse
     return QuadraticLagrangian(
         Representation.EXTENDED_NODE_FLUX, ext_labels, M, K, a, ids, kin
     )

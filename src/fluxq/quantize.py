@@ -36,6 +36,8 @@ _RREF_TOL = 1e-9
 # its blocks do (on the benchmark ladders, one BLAS thread: dense wins at 48
 # coordinates, the blocks from 60 on)
 _BLOCK_ROOT_MIN_DIM = 56
+# ground_state's warning, which the CLI prints as its own line
+_ZERO_MODE_WARNING = "{} zero mode(s); ground state restricted to the oscillating subspace"
 
 
 class ReducedMatrixOverflow(RuntimeError):
@@ -276,10 +278,7 @@ def normal_modes(h: HamiltonianSystem) -> ModeDecomposition:
 def _vacuum_factors(modes: ModeDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """V and U = momentum_modes over the oscillating modes, scaled by
     sqrt(hbar / 2 omega) and sqrt(hbar omega / 2): the vacuum's x and p
-    covariance factors, their row norms its spreads; warns of zero modes."""
-    if modes.zero_mode_count:
-        msg = f"{modes.zero_mode_count} zero mode(s); ground state restricted to "
-        warnings.warn(msg + "the oscillating subspace", stacklevel=3)
+    covariance factors, their row norms its spreads."""
     z = modes.dim - np.count_nonzero(modes.omegas)  # omegas ascend from z zeros
     w = modes.omegas[z:]
     vs = np.multiply(modes.modes[:, z:], np.sqrt(HBAR / (2.0 * w)), order="F")
@@ -287,7 +286,10 @@ def _vacuum_factors(modes: ModeDecomposition) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ground_state(modes: ModeDecomposition, h: HamiltonianSystem) -> GaussianState:
-    """Vacuum of the oscillating modes; zero modes have no normalizable one."""
+    """Vacuum of the oscillating modes; zero modes have no normalizable one,
+    and a warning gives their count."""
+    if modes.zero_mode_count:
+        warnings.warn(_ZERO_MODE_WARNING.format(modes.zero_mode_count), stacklevel=2)
     vs, us = _vacuum_factors(modes)
     cov = scipy.linalg.block_diag(vs @ vs.T, us @ us.T)
     return GaussianState(mean=np.zeros(2 * modes.dim), cov=cov)

@@ -50,9 +50,9 @@ def _is_flux_type(rep: Representation) -> bool:
     return rep in (Representation.NODE_FLUX, Representation.EXTENDED_NODE_FLUX)
 
 
-def _lstsq_with_check(rows: np.ndarray, rhs: np.ndarray, dim: int, what: str):
-    if rows.size == 0:
-        return np.zeros(dim)
+def _lstsq_with_check(rows: np.ndarray, rhs: np.ndarray, what: str):
+    # no rows (nothing pinned): lstsq returns zeros and a zero residual; no
+    # columns (no coordinate): the residual is the whole right-hand side
     solution, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
     residual = rows @ solution - rhs
     scale = np.linalg.norm(rhs)
@@ -101,8 +101,8 @@ def initial_state(
     rows_x, rhs_x = constraint(stored, lambda c, ic: c.value * ic)
     rows_v, rhs_v = constraint(other, lambda c, ic: ic)
 
-    x0 = _lstsq_with_check(rows_x, rhs_x, lagrangian.dim, "coordinate")
-    xdot0 = _lstsq_with_check(rows_v, rhs_v, lagrangian.dim, "velocity")
+    x0 = _lstsq_with_check(rows_x, rhs_x, "coordinate")
+    xdot0 = _lstsq_with_check(rows_v, rhs_v, "velocity")
     p0 = lagrangian.M @ xdot0
     return x0, p0
 

@@ -47,33 +47,32 @@ def _equilibrated_rank(mat: np.ndarray, rel_tol: float) -> int:
     Exactly-zero rows (a node without a capacitor, a loop without an
     inductor) are null directions: with a unit diagonal in their place, one
     Cholesky certificate (_certifies_full_rank) confirms the other rows,
-    and only where it fails are the eigenvalues counted."""
+    and only where it fails are the eigenvalues counted.
+
+    mat must be a Gram matrix X^T diag(w) X with positive finite weights w,
+    as every caller's is (M after the diagnosis's finiteness check, K after
+    the mode solve's overflow check, B diag(L) B^T): a zero diagonal entry
+    then heads a zero row, and where the eigenvalues are counted some row
+    has a unit diagonal (the certificate holds on the identity), so the
+    largest eigenvalue is positive."""
     n = mat.shape[0]
     if n == 0:
         return 0
     diag = mat.diagonal()
     live = diag > 0.0
-    # PSD: a zero diagonal entry forces a zero row, so scaling it by 1 is safe
     scale = 1.0 / np.sqrt(np.where(live, diag, 1.0))
     # scaled by rows, then by columns (the outer product of the scales
     # overflows for a subnormal diagonal entry), in one buffer
     eq = np.multiply(mat, scale[:, None])
     eq *= scale
     zero = (~live).nonzero()[0]
-    if zero.size:
-        if eq[zero].any():  # a zero diagonal over a nonzero row: not PSD
-            zero = zero[:0]
-        eq[zero, zero] = 1.0
+    eq[zero, zero] = 1.0
     if _certifies_full_rank(eq, rel_tol):
         return n - zero.size
     eq = mat * scale[:, None] * scale  # again: the certificate factored it
-    eq[zero, zero] = 0.0
     # the singular values of a symmetric matrix are its absolute eigenvalues
     svals = np.abs(np.linalg.eigvalsh(eq))
-    smax = svals.max()
-    if smax == 0.0:
-        return 0
-    return int(np.sum(svals > rel_tol * smax))
+    return int(np.sum(svals > rel_tol * svals.max()))
 
 
 def _certifies_full_rank(eq: np.ndarray, rel_tol: float) -> bool:
@@ -389,49 +388,41 @@ def _merge_parallel(circuit: Circuit) -> Circuit | None:
 
 
 def _eliminate_series(circuit: Circuit) -> Circuit | None:
+    """The two components of the first passive node with exactly two,
+    merged in series.  A passive node has no capacitor, so both are
+    inductors; on _merge_parallel's fixpoint their outer nodes differ."""
     passive = passive_nodes(circuit)
     for node in circuit.nodes:
-        if node == GROUND or node not in passive:
+        if node not in passive or len(circuit.incident(node)) != 2:
             continue
-        incident = circuit.incident(node)
-        if len(incident) != 2:
-            continue
-        c1, c2 = incident
-        if c1.kind is not c2.kind:
-            continue
+        c1, c2 = circuit.incident(node)
         outer1 = c1.b if c1.a == node else c1.a
         outer2 = c2.b if c2.a == node else c2.a
-        if outer1 == outer2:
-            continue
-        if c1.kind is ComponentKind.INDUCTOR:
-            value = c1.value + c2.value
-        else:
-            value = 1.0 / (1.0 / c1.value + 1.0 / c2.value)
         merged_id = f"{c1.id}+{c2.id}"
         merged = Component(
             merged_id,
             c1.kind,
-            value,
+            c1.value + c2.value,
             (outer1, outer2),
             geometric=c1.geometric and c2.geometric,
         )
         components, ics = _replace_group(circuit, (c1, c2), merged)
         nodes = tuple(n for n in circuit.nodes if n != node)
-        if c1.kind is ComponentKind.INDUCTOR:
-            # series currents agree up to the chain orientation
-            i1, i2 = circuit.ics.get(c1.id), circuit.ics.get(c2.id)
-            if i1 is not None and i2 is not None:
-                s1 = +1 if c1.terminals == (outer1, node) else -1
-                s2 = +1 if c2.terminals == (node, outer2) else -1
-                if s1 * i1 == s2 * i2:
-                    ics[merged_id] = s1 * i1
+        # series currents agree up to the chain orientation
+        i1, i2 = circuit.ics.get(c1.id), circuit.ics.get(c2.id)
+        if i1 is not None and i2 is not None:
+            s1 = +1 if c1.terminals == (outer1, node) else -1
+            s2 = +1 if c2.terminals == (node, outer2) else -1
+            if s1 * i1 == s2 * i2:
+                ics[merged_id] = s1 * i1
         return Circuit(nodes, components, ics)
     return None
 
 
 def reduce_circuit(circuit: Circuit) -> Circuit:
     """Fixpoint of parallel same-kind merging and series elimination of
-    passive degree-2 internal nodes.  Merged ids carry provenance, e.g.
+    passive degree-2 internal nodes, whose two components are inductors
+    (series capacitors are not merged).  Merged ids carry provenance, e.g.
     'C1||C2' (parallel) or 'L3+L4' (series).  Returns `circuit` itself
     when no step applies."""
     current = circuit

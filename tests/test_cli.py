@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import subprocess
@@ -11,20 +12,24 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fluxq import (
+    Circuit,
     ComponentKind,
+    GeometricMode,
     GeometricPolicy,
     Representation,
+    SingularKineticMatrix,
     cli,
     evolve_modes,
     initial_state,
     observables,
     parse_netlist,
     quantize_circuit,
+    reduce_circuit,
     serialize_netlist,
 )
 from fluxq.cli import _decimal_digits, main
 
-from conftest import attribution_weights, ladder
+from conftest import attribution_weights, ladder, load
 
 NETLISTS = Path(__file__).resolve().parent.parent / "netlists"
 PASSIVE = str(NETLISTS / "passive_lc.cir")
@@ -197,6 +202,23 @@ def test_reduce_outputs_netlist(capsys):
     assert code == 0
     assert "C1||C2 2 0 6e-12F" in out
     assert "L3+L4 2 0 4e-09H" in out
+
+
+def test_reduce_text_carries_the_merged_ics(tmp_path, capsys):
+    netlist = tmp_path / "ics.cir"
+    netlist.write_text(
+        "C1 2 0 2pF\nC2 2 0 4pF\nL3 2 3 1nH\nL4 3 0 3nH\n"
+        ".ic C1 2mV\n.ic C2 2mV\n.ic L3 1uA\n.ic L4 1uA\n"
+    )
+    code, out, _ = run(capsys, "reduce", str(netlist))
+    assert code == 0
+    assert out.splitlines()[2:] == [".ic C1||C2 0.002V", ".ic L3+L4 1e-06A"]
+    assert parse_netlist(out) == reduce_circuit(parse_netlist(netlist.read_text()))
+    # the JSON carries them in its netlist text, not in its component list
+    code, out, _ = run(capsys, "reduce", str(netlist), "--format", "json")
+    payload = json.loads(out)
+    assert payload["netlist"].splitlines()[2:] == [".ic C1||C2 0.002V", ".ic L3+L4 1e-06A"]
+    assert all(set(c) == {"id", "kind", "value", "terminals"} for c in payload["components"])
 
 
 def test_reduce_json(capsys):
@@ -788,23 +810,54 @@ NO_COORDINATE_JSON = """{
 """
 
 
-@pytest.mark.parametrize("source", ["L1 1 0 1n\n", "C1 1 0 1p\nC2 1 2 1p\n"])
-def test_modes_without_loops_in_the_loop_representation(tmp_path, source):
-    # a netlist without loops has a 0 x 0 loop system; LAPACK writes its
-    # complaints to the process's stdout, so the CLI runs in a child process
-    netlist = tmp_path / "no_loops.cir"
-    netlist.write_text(source)
+def _child_cli(*argv):
+    """(exit code, stdout, stderr) of the CLI run in a child process."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     script = (
         f"import sys; sys.path.insert(0, {src!r})\n"
         "from fluxq.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
-    argv = ["modes", str(netlist), "--rep", "loop", "--format", "json"]
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv], capture_output=True, text=True
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, NO_COORDINATE_JSON, "")
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("source", ["L1 1 0 1n\n", "C1 1 0 1p\nC2 1 2 1p\n"])
+def test_modes_without_loops_in_the_loop_representation(tmp_path, source):
+    # a netlist without loops has a 0 x 0 loop system; LAPACK writes its
+    # complaints to the process's stdout, so the CLI runs in a child process
+    netlist = tmp_path / "no_loops.cir"
+    netlist.write_text(source)
+    argv = ["modes", str(netlist), "--rep", "loop", "--format", "json"]
+    assert _child_cli(*argv) == (0, NO_COORDINATE_JSON, "")
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "C1 1 0 1p\nC2 2 1 1p\n",  # no loop at all
+        "C1 1 0 1p\nC2 2 1 1p\nL1 2 1 1n\n",  # C1 on no loop
+    ],
+)
+def test_simulate_loop_charge_on_a_capacitor_without_a_loop_is_inconsistent(
+    tmp_path, source
+):
+    # no loop charge passes a capacitor that lies on no loop, so its
+    # default 2 mV cannot be met; a declared 0 V can
+    netlist = tmp_path / "bridge.cir"
+    netlist.write_text(source)
+    argv = ["simulate", str(netlist), "--rep", "loop", "--samples", "2"]
+    code, out, err = _child_cli(*argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("coordinate initial conditions are inconsistent")
+    netlist.write_text(source + ".ic C1 0V\n.ic C2 0V\n")
+    code, out, err = _child_cli(*argv)
+    assert (code, err) == (0, "")
+    header, *rows = out.splitlines()
+    c1 = header.split(",").index("C1_V")
+    assert [float(row.split(",")[c1]) for row in rows] == [0.0, 0.0]
 
 
 # inductances 2e12 apart: a plain singular-value threshold on B diag(L) B^T
@@ -868,3 +921,44 @@ _JSON_VALUES = st.recursive(
 @example([[["é \x00\x1f\"\\", "\ud800"]], (1, (2.5, None)), {"x": {"y": {"z": True}}}])
 def test_indented_json_matches_the_pure_python_encoder(value):
     assert cli._indented_json(value) == json.dumps(value, indent=2)
+
+
+def _scaled_by_four(circuit: Circuit) -> Circuit:
+    """Every capacitance times 4 and every inductance over 4."""
+    return Circuit(
+        circuit.nodes,
+        tuple(
+            dataclasses.replace(
+                c, value=c.value * 4 if c.kind is ComponentKind.CAPACITOR else c.value / 4
+            )
+            for c in circuit.components
+        ),
+        dict(circuit.ics),
+    )
+
+
+@pytest.mark.parametrize("mode", list(GeometricMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("rep", list(Representation), ids=lambda r: r.value)
+@pytest.mark.parametrize("name", ["passive_lc", "reduced_lc", "wheel", "active_lc"])
+def test_mode_payload_scales_exactly_with_powers_of_two(name, rep, mode):
+    """Capacitances and Cg times 4, inductances and Lg over 4: every stage
+    scales by a power of two, which rounds exactly, so the frequencies and
+    products keep their bits while the spreads move by exactly 2 and 1/2."""
+    circuit = load(f"{name}.cir")
+    config = cli.RunConfig("modes", Path(name), rep, mode)
+    scaled_config = dataclasses.replace(config, cg=config.cg * 4, lg=config.lg / 4)
+    try:
+        payload = cli._mode_payload(config, circuit)
+    except SingularKineticMatrix:  # unquantizable: the scaled circuit is too
+        with pytest.raises(SingularKineticMatrix):
+            cli._mode_payload(scaled_config, _scaled_by_four(circuit))
+        return
+    scaled = cli._mode_payload(scaled_config, _scaled_by_four(circuit))
+    assert scaled["frequencies_ghz"] == payload["frequencies_ghz"]
+    assert scaled["attribution"] == payload["attribution"]
+    before, after = payload["ground_state"], scaled["ground_state"]
+    assert after["products_over_hbar2"] == before["products_over_hbar2"]
+    # the coordinate is a flux (C times 4: x halves) or a charge (L over 4)
+    x_factor = 2.0 if rep is Representation.LOOP_CHARGE else 0.5
+    assert after["delta_x"] == [x_factor * v for v in before["delta_x"]]
+    assert after["delta_p"] == [v / x_factor for v in before["delta_p"]]

@@ -4,8 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fluxq import (
+    Circuit,
+    Component,
+    ComponentKind,
     GeometricMode,
     GeometricPolicy,
+    QuadraticLagrangian,
     Representation,
     augment_geometric,
     build_spanning_tree,
@@ -234,6 +238,55 @@ def test_augment_rejects_a_report_of_another_circuit(passive_lc, reduced_lc, mod
     foreign = topology_report(reduced_lc)
     with pytest.raises(ValueError, match="does not describe this circuit"):
         augment_geometric(passive_lc, foreign, GeometricPolicy(cap_mode=mode))
+
+
+def test_augment_minimal_joins_a_passive_root_to_its_least_neighbor():
+    # without ground the tree grows from the first node, passive "a" here,
+    # which has no tree parent to take its geometric capacitor
+    circuit = Circuit(
+        ("a", "b", "c"),
+        (
+            Component("L1", ComponentKind.INDUCTOR, 1e-9, ("a", "c")),
+            Component("L2", ComponentKind.INDUCTOR, 1e-9, ("b", "a")),
+            Component("C1", ComponentKind.CAPACITOR, 1e-12, ("b", "c")),
+        ),
+    )
+    report = topology_report(circuit)
+    assert report.passive_nodes == ("a",) and "a" not in report.tree.parent_node
+    augmented, record = augment_geometric(circuit, report, MINIMAL)
+    cg = Component(
+        "Cgab", ComponentKind.CAPACITOR, MINIMAL.default_cg, ("a", "b"), geometric=True
+    )
+    assert record.added_capacitors == (cg,)
+    assert augmented.components == circuit.components + (cg,)
+
+
+def test_design_paths_between_nodes_the_circuit_does_not_join_raise():
+    # the search from node 1 runs out without reaching node 3
+    circuit = parse_netlist("C1 1 0 1pF\nL1 1 0 1nH\nC2 2 3 1pF\nL2 2 3 1nH\n")
+    cg = Component("Cg13", ComponentKind.CAPACITOR, 1e-19, ("1", "3"), geometric=True)
+    with pytest.raises(ValueError, match="no design path between nodes '1' and '3'"):
+        lagrangian_module._design_paths(circuit, (cg,))
+
+
+def test_lagrangian_rejects_an_asymmetric_matrix():
+    m = np.array([[2.0, 1.0], [0.0, 2.0]])
+    with pytest.raises(ValueError, match="M is not symmetric"):
+        QuadraticLagrangian(
+            Representation.NODE_FLUX,
+            ("phi_1", "phi_2"),
+            m,
+            np.eye(2),
+            np.eye(2),
+            ("C1", "L1"),
+            np.array([True, False]),
+        )
+
+
+def test_loop_lagrangian_rejects_a_loop_inductance_of_the_wrong_shape(passive_lc):
+    loops = topology_report(passive_lc).loops
+    with pytest.raises(ValueError, match="wrong shape"):
+        loop_lagrangian(passive_lc, loops, np.eye(len(loops) + 1))
 
 
 def test_policy_validation():

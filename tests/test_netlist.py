@@ -208,6 +208,35 @@ def test_validate_missing_ground():
     assert any("ground" in v for v in violations)
 
 
+def test_validate_empty_circuit_lacks_only_ground():
+    # no component, so no connectivity to check
+    assert validate_circuit(Circuit((), ())) == ["no ground node ('0' or 'GND') present"]
+
+
+def test_validate_reports_a_duplicate_id_and_a_non_positive_value():
+    # parse_netlist rejects both, so only a hand-built circuit carries them
+    circuit = Circuit(
+        ("0", "1"),
+        (
+            Component("C1", ComponentKind.CAPACITOR, 1e-12, ("1", "0")),
+            Component("C1", ComponentKind.CAPACITOR, 0.0, ("1", "0")),
+            Component("L1", ComponentKind.INDUCTOR, -1e-9, ("1", "0")),
+        ),
+    )
+    assert validate_circuit(circuit) == [
+        "duplicate component id 'C1'",
+        "component 'C1' has non-positive value 0.0",
+        "component 'L1' has non-positive value -1e-09",
+    ]
+
+
+def test_serialize_writes_ics_after_the_components():
+    circuit = parse_netlist("C1 1 0 1pF\nL1 1 0 1nH\n.ic L1 2uA\n.ic C1 -3mV\n")
+    text = serialize_netlist(circuit)
+    assert text == "C1 1 0 1e-12F\nL1 1 0 1e-09H\n.ic L1 2e-06A\n.ic C1 -0.003V\n"
+    assert parse_netlist(text) == circuit
+
+
 def test_serialize_round_trip(passive_lc):
     again = parse_netlist(serialize_netlist(passive_lc))
     assert again == passive_lc

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from fluxq import (
     HBAR,
+    ComponentKind,
     GeometricMode,
     GeometricPolicy,
     HamiltonianSystem,
@@ -44,7 +45,7 @@ from fluxq.quantize import (
     _mass_root_weights,
     _max_weight_assignment,
 )
-from fluxq.topology import _equilibrated_rank
+from fluxq.topology import SpanningTree, _equilibrated_rank
 
 from conftest import (
     attribution_weights,
@@ -54,6 +55,7 @@ from conftest import (
     pencil_frequencies_2x2,
     random_active_circuit,
 )
+from test_topology import _greedy_tree_reference
 
 NETLIST_NAMES = ("passive_lc.cir", "reduced_lc.cir", "wheel.cir", "active_lc.cir")
 
@@ -99,6 +101,20 @@ def test_diagnose_passive_loop_rep(passive_lc):
     assert not diag.quantizable
     assert np.array_equal(diag.null_space[0], [1.0, 0.0])
     assert "loop 1" in diag.attributions[0]
+
+
+def test_diagnose_names_a_combination_of_loops():
+    # an inductor-first tree makes L1 the tree and both capacitors chords:
+    # each loop holds L1, so only their difference misses its inductance
+    circuit = parse_netlist("L1 0 1 1nH\nC1 0 1 1pF\nC2 0 1 2pF\n")
+    tree = SpanningTree(*_greedy_tree_reference(circuit, ComponentKind.INDUCTOR))
+    assert tree.tree == ("L1",)
+    loops = fundamental_loops(circuit, tree)
+    diag = diagnose_quantizability(loop_lagrangian(circuit, loops))
+    assert not diag.quantizable
+    # the row reduction gives (-1, 1); the first nonzero entry is made positive
+    assert np.array_equal(diag.null_space[0], np.array([1.0, -1.0]) / np.sqrt(2.0))
+    assert diag.attributions == ("loops 1, 2: no net inductance around the combination",)
 
 
 def test_diagnose_augmented_is_quantizable(passive_lc):

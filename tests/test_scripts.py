@@ -6,12 +6,13 @@ import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+TESTS = Path(__file__).resolve().parent
 
 
-def _run_script(name, cwd):
+def _run_script(name, cwd, *args):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     return subprocess.run(
-        [sys.executable, str(SCRIPTS / name)],
+        [sys.executable, str(SCRIPTS / name), *args],
         cwd=cwd,
         env=env,
         capture_output=True,
@@ -46,3 +47,22 @@ def test_waveforms_runs_without_pythonpath(tmp_path):
     for name, header in headers.items():
         with open(tmp_path / "waveforms" / name) as f:
             assert f.readline().rstrip("\n") == header
+
+
+def test_linetrace_reports_what_one_test_file_leaves_unrun(tmp_path):
+    test_file = str(TESTS / "test_netlist.py")
+    proc = _run_script("linetrace.py", tmp_path, "-q", "-p", "no:cacheprovider", test_file)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = proc.stdout.split("lines and branches of src/fluxq never run:\n")[1]
+    modules = [line for line in report.splitlines() if line.startswith("src/")]
+    # the netlist tests run every line and branch of netlist.py, import the
+    # package but never the CLI, and leave the library's other modules unrun
+    assert modules == [
+        "src/fluxq/cli.py: never imported",
+        "src/fluxq/lagrangian.py:",
+        "src/fluxq/pipeline.py:",
+        "src/fluxq/quantize.py:",
+        "src/fluxq/simulate.py:",
+        "src/fluxq/topology.py:",
+    ]
+    assert "  lines never run: " in report

@@ -34,6 +34,7 @@ from fluxq import (
 )
 from fluxq.lagrangian import QuadraticLagrangian, Representation
 from fluxq.quantize import HBAR, SingularKineticMatrix
+from fluxq.simulate import _series
 
 from conftest import extended, ladder as _ladder, load
 
@@ -401,6 +402,61 @@ def test_charge_law_loop_rep(passive_lc):
     traj = evolve_modes(h, modes, x0, p0, times, lagrangian=lag)
     residual = charge_law_residual(passive_lc, traj)
     assert np.abs(residual).max() <= 1e-12 * np.abs(traj.coords).max()
+
+
+def test_law_residuals_reject_a_trajectory_of_the_other_kind(passive_lc):
+    loops, loop_lag, h, modes = loop_setup(passive_lc)
+    times = np.linspace(0.0, 1e-9, 3)
+    x0 = np.zeros(loop_lag.dim)
+    loop_traj = evolve_modes(h, modes, x0, x0, times, lagrangian=loop_lag)
+    with pytest.raises(ValueError, match="flux law applies to flux-type"):
+        flux_law_residual(passive_lc, loops, loop_traj)
+    augmented, lag, h, modes = augmented_node_setup(passive_lc)
+    x0 = np.zeros(lag.dim)
+    node_traj = evolve_modes(h, modes, x0, x0, times, lagrangian=lag)
+    with pytest.raises(ValueError, match="charge law applies to loop-charge"):
+        charge_law_residual(augmented, node_traj)
+    bare = evolve_modes(h, modes, x0, x0, times)  # no lagrangian attached
+    for residual in (
+        lambda: flux_law_residual(augmented, loops, bare),
+        lambda: charge_law_residual(augmented, bare),
+    ):
+        with pytest.raises(ValueError, match="carries no coordinate assignment"):
+            residual()
+
+
+def test_series_rejects_a_trajectory_of_other_coordinates(passive_lc):
+    augmented, lag, h, modes = augmented_node_setup(passive_lc)
+    x0 = np.zeros(lag.dim)
+    traj = evolve_modes(h, modes, x0, x0, np.linspace(0.0, 1e-9, 3), lagrangian=lag)
+    # the same coordinates in another Lagrangian object are accepted
+    same = node_lagrangian(augmented)
+    assert np.array_equal(_series(augmented, same, traj), _series(augmented, lag, traj))
+    other = extended(passive_lc, MINIMAL)
+    with pytest.raises(ValueError, match="does not match this coordinate system"):
+        _series(passive_lc, other, traj)
+
+
+def test_initial_state_without_ics_reads_the_netlist():
+    circuit = parse_netlist("C1 1 0 2pF\nL1 1 0 1nH\n.ic C1 2mV\n.ic L1 3uA\n")
+    lag, _, _ = node_setup(circuit)
+    x0, p0 = initial_state(circuit, lag)
+    assert (x0, p0) == (pytest.approx([3e-15]), pytest.approx([4e-15]))
+    assert np.array_equal(x0, initial_state(circuit, lag, {})[0])
+
+
+def test_simulate_a_capacitor_only_tree():
+    # no inductor row: the coordinate solve has nothing to pin, x0 is zero
+    circuit = parse_netlist("C1 1 0 1pF\nC2 2 1 1pF\n")
+    lag, h, modes = node_setup(circuit)
+    x0, p0 = initial_state(circuit, lag, {"C1": 2e-3, "C2": 2e-3})
+    assert np.array_equal(x0, [0.0, 0.0])
+    times = np.linspace(0.0, 1e-9, 4)
+    traj = evolve_modes(h, modes, x0, p0, times, lagrangian=lag)
+    voltage, current = _series(circuit, lag, traj)
+    # two zero modes: each capacitor holds its 2 mV and carries no current
+    assert modes.zero_mode_count == 2
+    assert np.allclose(voltage, 2e-3, rtol=1e-12) and not current.any()
 
 
 def test_charge_law_flags_perturbation(reduced_lc):

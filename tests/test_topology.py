@@ -60,6 +60,10 @@ def test_tree_disconnected_raises():
         build_spanning_tree(circuit)
 
 
+def test_tree_of_an_empty_circuit_is_empty():
+    assert build_spanning_tree(Circuit((), ())) == SpanningTree((), ())
+
+
 def test_loop_counts(passive_lc, reduced_lc, wheel):
     for circuit, expected in ((passive_lc, 2), (reduced_lc, 1), (wheel, 3)):
         tree = build_spanning_tree(circuit)
@@ -224,6 +228,44 @@ def test_reduce_sums_parallel_inductor_currents():
     merged = next(c for c in reduced.components if c.kind is ComponentKind.INDUCTOR)
     # Lc is declared in the opposite direction, so its current subtracts
     assert reduced.ics[merged.id] == pytest.approx(1e-6 + 2e-6 - 3e-6)
+
+
+def test_reduce_keeps_a_capacitor_voltage_only_where_parallel_ones_agree():
+    text = "C1 1 0 1pF\nC2 1 0 2pF\nL1 1 0 1nH\n.ic C1 2mV\n.ic C2 {}\n"
+    agree = reduce_circuit(parse_netlist(text.format("2mV")))
+    assert agree.ics == {"C1||C2": 2e-3}
+    disagree = reduce_circuit(parse_netlist(text.format("3mV")))
+    assert [c.id for c in disagree.components] == ["C1||C2", "L1"]
+    assert disagree.ics == {}
+
+
+@pytest.mark.parametrize(
+    "l2, current, merged",
+    [
+        ("L2 2 0", "1uA", {"L1+L2": 1e-6}),  # one orientation along the chain
+        ("L2 0 2", "-1uA", {"L1+L2": 1e-6}),  # reversed, with the sign flipped
+        ("L2 2 0", "2uA", {}),  # the currents disagree: dropped
+        ("L2 0 2", "1uA", {}),  # the same number against the chain: dropped
+    ],
+)
+def test_reduce_keeps_a_series_current_only_where_the_inductors_agree(
+    l2, current, merged
+):
+    circuit = parse_netlist(
+        f"C1 1 0 1pF\nL1 1 2 1nH\n{l2} 3nH\n.ic L1 1uA\n.ic L2 {current}\n"
+    )
+    reduced = reduce_circuit(circuit)
+    [inductor] = [c for c in reduced.components if c.kind is ComponentKind.INDUCTOR]
+    merged_inductor = (inductor.id, inductor.terminals, inductor.value)
+    assert merged_inductor == ("L1+L2", ("1", "0"), 4e-9)
+    assert reduced.nodes == ("0", "1")
+    assert reduced.ics == merged
+
+
+def test_reduce_merges_no_series_capacitors():
+    # node 2 joins only C1 and C2, but a node with a capacitor is not passive
+    circuit = parse_netlist("L1 1 0 1nH\nC1 1 2 1pF\nC2 2 0 1pF\n")
+    assert reduce_circuit(circuit) is circuit
 
 
 def _greedy_tree_reference(circuit, first=ComponentKind.CAPACITOR):
