@@ -25,6 +25,13 @@ better than the parent's by more than the parent's interquartile range),
 and whether the change median is within the metric's relative `bound` of
 the parent median, or unresolved where the parent's interquartile range is
 wider than the bound and not every change run beats every parent run.
+
+Next to every run a fixed reference kernel is timed in a fresh child on one
+BLAS thread: one `eigh` of a seeded 256 x 256 symmetric matrix and one
+`json.dumps` of 10^5 seeded floats, best of 5.  It is kept as the run's
+`reference_s`, and each side's median of it under `summary.reference_s`,
+so that runs made at different times, on a faster or slower spell of a
+shared machine, can be read against each other.
 """
 from __future__ import annotations
 
@@ -40,7 +47,23 @@ import numpy as np
 import scipy
 
 SIDES = ("parent", "change")
-RUN_FIELDS = ("correct", "attempted", "failed", "first")
+RUN_FIELDS = ("correct", "attempted", "failed", "first", "reference_s")
+BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+REFERENCE_KERNEL = """
+import json, time
+import numpy as np
+rng = np.random.default_rng(0)
+a = rng.standard_normal((256, 256))
+a += a.T
+floats = rng.standard_normal(100_000).tolist()
+best = float("inf")
+for _ in range(5):
+    start = time.perf_counter()
+    np.linalg.eigh(a)
+    json.dumps(floats)
+    best = min(best, time.perf_counter() - start)
+print(best)
+"""
 
 
 def end_to_end(checkout: Path) -> dict[str, bool]:
@@ -74,6 +97,17 @@ def run_once(
     return run
 
 
+def reference_s() -> float:
+    """The reference kernel's best time in s, in a fresh child on one BLAS
+    thread."""
+    env = dict(os.environ, **{name: "1" for name in BLAS_THREADS})
+    proc = subprocess.run(
+        [sys.executable, "-c", REFERENCE_KERNEL],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return float(proc.stdout)
+
+
 def summary(
     runs: dict[str, list[dict]],
     trace_runs: dict[str, list[dict]],
@@ -93,6 +127,11 @@ def summary(
             for metric, lower in lower_is_better.items()
         }
         out["change_wins_op_p50_s"] = out["change_wins"]["op_p50_s"]
+        # entries recorded before the kernel was timed have no reference
+        timed = {side: [r["reference_s"] for r in runs[side] if "reference_s" in r]
+                 for side in SIDES}
+        if all(timed.values()):
+            out["reference_s"] = {side: float(np.median(t)) for side, t in timed.items()}
     out["pairs"] = len(pairs)
     traced = {side: trace_runs[side] for side in SIDES if trace_runs[side]}
     if traced:
@@ -200,8 +239,10 @@ def main(argv: list[str] | None = None) -> int:
                 run = run_once(checkouts[side], args.workload, args.seed,
                                args.seconds, trace)
                 run["first"] = side == order[0]
+                run["reference_s"] = reference_s()
                 runs[side].append(run)
                 shown = "" if trace else f": op_p50_s {run['op_p50_s']:.5f}"
+                shown += f", reference_s {run['reference_s']:.5f}"
                 print(f"{args.workload} seed {args.seed} "
                       f"{'trace' if trace else 'pair'} {i + 1} {side}{shown}", flush=True)
             entry["summary"] = summary(entry["runs"], trace_runs, lower_is_better)

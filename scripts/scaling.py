@@ -12,13 +12,11 @@ its `legendre_transform` and `normal_modes`, `ground_state` (the full
 (with the rank test of the loop inductance form), `mode_attribution`,
 `parse_netlist` + `validate_circuit` of the ladder's netlist text (the same
 work in every column), the indented JSON text of the CLI's `modes` payload
-and the CLI's `modes --format json` on the ladder's netlist; for the loop
-and extended representations the first read of
-`AugmentationRecord.loop_inductance` on a fresh record (the node
-representation never forms it); for the node representation
-`node_lagrangian` of the augmented circuit; and for the extended
-representation `extended_node_lagrangian` and its `_design_paths`.  The
-table gives each stage's median over the processes in ms and as a multiple
+and the CLI's `modes --format json` on the ladder's netlist; and in its
+own column each representation's Lagrangian from the augmentation:
+`node_lagrangian` of the augmented circuit, `loop_lagrangian` with the
+augmentation record, and `extended_node_lagrangian` with its
+`_design_paths`.  The table gives each stage's median over the processes in ms and as a multiple
 of the `eigh` in the same column; a last line gives the median and
 quartiles over the processes of each one's node CLI `modes` time as a
 multiple of its own `eigh`.  The sources timed are those of the checkout
@@ -51,6 +49,7 @@ from fluxq import (  # noqa: E402
     extended_node_lagrangian,
     ground_state,
     legendre_transform,
+    loop_lagrangian,
     mode_attribution,
     node_lagrangian,
     normal_modes,
@@ -73,7 +72,7 @@ STAGES = (
     "mode_attribution",
     "parse_netlist + validate",
     "modes JSON",
-    "loop_inductance",
+    "loop_lagrangian",
     "extended_node_lagrangian",
     "_design_paths",
     "CLI modes",
@@ -150,28 +149,21 @@ def measure(n: int, seed: int, repeats: int) -> dict[str, dict[str, float]]:
                 ),
             }
             report = topology_report(circuit)
+            augmented, record = augment_geometric(circuit, report, policy)
             if rep is Representation.NODE_FLUX:
-                observed, _ = augment_geometric(circuit, report, policy)
                 times["node_lagrangian"] = _best_ms(
-                    node_lagrangian, repeats, lambda: (observed,)
+                    node_lagrangian, repeats, lambda: (augmented,)
+                )
+            elif rep is Representation.LOOP_CHARGE:
+                times["loop_lagrangian"] = _best_ms(
+                    loop_lagrangian, repeats, lambda: (circuit, report.loops, record)
                 )
             else:
-
-                def augmented():
-                    # a fresh record each time: its loop inductance is
-                    # formed on first read
-                    return (circuit, report.loops, *augment_geometric(circuit, report, policy))
-
-                times["loop_inductance"] = _best_ms(
-                    lambda record: record.loop_inductance,
-                    repeats,
-                    lambda: augmented()[3:],
-                )
-            if rep is Representation.EXTENDED_NODE_FLUX:
                 times["extended_node_lagrangian"] = _best_ms(
-                    extended_node_lagrangian, repeats, augmented
+                    extended_node_lagrangian,
+                    repeats,
+                    lambda: (circuit, report.loops, augmented, record),
                 )
-                _, record = augment_geometric(circuit, report, policy)
                 times["_design_paths"] = _best_ms(
                     _design_paths, repeats, lambda: (circuit, record.added_capacitors)
                 )

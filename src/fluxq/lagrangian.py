@@ -1,9 +1,10 @@
 """Quadratic Lagrangian assembly for LC circuits.
 
-Every representation is one signed integer assignment matrix A
-(components x coordinates): row i gives component i's branch flux (or
-branch charge, in the loop representation) as a combination of the
-coordinates.  M and K are Gram matrices of its kinetic and potential rows.
+Every representation is one signed integer assignment matrix A (energy
+terms x coordinates): row i gives term i's branch flux (or branch charge,
+in the loop representation) as a combination of the coordinates.  A term
+is a component or a geometric loop self-inductance, the row Lg<chord>.
+M and K are Gram matrices of the kinetic and potential rows.
 
 * node flux: one flux coordinate per non-ground node; kinetic energy from
   capacitors, potential from inductors; every branch flux is the node-flux
@@ -11,23 +12,23 @@ coordinates.  M and K are Gram matrices of its kinetic and potential rows.
 * loop charge: one charge coordinate per fundamental loop; kinetic energy
   from inductors, potential from capacitors; A is the transposed loop
   matrix, so every branch charge is the signed sum of the loop charges
-  through the branch.
+  through the branch; a loop self-inductance is its loop's unit row.
 * extended node flux: node fluxes plus one dynamical loop-flux coordinate
   per loop that carries a geometric self-inductance and whose flux some
   capacitor's branch flux contains.  A chord of dynamic loop l carries
   branch flux (phi_a - phi_b - Phi_l); each geometric capacitor inherits
   the branch flux of the shortest design-component path between its
-  terminals, so the tiny loop it forms with that path threads no flux.
+  terminals, so the tiny loop it forms with that path threads no flux;
+  the self-inductance of loop l is a potential row, Phi_l's unit row.
 
 All quantities are SI.  A, M and K are dense arrays; M and K are summed
-over the pairs of nonzeros in each row of A, in component order.
+over the pairs of nonzeros in each row of A, in row order.
 """
 from __future__ import annotations
 
 import enum
-import functools
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,8 +41,6 @@ from .topology import (
     _forest_steps,
     loop_matrix,
 )
-
-_SYM_TOL = 1e-14
 
 
 class Representation(enum.Enum):
@@ -81,27 +80,13 @@ class GeometricPolicy:
 @dataclass(frozen=True)
 class AugmentationRecord:
     """What augment_geometric added under `policy`: the geometric
-    capacitors, and the exact loop-space support of the geometric
-    self-inductance form (rows x l, unit vectors of the loops it covers),
-    for the structural quantizability analysis.  The (l x l)
-    self-inductance matrix itself, loop_inductance, is formed on first
-    read: the loop representation reads it, the node and extended ones
-    never do."""
+    capacitors, and the geometric loop self-inductances as loop-space rows
+    (rows x l), each the unit vector of the loop it covers; each is a term
+    of value default_lg in the loop and extended representations."""
 
     added_capacitors: tuple[Component, ...]
     loop_kinetic_rows: np.ndarray
     policy: GeometricPolicy
-
-    @functools.cached_property
-    def loop_inductance(self) -> np.ndarray | None:
-        """The diagonal loop self-inductance matrix, None when OFF:
-        default_lg on the diagonal of every loop the kinetic rows touch,
-        which is default_lg times the identity for ALL_PAIRS and the
-        capacitor-only loops for MINIMAL."""
-        if self.policy.cap_mode is GeometricMode.OFF:
-            return None
-        touched = self.loop_kinetic_rows.any(axis=0)
-        return np.diag(np.where(touched, self.policy.default_lg, 0.0))
 
 
 @dataclass
@@ -109,36 +94,27 @@ class QuadraticLagrangian:
     """L = 1/2 xdot^T M xdot - 1/2 x^T K x over the named coordinates.
 
     A is the signed assignment matrix: row i is the branch flux (or branch
-    charge, in the loop representation) of component_ids[i] as a
-    combination of the coordinates, columns in label order.  Its entries
-    are small integers held as float64 (no -0.0).  The rows where
-    `kinetic` is set build M; kinetic_forms holds additional exact support
-    rows (geometric loop self-inductances).  Their joint span determines
-    quantizability.
+    charge, in the loop representation) of term component_ids[i], of value
+    values[i], over the coordinates in label order.  Its entries are small
+    integers held as float64 (no -0.0).  M and K are formed here, once, as
+    the Gram matrices of the rows where `kinetic` is set and of the others;
+    the kinetic rows' span determines quantizability.
     """
 
     representation: Representation
     labels: tuple[str, ...]
-    M: np.ndarray
-    K: np.ndarray
     A: np.ndarray
     component_ids: tuple[str, ...]
     kinetic: np.ndarray
-    kinetic_forms: np.ndarray = ()
+    values: np.ndarray
+    M: np.ndarray = field(init=False)
+    K: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        forms = np.asarray(self.kinetic_forms, dtype=float)
-        self.kinetic_forms = forms.reshape(len(forms), self.dim)
-        for name, mat in (("M", self.M), ("K", self.K)):
-            scratch = np.abs(mat)
-            scale = scratch.max(initial=0.0)
-            # an overflowed (inf) entry is left to the diagnosis (M) or the
-            # mode solve (K) to report
-            with np.errstate(invalid="ignore"):
-                np.abs(np.subtract(mat, mat.T, out=scratch), out=scratch)
-                asymmetry = scratch.max(initial=0.0)
-            if scale and asymmetry > _SYM_TOL * scale:
-                raise ValueError(f"{name} is not symmetric")
+        terms = {len(self.component_ids), len(self.kinetic), len(self.values)}
+        if terms != {len(self.A)}:
+            raise ValueError("A, component_ids, kinetic and values differ in length")
+        self.M, self.K = _gram_matrices(self.A, self.values, self.kinetic)
 
     @property
     def dim(self) -> int:
@@ -194,16 +170,13 @@ def _node_rows(
 
 
 def _gram_matrices(
-    a: np.ndarray, components: tuple[Component, ...], kinetic_kind: ComponentKind
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[str, ...]]:
-    """M = A_kin^T diag(value) A_kin and K = A_pot^T diag(1/value) A_pot over
-    the assignment matrix A, whose rows are the components; the kinetic
-    rows are those of kinetic_kind.  Returns M, K, the kinetic row mask and
-    the row ids.  One bincount adds each row's value a_i a_j to entry (i, j)
-    for each pair of its nonzeros, in component order: M and K are exactly
+    a: np.ndarray, values: np.ndarray, kin: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """M = A_kin^T diag(values) A_kin and K = A_pot^T diag(1/values) A_pot
+    over the assignment matrix A; the kinetic rows are those where kin is
+    set.  One bincount adds each row's value a_i a_j to entry (i, j) for
+    each pair of its nonzeros, in row order: M and K are exactly
     symmetric, and the GEMM's unless its blocking regroups the sums."""
-    values = np.array([c.value for c in components], dtype=float)
-    kin = np.array([c.kind is kinetic_kind for c in components], dtype=bool)
     n = a.shape[1]
     rows, cols = np.nonzero(a != 0)  # a bool scan, faster than a float one
     count = np.bincount(rows, minlength=len(a))[rows]  # nonzeros in the row
@@ -212,15 +185,32 @@ def _gram_matrices(
     shift = np.searchsorted(rows, rows) - np.cumsum(count) + count
     right = np.arange(left.size) + np.repeat(shift, count)
     sign = a[rows, cols]
-    # values near either end of the double range overflow M or K; the
-    # diagnosis and the mode solve report that
+    # values near either end of the double range overflow M or K (a
+    # subnormal Lg gives an inf in K); the diagnosis and the mode solve
+    # report that
     with np.errstate(over="ignore"):
         weight = np.divide(1.0, values, out=values.copy(), where=~kin)
     # per nonzero (k, i): w_k a_ki, and where row i of M (or K) starts
     term, start = weight[rows] * sign, (~kin[rows] * n + cols) * n
     grams = np.bincount(start[left] + cols[right], term[left] * sign[right], 2 * n * n)
     M, K = grams.astype(float, copy=False).reshape(2, n, n)  # int when empty
-    return M, K, kin, tuple(c.id for c in components)
+    return M, K
+
+
+def _terms(
+    components: tuple[Component, ...], kinetic_kind: ComponentKind, chords=(), lg=0.0
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """The row ids, kinetic mask and values of the components' rows, then
+    of one geometric self-inductance of value lg per loop chord, named
+    Lg<chord> under _geometric_id's rule; the kinetic rows are those of
+    kinetic_kind."""
+    existing = {c.id for c in components}
+    ids = [c.id for c in components]
+    ids += [_geometric_id(existing, f"Lg{chord}") for chord in chords]
+    kinds = [c.kind for c in components] + [ComponentKind.INDUCTOR] * len(chords)
+    values = [c.value for c in components] + [lg] * len(chords)
+    kin = np.array([kind is kinetic_kind for kind in kinds], dtype=bool)
+    return tuple(ids), kin, np.array(values, dtype=float)
 
 
 def node_lagrangian(
@@ -232,8 +222,8 @@ def node_lagrangian(
     not be built."""
     labels = _node_labels(circuit)
     a = _node_rows(circuit, circuit.components).astype(float)
-    M, K, kin, ids = _gram_matrices(a, circuit.components, ComponentKind.CAPACITOR)
-    return QuadraticLagrangian(Representation.NODE_FLUX, labels, M, K, a, ids, kin)
+    terms = _terms(circuit.components, ComponentKind.CAPACITOR)
+    return QuadraticLagrangian(Representation.NODE_FLUX, labels, a, *terms)
 
 
 def loop_labels(loops: tuple[FundamentalLoop, ...]) -> tuple[str, ...]:
@@ -243,36 +233,33 @@ def loop_labels(loops: tuple[FundamentalLoop, ...]) -> tuple[str, ...]:
 def loop_lagrangian(
     circuit: Circuit,
     loops: tuple[FundamentalLoop, ...],
-    loop_inductance: np.ndarray | None = None,
-    loop_kinetic_rows: np.ndarray = (),
+    record: AugmentationRecord | None = None,
 ) -> QuadraticLagrangian:
     """Loop-charge Lagrangian: M from inductors shared between loops, K
     from capacitors; A is the transposed loop matrix, so each branch charge
-    is the signed sum of the loop charges through it.  An optional
-    geometric self-inductance matrix is added to M (it never enters as a
-    series branch); loop_kinetic_rows (rows x loops) carries its exact
-    loop-space support for the structural diagnosis."""
+    is the signed sum of the loop charges through it.  Each of the
+    record's geometric self-inductances is one more kinetic row, the unit
+    vector of its loop (it never enters the circuit as a series branch).
+    `loops` are the circuit's fundamental loops and the record its
+    augment_geometric result over them."""
+    rows = np.zeros((0, len(loops))) if record is None else record.loop_kinetic_rows
+    lg = 0.0 if record is None else record.policy.default_lg
+    a = np.vstack([loop_matrix(circuit, loops).T, rows])
+    chords = [loops[i].chord for i in np.nonzero(rows)[1]]
+    terms = _terms(circuit.components, ComponentKind.INDUCTOR, chords, lg)
     labels = loop_labels(loops)
-    dim = len(labels)
-    a = np.ascontiguousarray(loop_matrix(circuit, loops).T)
-    M, K, kin, ids = _gram_matrices(a, circuit.components, ComponentKind.INDUCTOR)
-    if loop_inductance is not None:
-        extra = np.asarray(loop_inductance, dtype=float)
-        if extra.shape != (dim, dim):
-            raise ValueError("loop inductance matrix has wrong shape")
-        M += extra
-    return QuadraticLagrangian(
-        Representation.LOOP_CHARGE, labels, M, K, a, ids, kin, loop_kinetic_rows
-    )
+    return QuadraticLagrangian(Representation.LOOP_CHARGE, labels, a, *terms)
 
 
-def _geometric_id(existing: set[str], a: str, b: str) -> str:
-    base = f"Cg{a}{b}"
+def _geometric_id(existing: set[str], base: str) -> str:
+    """base, or else the first of base_2, base_3, ... not in existing;
+    the id is added to existing, so it names nothing else."""
     cid = base
     k = 2
     while cid in existing:
         cid = f"{base}_{k}"
         k += 1
+    existing.add(cid)
     return cid
 
 
@@ -282,10 +269,9 @@ def augment_geometric(
     """Add geometric components per the policy.
 
     Geometric capacitors become real circuit components (flagged).  The
-    geometric loop self-inductances are a loop-space matrix (the record's
-    loop_inductance, formed on first read) to be added to the
-    loop-representation kinetic matrix; inserting them as series branches
-    would create nodes the model does not contain.
+    geometric loop self-inductances are the record's loop-space rows, which
+    the loop and extended Lagrangians take as terms of their own; inserting
+    them as series branches would create nodes the model does not contain.
 
     The report must be the circuit's own topology_report: its spanning
     tree places the MINIMAL capacitors, its fundamental loops index the
@@ -319,8 +305,7 @@ def augment_geometric(
     existing = {c.id for c in circuit.components}
     added: list[Component] = []
     for a, b in pairs:
-        cid = _geometric_id(existing, a, b)
-        existing.add(cid)
+        cid = _geometric_id(existing, f"Cg{a}{b}")
         added.append(
             Component(
                 cid, ComponentKind.CAPACITOR, policy.default_cg, (a, b), geometric=True
@@ -345,10 +330,11 @@ def extended_node_lagrangian(
     Tree components keep phi_a - phi_b.  The chord of dynamic loop l
     carries phi_a - phi_b - Phi_l, which makes the signed flux sum around
     that loop equal -Phi_l.  Geometric capacitors copy the flux of the
-    shortest design path between their terminals.  The potential gains
-    1/2 Phi^T Lg^{-1} Phi from the loop self-inductances.  `loops` are
-    the circuit's fundamental loops and (augmented, record) its
-    augment_geometric result over them."""
+    shortest design path between their terminals.  The self-inductance of
+    loop l is a potential row of its own on Phi_l, which adds
+    1/2 Phi_l^2 / Lg to the potential.  `loops` are the circuit's
+    fundamental loops and (augmented, record) its augment_geometric result
+    over them."""
     paths = _design_paths(circuit, record.added_capacitors)
     # A loop flux enters M only through a capacitor chord or a geometric
     # capacitor whose design path crosses the chord.  A loop without either
@@ -382,19 +368,11 @@ def extended_node_lagrangian(
     ]
     rows, cols, signs = np.array(steps, dtype=np.intp).reshape(-1, 3).T
     np.add.at(a, (rows, cols), signs)
-    a = a.astype(float)
-
-    M, K, kin, ids = _gram_matrices(a, comps, ComponentKind.CAPACITOR)
-    if dynamic:
-        # the Phi coordinates come last, each with 1/Lg on its diagonal; a
-        # subnormal Lg makes that inf, which the mode solve reports
-        with np.errstate(over="ignore"):
-            inverse = 1.0 / np.float64(record.policy.default_lg)
-        phi = np.arange(len(phi_labels), len(ext_labels))
-        K[phi, phi] += inverse
-    return QuadraticLagrangian(
-        Representation.EXTENDED_NODE_FLUX, ext_labels, M, K, a, ids, kin
-    )
+    # the self-inductance rows come last, one unit row per Phi column
+    lg_rows = np.eye(len(dynamic), len(ext_labels), len(phi_labels), dtype=a.dtype)
+    a = np.vstack([a, lg_rows], dtype=float)
+    terms = _terms(comps, ComponentKind.CAPACITOR, column, record.policy.default_lg)
+    return QuadraticLagrangian(Representation.EXTENDED_NODE_FLUX, ext_labels, a, *terms)
 
 
 def _design_paths(

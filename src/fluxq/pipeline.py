@@ -33,7 +33,7 @@ from .topology import topology_report
 class QuantizedCircuit:
     """`observed` is the circuit the coordinates describe: the augmented
     circuit in the node and extended representations, the design circuit
-    in the loop one (its geometric self-inductances live in M only)."""
+    in the loop one (its geometric self-inductances are rows of A only)."""
 
     observed: Circuit
     lagrangian: QuadraticLagrangian
@@ -52,9 +52,7 @@ def quantize_circuit(
         observed, lag = augmented, node_lagrangian(augmented)
     elif rep is Representation.LOOP_CHARGE:
         observed = circuit
-        lag = loop_lagrangian(
-            circuit, report.loops, record.loop_inductance, record.loop_kinetic_rows
-        )
+        lag = loop_lagrangian(circuit, report.loops, record)
     else:
         observed = augmented
         lag = extended_node_lagrangian(circuit, report.loops, augmented, record)

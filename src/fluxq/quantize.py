@@ -206,16 +206,14 @@ def _describe_null_vector(
 
 
 def diagnose_quantizability(lagrangian: QuadraticLagrangian) -> QuantizabilityDiagnosis:
-    """Null space of M, computed from the kinetic components' small-integer
+    """Null space of M, computed from the kinetic terms' small-integer
     assignment rows and confirmed against the numeric rank of M; raises
     RankCrossCheckFailure where the two disagree, and KineticMatrixOverflow
     where M is not finite."""
     if not np.isfinite(lagrangian.M).all():
         raise KineticMatrixOverflow()
-    rows = np.vstack([lagrangian.A[lagrangian.kinetic], lagrangian.kinetic_forms])
-
     null_vectors = []
-    for vec in _rref_nullspace(rows):
+    for vec in _rref_nullspace(lagrangian.A[lagrangian.kinetic]):
         arr = vec / np.linalg.norm(vec)
         if arr[np.flatnonzero(arr)[0]] < 0:
             arr = -arr

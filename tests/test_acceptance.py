@@ -64,9 +64,7 @@ def augmented_loop_modes(circuit, policy):
     _, record = augment_geometric(circuit, report, policy)
     tree = build_spanning_tree(circuit)
     loops = fundamental_loops(circuit, tree)
-    lag = loop_lagrangian(
-        circuit, loops, record.loop_inductance, record.loop_kinetic_rows
-    )
+    lag = loop_lagrangian(circuit, loops, record)
     h = legendre_transform(lag)
     return loops, lag, h, normal_modes(h)
 

@@ -3,10 +3,13 @@
 The reference assembles each representation's branch assignment the way
 fluxq once stored it: one {coordinate label: coefficient} dict per
 component, with each geometric capacitor's dict summed over the design
-path a breadth-first search from its first terminal finds.  The dicts are
-densified in label order and give A, M and K, which must equal the
-library's exactly; M and K add each component's rank-one term in
-declaration order.
+path a breadth-first search from its first terminal finds, then one row
+Lg<chord> per geometric loop self-inductance.  The dicts are densified in
+label order and give A, which must equal the library's exactly.  M and K
+are built as fluxq once built them: each component's rank-one term added
+in declaration order, then Lg (1/Lg in the extended K) on the diagonal of
+each self-inductance's coordinate; they must equal the library's Gram
+products bit for bit.
 """
 from collections import deque
 
@@ -70,11 +73,11 @@ def _design_path(circuit, u, v):
 
 
 def _reference(circuit, rep, policy):
-    """(labels, component ids, A, kinetic mask, M, K, kinetic forms)."""
+    """(labels, row ids, A, kinetic mask, values, M, K)."""
     report = topology_report(circuit)
     augmented, record = augment_geometric(circuit, report, policy)
     loops = report.loops
-    forms = []
+    geometric = []  # (loop index, {label: coefficient}) per self-inductance
     if rep is Representation.NODE_FLUX:
         components, kinetic_kind = augmented.components, ComponentKind.CAPACITOR
         labels = tuple(f"phi_{n}" for n in augmented.nodes if n != GROUND)
@@ -91,10 +94,9 @@ def _reference(circuit, rep, policy):
             cid: {k: v for k, v in combo.items() if v != 0.0}
             for cid, combo in assignment.items()
         }
-        forms = [
-            {labels[i]: float(row[i]) for i in range(len(labels)) if row[i] != 0.0}
-            for row in record.loop_kinetic_rows
-        ]
+        for row in record.loop_kinetic_rows:
+            (i,) = np.flatnonzero(row)
+            geometric.append((i, {labels[i]: 1.0}))
     else:
         components, kinetic_kind = augmented.components, ComponentKind.CAPACITOR
         paths = [_design_path(augmented, c.a, c.b) for c in record.added_capacitors]
@@ -102,14 +104,12 @@ def _reference(circuit, rep, policy):
             c.id for c in circuit.components if c.kind is ComponentKind.CAPACITOR
         }
         capacitive.update(comp.id for path in paths for comp, _ in path)
-        dynamic = []
-        if record.loop_inductance is not None:
-            dynamic = [
-                i
-                for i, loop in enumerate(loops)
-                if np.any(record.loop_inductance[i] != 0.0)
-                and loop.chord in capacitive
-            ]
+        dynamic = [
+            i
+            for i, loop in enumerate(loops)
+            if record.loop_kinetic_rows[:, i].any() and loop.chord in capacitive
+        ]
+        geometric = [(i, {f"Phi_{i + 1}": 1.0}) for i in dynamic]
         labels = tuple(f"phi_{n}" for n in circuit.nodes if n != GROUND)
         labels += tuple(f"Phi_{i + 1}" for i in dynamic)
         chord_loop = {loop.chord: i for i, loop in enumerate(loops)}
@@ -140,15 +140,20 @@ def _reference(circuit, rep, policy):
     kin = np.array([c.kind is kinetic_kind for c in components], dtype=bool)
     M = _component_order_gram(a[kin], values[kin])
     K = _component_order_gram(a[~kin], 1.0 / values[~kin])
-    if rep is Representation.LOOP_CHARGE and record.loop_inductance is not None:
-        M = M + record.loop_inductance
-    if rep is Representation.EXTENDED_NODE_FLUX and dynamic:
-        block = record.loop_inductance[np.ix_(dynamic, dynamic)]
-        K[len(labels) - len(dynamic) :, len(labels) - len(dynamic) :] += np.linalg.inv(
-            block
-        )
+    lg = policy.default_lg
+    for _, combo in geometric:
+        (j,) = (labels.index(lbl) for lbl in combo)
+        if rep is Representation.LOOP_CHARGE:
+            M[j, j] += lg
+        else:
+            K[j, j] += 1.0 / lg
     ids = tuple(c.id for c in components)
-    return labels, ids, a, kin, M, K, dense(forms)
+    ids += tuple(f"Lg{loops[i].chord}" for i, _ in geometric)
+    rows = dense([combo for _, combo in geometric])
+    a = np.vstack([a, rows])
+    kin = np.append(kin, [rep is Representation.LOOP_CHARGE] * len(geometric))
+    values = np.append(values, [lg] * len(geometric))
+    return labels, ids, a, kin, values, M, K
 
 
 def _library(circuit, rep, policy):
@@ -157,9 +162,7 @@ def _library(circuit, rep, policy):
     if rep is Representation.NODE_FLUX:
         return node_lagrangian(augmented)
     if rep is Representation.LOOP_CHARGE:
-        return loop_lagrangian(
-            circuit, report.loops, record.loop_inductance, record.loop_kinetic_rows
-        )
+        return loop_lagrangian(circuit, report.loops, record)
     return extended_node_lagrangian(circuit, report.loops, augmented, record)
 
 
@@ -172,15 +175,15 @@ def _library(circuit, rep, policy):
 def test_assignment_matrix_matches_dict_reference(name, rep, mode):
     circuit = ladder(64, np.random.default_rng(7)) if name == "ladder64" else load(name)
     policy = GeometricPolicy(cap_mode=mode)
-    labels, ids, a, kin, M, K, forms = _reference(circuit, rep, policy)
+    labels, ids, a, kin, values, M, K = _reference(circuit, rep, policy)
     lag = _library(circuit, rep, policy)
     assert lag.labels == labels
     assert lag.component_ids == ids
     assert np.array_equal(lag.A, a)
     assert np.array_equal(lag.kinetic, kin)
+    assert np.array_equal(lag.values, values)
     assert np.array_equal(lag.M, M)
     assert np.array_equal(lag.K, K)
-    assert np.array_equal(lag.kinetic_forms, forms)
     assert lag.A.dtype == np.float64
     assert np.array_equal(lag.A, np.round(lag.A))
     assert not np.signbit(lag.A[lag.A == 0]).any()

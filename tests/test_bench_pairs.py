@@ -40,10 +40,48 @@ def test_summary_of_two_pairs():
     ]
 
 
+def test_summary_keeps_each_side_s_median_reference_time():
+    runs = {
+        "parent": _runs([2.0] * 3, [10.0] * 3, [0.5] * 3),
+        "change": _runs([1.0] * 3, [12.0] * 3, [0.5] * 3),
+    }
+    for side, times in (("parent", [0.03, 0.01, 0.02]), ("change", [0.04, 0.05, 0.06])):
+        for run, t in zip(runs[side], times):
+            run["reference_s"] = t
+    out = BENCH_PAIRS["summary"](runs, {"parent": [], "change": []}, LOWER_IS_BETTER)
+    assert out["reference_s"] == {"parent": 0.02, "change": 0.05}
+    # runs recorded without the kernel give no reference median
+    del runs["change"][0]["reference_s"], runs["change"][1]["reference_s"]
+    out = BENCH_PAIRS["summary"](runs, {"parent": [], "change": []}, LOWER_IS_BETTER)
+    assert out["reference_s"] == {"parent": 0.02, "change": 0.06}
+    for run in runs["change"]:
+        run.pop("reference_s", None)
+    out = BENCH_PAIRS["summary"](runs, {"parent": [], "change": []}, LOWER_IS_BETTER)
+    assert "reference_s" not in out
+
+
+def test_reference_kernel_runs_in_a_child_on_one_blas_thread(monkeypatch):
+    calls = []
+    run = BENCH_PAIRS["subprocess"].run
+
+    def recorded(command, **kwargs):
+        calls.append((command, kwargs["env"]))
+        return run(command, **kwargs)
+
+    monkeypatch.setattr(BENCH_PAIRS["subprocess"], "run", recorded)
+    seconds = BENCH_PAIRS["reference_s"]()
+    assert 0.0 < seconds < 10.0
+    (command, env), = calls
+    assert command[1:] == ["-c", BENCH_PAIRS["REFERENCE_KERNEL"]]
+    assert all(env[name] == "1" for name in BENCH_PAIRS["BLAS_THREADS"])
+
+
 def test_summary_of_trace_runs_skips_bookkeeping_fields():
     trace_runs = {
-        "parent": [{"cli.self_s": 1.0, "correct": True, "first": True},
-                   {"cli.self_s": 3.0, "correct": True, "first": False}],
+        "parent": [
+            {"cli.self_s": 1.0, "correct": True, "first": True, "reference_s": 0.1},
+            {"cli.self_s": 3.0, "correct": True, "first": False},
+        ],
         "change": [],
     }
     out = BENCH_PAIRS["summary"]({"parent": [], "change": []}, trace_runs, LOWER_IS_BETTER)

@@ -38,6 +38,14 @@ floors) by 2e5 to 1e6 on every circuit but passive_lc: its low modes are
 rounding noise, since the mode solve's reduced matrix spreads over
 omega_max^2 (ROADMAP item 1).  Those cases are strict xfails.
 
+The ALL_PAIRS cases also run the benchmark's 128-node ladder, whose
+spectrum spreads over omega_max / omega_min ~ 1e8.  There the rounding
+floor outgrows its eps estimate (item 1 again).  The loop case reads 1.6
+times its line at Lg = 1e-18 and 5.4 times at 1e-21, a strict xfail.  The
+node case reads 0.94 of its line at Cg = 1e-22 on one BLAS thread and
+1.29 on two, so it is an xfail that may pass.  The extended case misses
+its line by 4.2e5 (two threads) to 5.7e5 (one), a strict xfail.
+
 The reference matrices are stamped here from the netlist components, not
 taken from the library.
 """
@@ -55,7 +63,7 @@ from fluxq import (
     quantize_circuit,
 )
 
-from conftest import load
+from conftest import ladder, load
 
 CGS = (1e-16, 1e-17, 1e-18, 1e-19, 1e-20, 1e-21, 1e-22)
 LGS = (1e-15, 1e-16, 1e-17, 1e-18, 1e-19, 1e-20, 1e-21)
@@ -155,6 +163,9 @@ CIRCUITS = {
     "passive_lc": lambda: load("passive_lc.cir"),
     **{f"random{seed}": (lambda s=seed: _random_passive_circuit(s)) for seed in range(6)},
 }
+ALL_PAIRS_CIRCUITS = {
+    **CIRCUITS, "ladder128": lambda: ladder(128, np.random.default_rng(7))
+}
 
 
 @pytest.mark.parametrize("name", list(CIRCUITS))
@@ -219,9 +230,26 @@ def _all_pairs(**values: float) -> GeometricPolicy:
     return GeometricPolicy(cap_mode=GeometricMode.ALL_PAIRS, **values)
 
 
-@pytest.mark.parametrize("name", list(CIRCUITS))
+def _all_pairs_cases(marks: dict) -> list:
+    """The ALL_PAIRS circuit names, each with its marks."""
+    return [pytest.param(n, marks=marks.get(n, ())) for n in ALL_PAIRS_CIRCUITS]
+
+
+_ROUNDING_FLOOR = "the rounding floor of the mode solve outgrows its eps estimate"
+_LADDER_NODE_FLOOR = pytest.mark.xfail(
+    raises=AssertionError,
+    strict=False,
+    reason=f"{_ROUNDING_FLOOR} at Cg = 1e-22 with two BLAS threads, not with "
+    "one (ROADMAP item 1)",
+)
+_LADDER_LOOP_FLOOR = pytest.mark.xfail(
+    raises=AssertionError, strict=True, reason=f"{_ROUNDING_FLOOR} (ROADMAP item 1)"
+)
+
+
+@pytest.mark.parametrize("name", _all_pairs_cases({"ladder128": _LADDER_NODE_FLOOR}))
 def test_all_pairs_node_spectrum_converges_to_kron_reduction(name):
-    circuit = CIRCUITS[name]()
+    circuit = ALL_PAIRS_CIRCUITS[name]()
     reference, cmin, cmax = _kron_omegas(circuit)
     per_node = len(circuit.nodes) - 1  # geometric capacitors at each node
     for cg in CGS:
@@ -232,9 +260,9 @@ def test_all_pairs_node_spectrum_converges_to_kron_reduction(name):
         assert error <= 2 * per_node * cg / cmin + 10.0 * EPS * cmax / cg, (cg, error)
 
 
-@pytest.mark.parametrize("name", list(CIRCUITS))
+@pytest.mark.parametrize("name", _all_pairs_cases({"ladder128": _LADDER_LOOP_FLOOR}))
 def test_all_pairs_loop_spectrum_converges_to_kron_reduction(name):
-    circuit = CIRCUITS[name]()
+    circuit = ALL_PAIRS_CIRCUITS[name]()
     reference, zero, lmin, lmax = _loop_kron_omegas(circuit)
     for lg in LGS:
         policy = _all_pairs(default_lg=lg)
@@ -255,13 +283,12 @@ _EXTENDED_ALL_PAIRS_NOISE = pytest.mark.xfail(
 
 @pytest.mark.parametrize(
     "name",
-    [
-        pytest.param(name, marks=() if name == "passive_lc" else _EXTENDED_ALL_PAIRS_NOISE)
-        for name in CIRCUITS
-    ],
+    _all_pairs_cases(
+        {n: _EXTENDED_ALL_PAIRS_NOISE for n in ALL_PAIRS_CIRCUITS if n != "passive_lc"}
+    ),
 )
 def test_all_pairs_extended_spectrum_converges_to_kron_reduction(name):
-    circuit = CIRCUITS[name]()
+    circuit = ALL_PAIRS_CIRCUITS[name]()
     reference, cmin, cmax = _kron_omegas(circuit)
     inductances = [c.value for c in circuit.components if c.kind is ComponentKind.INDUCTOR]
     lmin, lmax = min(inductances), max(inductances)

@@ -20,7 +20,6 @@ from fluxq import (
     node_lagrangian,
     normal_modes,
     parse_netlist,
-    quantize_circuit,
     reduce_circuit,
     topology_report,
 )
@@ -39,15 +38,6 @@ from test_topology import _random_multigraph
 
 MINIMAL = GeometricPolicy(cap_mode=GeometricMode.MINIMAL)
 ALL_PAIRS = GeometricPolicy(cap_mode=GeometricMode.ALL_PAIRS)
-CIRCUIT_NAMES = (
-    "passive_lc.cir", "reduced_lc.cir", "wheel.cir", "active_lc.cir", "ladder128"
-)
-
-
-def _circuit(name):
-    if name == "ladder128":
-        return ladder(128, np.random.default_rng(7))
-    return load(name)
 
 
 def _row(lag, cid):
@@ -120,11 +110,15 @@ def test_augment_minimal_passive(passive_lc):
     assert cg.value == pytest.approx(8.9e-20)
     assert cg.geometric
     assert len(augmented.components) == 5
-    # one self-inductance on the capacitor-only loop
+    # one self-inductance on the capacitor-only loop, a kinetic row of the
+    # loop Lagrangian named after the loop's chord
     chord_index = [loop.chord for loop in report.loops].index("C2")
-    expected = np.zeros((2, 2))
-    expected[chord_index, chord_index] = 1e-15
-    assert np.allclose(record.loop_inductance, expected)
+    assert np.array_equal(record.loop_kinetic_rows, np.eye(2)[[chord_index]])
+    lag = loop_lagrangian(passive_lc, report.loops, record)
+    assert lag.component_ids[-1] == "LgC2" and lag.kinetic[-1]
+    assert _row(lag, "LgC2") == {f"Q_{chord_index + 1}": 1.0}
+    bare = loop_lagrangian(passive_lc, report.loops)
+    assert lag.M[chord_index, chord_index] == bare.M[chord_index, chord_index] + 1e-15
 
 
 def test_augment_minimal_noop(reduced_lc):
@@ -132,7 +126,7 @@ def test_augment_minimal_noop(reduced_lc):
     augmented, record = augment_geometric(reduced_lc, report, MINIMAL)
     assert augmented == reduced_lc
     assert record.added_capacitors == ()
-    assert np.all(record.loop_inductance == 0.0)
+    assert record.loop_kinetic_rows.shape == (0, len(report.loops))
 
 
 def test_augment_all_pairs(passive_lc):
@@ -144,7 +138,11 @@ def test_augment_all_pairs(passive_lc):
         frozenset(("3", "0")),
         frozenset(("3", "2")),
     }
-    assert np.allclose(record.loop_inductance, 1e-15 * np.eye(2))
+    assert np.array_equal(record.loop_kinetic_rows, np.eye(2))
+    lag = loop_lagrangian(passive_lc, report.loops, record)
+    lg_ids = tuple(f"Lg{loop.chord}" for loop in report.loops)
+    assert lag.component_ids[-2:] == lg_ids
+    assert np.array_equal(lag.assignment_matrix(lg_ids), np.eye(2))
 
 
 def test_augment_off_identity(passive_lc):
@@ -153,83 +151,28 @@ def test_augment_off_identity(passive_lc):
         passive_lc, report, GeometricPolicy(cap_mode=GeometricMode.OFF)
     )
     assert augmented == passive_lc
-    assert record.loop_inductance is None
-
-
-def _eager_loop_inductance(report, policy):
-    """The loop self-inductance matrix as augment_geometric summed it
-    before it was formed on first read: one default_lg-weighted projector
-    per normalized witness, in witness order."""
-    l = len(report.loops)
-    if policy.cap_mode is GeometricMode.OFF:
-        return None
-    if policy.cap_mode is GeometricMode.ALL_PAIRS:
-        return policy.default_lg * np.eye(l)
-    inductance = np.zeros((l, l))
-    for w in np.array(report.witnesses, dtype=float).reshape(-1, l):
-        wv = w / np.linalg.norm(w)
-        inductance += policy.default_lg * np.outer(wv, wv)
-    return inductance
-
-
-@pytest.mark.parametrize("mode", list(GeometricMode), ids=lambda m: m.value)
-@pytest.mark.parametrize("name", CIRCUIT_NAMES)
-def test_loop_inductance_formed_on_first_read_equals_the_eager_sum(name, mode):
-    circuit = _circuit(name)
-    report = topology_report(circuit)
-    policy = GeometricPolicy(cap_mode=mode)
-    _, record = augment_geometric(circuit, report, policy)
-    assert "loop_inductance" not in vars(record)
-    eager = _eager_loop_inductance(report, policy)
-    if eager is None:
-        assert record.loop_inductance is None
-    else:
-        assert np.array_equal(record.loop_inductance, eager)
-        assert record.loop_inductance is record.loop_inductance
+    assert record.loop_kinetic_rows.shape == (0, 2)
+    lag = loop_lagrangian(passive_lc, report.loops, record)
+    assert lag.component_ids == tuple(c.id for c in passive_lc.components)
 
 
 @pytest.mark.parametrize("seed", range(300))
 def test_loop_inductance_product_on_multigraphs(seed):
-    """The product equals the eager sum where no two witnesses share a loop
-    and stays within 4 eps max|L| of it elsewhere; the extended
-    representation's loop fluxes are its nonzero rows, also at a subnormal
-    Lg, where they are those at 1e-15."""
+    """The extended representation's loop fluxes are the loops that the
+    record's self-inductance rows cover, also at a subnormal Lg, where
+    they are those at 1e-15."""
     circuit = _random_multigraph(np.random.default_rng(seed))
     report = topology_report(circuit)
     labels = {}
     for lg in (1e-15, 5e-324):
         policy = GeometricPolicy(GeometricMode.MINIMAL, default_lg=lg)
         augmented, record = augment_geometric(circuit, report, policy)
-        if lg == 1e-15 and report.loops:  # the reference needs a loop
-            product, eager = record.loop_inductance, _eager_loop_inductance(report, policy)
-            if (np.count_nonzero(record.loop_kinetic_rows, axis=0) <= 1).all():
-                assert np.array_equal(product, eager)
-            else:
-                bound = 4.0 * np.finfo(float).eps * np.abs(eager).max()
-                assert np.abs(product - eager).max() <= bound
-        rows = np.flatnonzero(record.loop_inductance.any(1)) + 1
+        rows = np.flatnonzero(record.loop_kinetic_rows.any(0)) + 1
         lag = extended_node_lagrangian(circuit, report.loops, augmented, record)
         phis = [int(s[len("Phi_") :]) for s in lag.labels if s[0] == "P"]
         assert phis == rows.tolist()
         labels[lg] = lag.labels
     assert labels[5e-324] == labels[1e-15]
-
-
-@pytest.mark.parametrize("mode", [GeometricMode.MINIMAL, GeometricMode.ALL_PAIRS])
-@pytest.mark.parametrize("name", CIRCUIT_NAMES)
-def test_node_representation_never_forms_the_loop_inductance(
-    name, mode, monkeypatch
-):
-    def unread(record):
-        raise AssertionError("loop_inductance formed")
-
-    monkeypatch.setattr(
-        lagrangian_module.AugmentationRecord, "loop_inductance", property(unread)
-    )
-    circuit, policy = _circuit(name), GeometricPolicy(cap_mode=mode)
-    quantize_circuit(circuit, Representation.NODE_FLUX, policy)
-    with pytest.raises(AssertionError, match="loop_inductance formed"):
-        quantize_circuit(circuit, Representation.LOOP_CHARGE, policy)
 
 
 @pytest.mark.parametrize("mode", list(GeometricMode), ids=lambda m: m.value)
@@ -269,26 +212,40 @@ def test_design_paths_between_nodes_the_circuit_does_not_join_raise():
         lagrangian_module._design_paths(circuit, (cg,))
 
 
-def test_lagrangian_rejects_an_asymmetric_matrix():
-    m = np.array([[2.0, 1.0], [0.0, 2.0]])
-    with pytest.raises(ValueError, match="M is not symmetric"):
+def test_lagrangian_rejects_terms_of_unequal_length():
+    # one row of A per term: its id, kinetic flag and value
+    with pytest.raises(ValueError, match="differ in length"):
         QuadraticLagrangian(
             Representation.NODE_FLUX,
             ("phi_1", "phi_2"),
-            m,
-            np.eye(2),
             np.eye(2),
             ("C1", "L1"),
             np.array([True, False]),
+            np.array([1e-12]),
         )
 
 
-def test_loop_lagrangian_rejects_a_loop_inductance_of_the_wrong_shape(passive_lc):
-    loops = topology_report(passive_lc).loops
-    with pytest.raises(ValueError, match="wrong shape"):
-        loop_lagrangian(passive_lc, loops, np.eye(len(loops) + 1))
-
-
+def test_a_design_inductor_named_lg_keeps_its_row():
+    """A design inductor named LgC2 keeps that id; the self-inductance of
+    the loop of chord C2 takes the next free one, LgC2_2."""
+    circuit = parse_netlist(
+        "C1 2 0 2pF\nC2 2 0 4pF\nL3 2 3 1nH\nL4 3 0 3nH\nLgC2 2 0 5nH\n"
+    )
+    report = topology_report(circuit)
+    augmented, record = augment_geometric(circuit, report, MINIMAL)
+    c2 = [loop.chord for loop in report.loops].index("C2")
+    loop = loop_lagrangian(circuit, report.loops, record)
+    ext = extended_node_lagrangian(circuit, report.loops, augmented, record)
+    for lag in (loop, ext):
+        assert lag.component_ids.count("LgC2") == 1
+        assert lag.component_ids[-1] == "LgC2_2"
+        assert lag.values[-1] == MINIMAL.default_lg
+    # the design inductor's row is its branch charge over the loops
+    bare = loop_lagrangian(circuit, report.loops)
+    assert np.array_equal(loop.assignment_row("LgC2"), bare.assignment_row("LgC2"))
+    assert _row(loop, "LgC2_2") == {f"Q_{c2 + 1}": 1.0}
+    assert _row(ext, "LgC2") == {"phi_2": 1.0}
+    assert _row(ext, "LgC2_2") == {f"Phi_{c2 + 1}": 1.0}
 def test_policy_validation():
     with pytest.raises(ValueError):
         GeometricPolicy(cap_mode=GeometricMode.MINIMAL, default_cg=0.0)
@@ -463,9 +420,9 @@ def test_extended_phi_block_restriction_matches_node(passive_lc):
 
 
 def test_extended_dynamic_loops_are_the_nonzero_loop_inductance_rows():
-    """A loop is dynamic where its row of the loop inductance is nonzero.
-    Every capacitor-only loop carries Lg itself on the diagonal, so none
-    is dropped at the subnormal Lg = 5e-324."""
+    """A loop is dynamic where a self-inductance row of the record covers
+    it, and that self-inductance is a potential row of its own on the
+    loop's flux, so no loop is dropped at the subnormal Lg = 5e-324."""
     circuit = parse_netlist(
         "L0 n2 0 1e-12\nC1 n2 0 1e-12\nC2 n1 n2 1e-12\nC3 n1 0 1e-12\n"
         "L4 0 n1 1e-12\nC5 n2 0 1e-12\nC6 0 n2 1e-12\nC7 0 n1 1e-12\n"
@@ -474,10 +431,14 @@ def test_extended_dynamic_loops_are_the_nonzero_loop_inductance_rows():
     for lg, phis in ((1e-15, [2, 4, 5, 6]), (5e-324, [2, 4, 5, 6])):
         policy = GeometricPolicy(GeometricMode.MINIMAL, default_lg=lg)
         augmented, record = augment_geometric(circuit, report, policy)
-        rows = np.flatnonzero(record.loop_inductance.any(1)) + 1
+        rows = np.flatnonzero(record.loop_kinetic_rows.any(0)) + 1
         lag = extended_node_lagrangian(circuit, report.loops, augmented, record)
         assert [int(s[len("Phi_") :]) for s in lag.labels if s[0] == "P"] == phis
         assert rows.tolist() == phis
+        lg_ids = [f"Lg{report.loops[i - 1].chord}" for i in phis]
+        assert list(lag.component_ids[-len(phis) :]) == lg_ids
+        assert not lag.kinetic[-len(phis) :].any()
+        assert np.array_equal(lag.A[-len(phis) :, -len(phis) :], np.eye(len(phis)))
 
 
 def test_extended_reduces_to_node_when_inactive(reduced_lc):

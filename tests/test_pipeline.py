@@ -112,9 +112,7 @@ def _stage_by_stage(circuit, rep, policy):
     tree = build_spanning_tree(circuit)
     if rep is Representation.LOOP_CHARGE:
         loops = fundamental_loops(circuit, tree)
-        lag = loop_lagrangian(
-            circuit, loops, record.loop_inductance, record.loop_kinetic_rows
-        )
+        lag = loop_lagrangian(circuit, loops, record)
         return lag, circuit
     return extended(circuit, policy), augmented
 

@@ -66,10 +66,10 @@ def node_system(circuit):
     return node_lagrangian(circuit, build_spanning_tree(circuit))
 
 
-def loop_system(circuit, loop_inductance=None, kinetic_rows=()):
+def loop_system(circuit, record=None):
     tree = build_spanning_tree(circuit)
     loops = fundamental_loops(circuit, tree)
-    return loop_lagrangian(circuit, loops, loop_inductance, kinetic_rows)
+    return loop_lagrangian(circuit, loops, record)
 
 
 def augmented_node(circuit, policy=MINIMAL):
@@ -81,11 +81,7 @@ def augmented_node(circuit, policy=MINIMAL):
 def augmented_loop(circuit, policy=MINIMAL):
     report = topology_report(circuit)
     _, record = augment_geometric(circuit, report, policy)
-    tree = build_spanning_tree(circuit)
-    loops = fundamental_loops(circuit, tree)
-    return loop_lagrangian(
-        circuit, loops, record.loop_inductance, record.loop_kinetic_rows
-    )
+    return loop_system(circuit, record)
 
 
 def test_diagnose_passive_node_rep(passive_lc):
@@ -788,25 +784,22 @@ def test_mode_solve_of_an_empty_system(source, capfd):
 @pytest.mark.parametrize(("policy", "name"), SOLVE_CASES)
 @pytest.mark.parametrize("rep", list(Representation), ids=lambda r: r.value)
 def test_gram_scatter_equals_the_dense_product(name, policy, rep, monkeypatch):
-    """_gram_matrices' component-order scatter gives M and K bit for bit as
-    the dense GEMM A^T diag(w) A of these circuits, exactly symmetric."""
+    """_gram_matrices' row-order scatter gives M and K bit for bit as the
+    dense GEMM A^T diag(w) A of these circuits, geometric self-inductance
+    rows included, exactly symmetric."""
     calls, gram = [], lagrangian._gram_matrices
 
-    def recorded(a, components, kinetic_kind):
-        M, K, kin, ids = gram(a, components, kinetic_kind)
-        # copies: the loop and extended Lagrangians add to M and K in place
-        calls.append((a.copy(), components, kinetic_kind, M.copy(), K.copy(), kin, ids))
-        return M, K, kin, ids
+    def recorded(a, values, kin):
+        M, K = gram(a, values, kin)
+        calls.append((a, values, kin, M, K))
+        return M, K
 
     monkeypatch.setattr(lagrangian, "_gram_matrices", recorded)
     try:
         quantize_circuit(_attribution_circuit(name), rep, policy)
     except SingularKineticMatrix:
         pass
-    (a, components, kinetic_kind, M, K, kin, ids), = calls
-    values = np.array([c.value for c in components])
-    assert np.array_equal(kin, [c.kind is kinetic_kind for c in components])
-    assert ids == tuple(c.id for c in components)
+    (a, values, kin, M, K), = calls
     for got, rows, weights in ((M, kin, values), (K, ~kin, 1.0 / values)):
         expected = (a[rows].T * weights[rows]) @ a[rows]
         assert got.dtype == np.float64

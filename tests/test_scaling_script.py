@@ -28,9 +28,9 @@ def test_scaling_table_on_a_small_ladder(capsys):
         assert rows[stage][3].endswith("x)")
     node_only = rows["node_lagrangian"]
     assert node_only[1].endswith("x)") and node_only[2:] == ["-", "-"]
-    inductance = rows["loop_inductance"]  # the node representation never forms it
-    assert inductance[0] == "-" and len(inductance) == 5
-    assert inductance[2].endswith("x)") and inductance[4].endswith("x)")
+    loop_only = rows["loop_lagrangian"]
+    assert loop_only[0] == loop_only[3] == "-" and len(loop_only) == 4
+    assert loop_only[2].endswith("x)")
     for stage in (
         "quantize_circuit", "legendre_transform", "normal_modes", "ground_state",
         "topology_report",

@@ -61,9 +61,7 @@ def loop_setup(circuit, policy=MINIMAL):
     _, record = augment_geometric(circuit, report, policy)
     tree = build_spanning_tree(circuit)
     loops = fundamental_loops(circuit, tree)
-    lag = loop_lagrangian(
-        circuit, loops, record.loop_inductance, record.loop_kinetic_rows
-    )
+    lag = loop_lagrangian(circuit, loops, record)
     h = legendre_transform(lag)
     return loops, lag, h, normal_modes(h)
 
@@ -532,9 +530,7 @@ def _rep_setup(circuit, rep, policy):
         return augmented, node_lagrangian(augmented, build_spanning_tree(augmented))
     if rep == "loop":
         loops = fundamental_loops(circuit, tree)
-        lag = loop_lagrangian(
-            circuit, loops, record.loop_inductance, record.loop_kinetic_rows
-        )
+        lag = loop_lagrangian(circuit, loops, record)
         return circuit, lag
     return augmented, extended_node_lagrangian(circuit, report.loops, augmented, record)
 
