@@ -20,6 +20,7 @@ from fluxq import (
     node_lagrangian,
     normal_modes,
     parse_netlist,
+    quantize_circuit,
     reduce_circuit,
     topology_report,
 )
@@ -38,6 +39,15 @@ from test_topology import _random_multigraph
 
 MINIMAL = GeometricPolicy(cap_mode=GeometricMode.MINIMAL)
 ALL_PAIRS = GeometricPolicy(cap_mode=GeometricMode.ALL_PAIRS)
+CIRCUIT_NAMES = (
+    "passive_lc.cir", "reduced_lc.cir", "wheel.cir", "active_lc.cir", "ladder128"
+)
+
+
+def _circuit(name):
+    if name == "ladder128":
+        return ladder(128, np.random.default_rng(7))
+    return load(name)
 
 
 def _row(lag, cid):
@@ -156,6 +166,58 @@ def test_augment_off_identity(passive_lc):
     assert lag.component_ids == tuple(c.id for c in passive_lc.components)
 
 
+def _eager_loop_inductance(report, policy):
+    """The l x l loop self-inductance matrix as a sum: one
+    default_lg-weighted projector per normalized witness under MINIMAL,
+    default_lg on every loop under ALL_PAIRS, none under OFF."""
+    l = len(report.loops)
+    if policy.cap_mode is GeometricMode.OFF:
+        return np.zeros((l, l))
+    if policy.cap_mode is GeometricMode.ALL_PAIRS:
+        return policy.default_lg * np.eye(l)
+    inductance = np.zeros((l, l))
+    for w in np.array(report.witnesses, dtype=float).reshape(-1, l):
+        wv = w / np.linalg.norm(w)
+        inductance += policy.default_lg * np.outer(wv, wv)
+    return inductance
+
+
+@pytest.mark.parametrize("mode", list(GeometricMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("name", CIRCUIT_NAMES)
+def test_loop_self_inductance_rows_add_the_eager_sum_to_m(name, mode):
+    """The record's self-inductance rows, the last terms of the loop
+    Lagrangian, add exactly the summed loop inductance to M (each is the
+    last term of its diagonal entry) and nothing to K."""
+    circuit = _circuit(name)
+    report = topology_report(circuit)
+    policy = GeometricPolicy(cap_mode=mode)
+    _, record = augment_geometric(circuit, report, policy)
+    lag = loop_lagrangian(circuit, report.loops, record)
+    bare = loop_lagrangian(circuit, report.loops)
+    assert np.array_equal(lag.M, bare.M + _eager_loop_inductance(report, policy))
+    assert np.array_equal(lag.K, bare.K)
+
+
+@pytest.mark.parametrize("mode", [GeometricMode.MINIMAL, GeometricMode.ALL_PAIRS])
+@pytest.mark.parametrize("name", CIRCUIT_NAMES)
+def test_node_representation_carries_no_loop_self_inductance(name, mode):
+    """The node representation's terms are the augmented circuit's
+    components only; the loop representation's end in one kinetic Lg row
+    per self-inductance row of the record."""
+    circuit, policy = _circuit(name), GeometricPolicy(cap_mode=mode)
+    report = topology_report(circuit)
+    augmented, record = augment_geometric(circuit, report, policy)
+    node = quantize_circuit(circuit, Representation.NODE_FLUX, policy).lagrangian
+    assert node.component_ids == tuple(c.id for c in augmented.components)
+    assert np.array_equal(node.A, node_lagrangian(augmented).A)
+    loop = loop_lagrangian(circuit, report.loops, record)
+    n = len(circuit.components)
+    chords = [report.loops[i].chord for i in np.nonzero(record.loop_kinetic_rows)[1]]
+    assert loop.component_ids[n:] == tuple(f"Lg{chord}" for chord in chords)
+    assert np.array_equal(loop.A[n:], record.loop_kinetic_rows)
+    assert loop.kinetic[n:].all() and (loop.values[n:] == policy.default_lg).all()
+
+
 @pytest.mark.parametrize("seed", range(300))
 def test_loop_inductance_product_on_multigraphs(seed):
     """The extended representation's loop fluxes are the loops that the
@@ -246,6 +308,8 @@ def test_a_design_inductor_named_lg_keeps_its_row():
     assert _row(loop, "LgC2_2") == {f"Q_{c2 + 1}": 1.0}
     assert _row(ext, "LgC2") == {"phi_2": 1.0}
     assert _row(ext, "LgC2_2") == {f"Phi_{c2 + 1}": 1.0}
+
+
 def test_policy_validation():
     with pytest.raises(ValueError):
         GeometricPolicy(cap_mode=GeometricMode.MINIMAL, default_cg=0.0)
