@@ -16,10 +16,13 @@ and the CLI's `modes --format json` on the ladder's netlist; and in its
 own column each representation's Lagrangian from the augmentation:
 `node_lagrangian` of the augmented circuit, `loop_lagrangian` with the
 augmentation record, and `extended_node_lagrangian` with its
-`_design_paths`.  The table gives each stage's median over the processes in ms and as a multiple
-of the `eigh` in the same column; a last line gives the median and
-quartiles over the processes of each one's node CLI `modes` time as a
-multiple of its own `eigh`.  The sources timed are those of the checkout
+`_design_paths`; and in the node column `propagate_covariance` of the
+`ground_state` over 8 time points (a 64 MB result at n = 512; its time
+spans run on threads, one per CPU of the process).  The table gives each
+stage's median over the processes in ms and as a multiple of the `eigh` in
+the same column; a last line gives the median and quartiles over the
+processes of each one's node CLI `modes` time as a multiple of its own
+`eigh`.  The sources timed are those of the checkout
 holding this script.
 """
 from __future__ import annotations
@@ -54,6 +57,7 @@ from fluxq import (  # noqa: E402
     node_lagrangian,
     normal_modes,
     parse_netlist,
+    propagate_covariance,
     quantize_circuit,
     topology_report,
     validate_circuit,
@@ -68,6 +72,7 @@ STAGES = (
     "legendre_transform",
     "normal_modes",
     "ground_state",
+    "propagate_covariance",
     "topology_report",
     "mode_attribution",
     "parse_netlist + validate",
@@ -153,6 +158,12 @@ def measure(n: int, seed: int, repeats: int) -> dict[str, dict[str, float]]:
             if rep is Representation.NODE_FLUX:
                 times["node_lagrangian"] = _best_ms(
                     node_lagrangian, repeats, lambda: (augmented,)
+                )
+                state = ground_state(q.modes, q.hamiltonian)
+                times["propagate_covariance"] = _best_ms(
+                    propagate_covariance,
+                    repeats,
+                    lambda: (q.modes, q.hamiltonian, state, np.linspace(0.0, 4e-9, 8)),
                 )
             elif rep is Representation.LOOP_CHARGE:
                 times["loop_lagrangian"] = _best_ms(

@@ -5,10 +5,13 @@ are stiff (mode ratios around 1e4), which fixed-step integrators either
 alias or crawl through.  A kick-drift-kick leapfrog is provided purely as
 an independent cross-validation oracle.  Expectation values of a Gaussian
 state follow the classical trajectories exactly, and the covariance rotates
-mode by mode, so nothing beyond the mode solution is ever needed.
+mode by mode, so nothing beyond the mode solution is ever needed; its time
+blocks run on one thread per CPU, with bits independent of the CPU count.
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,10 +281,10 @@ def propagate_covariance(
     """Covariance matrices cov(t) = Phi(t) cov Phi(t)^T, shape (nt, 2n, 2n).
 
     The covariance is moved into mode coordinates once, as S[r, k, s, l]
-    with r, s the x/p halves and k, l modes.  At each time point the
-    per-mode 2x2 maps R rotate its rows, then its columns (two fused passes
-    into fixed buffers), and V and U = V^{-T} map it back with GEMMs that
-    write straight into the result; the time loop allocates nothing."""
+    with r, s the x/p halves and k, l modes.  Per block of time points the
+    2x2 mode maps R rotate its rows, then its columns, and V and U = V^{-T}
+    map it back by stacked GEMMs.  Contiguous spans of blocks run on threads,
+    one per CPU, the last in the caller; no bit depends on the span count."""
     t = np.asarray(times, dtype=float)
     n = modes.dim
     v = modes.modes
@@ -297,18 +300,30 @@ def propagate_covariance(
     r[:, 0, 0], r[:, 0, 1], r[:, 1, 0] = (e.T for e in _mode_rotation(modes.omegas, t))
     r[:, 1, 1] = r[:, 0, 0]
     vt, ut = np.ascontiguousarray(v.T), np.ascontiguousarray(u.T)
-    rs, y = np.empty_like(s), np.empty_like(s)
-    # z[:n] = V [Yxx | Yxp] and z[n:, n:] = U Ypp, so z[:, n:] = [Zxp; Zpp]
-    z = np.empty((2 * n, 2 * n))
     out = np.empty((t.size, *cov.shape))
-    for i in range(t.size):
-        np.einsum("rsk,skql->rkql", r[i], s, out=rs)
-        # Y = (RS) R^T; the px block is never read
-        np.einsum("ksl,qsl->kql", rs[0], r[i], out=y[0])
-        np.einsum("ksl,sl->kl", rs[1], r[i, 1], out=y[1, :, 1])
-        np.matmul(v, y[0].reshape(n, 2 * n), out=z[:n])
-        np.matmul(u, y[1, :, 1], out=z[n:, n:])
-        np.matmul(z[:n, :n], vt, out=out[i, :n, :n])
-        np.matmul(z[:, n:], ut, out=out[i, :, n:])
-        out[i, n:, :n] = out[i, :n, n:].T
+    tau = max(1, 2**19 // s.nbytes)  # time points per block: 4 at n = 64
+
+    def run(starts: np.ndarray) -> None:
+        rs, y = np.empty((2, tau, *s.shape))
+        # z[:, :n] = V [Yxx | Yxp] and z[:, n:, n:] = U Ypp, so z[:, :, n:] = [Zxp; Zpp]
+        z = np.empty((tau, 2 * n, 2 * n))
+        for i in starts:
+            ri, o, m = r[i : i + tau], out[i : i + tau], min(tau, t.size - i)
+            np.einsum("trsk,skql->trkql", ri, s, out=rs[:m])
+            # Y = (RS) R^T; the px block is never read
+            np.einsum("tksl,tqsl->tkql", rs[:m, 0], ri, out=y[:m, 0])
+            np.einsum("tksl,tsl->tkl", rs[:m, 1], ri[:, 1], out=y[:m, 1, :, 1])
+            np.matmul(v, y[:m, 0].reshape(m, n, 2 * n), out=z[:m, :n])
+            np.matmul(u, y[:m, 1, :, 1], out=z[:m, n:, n:])
+            np.matmul(z[:m, :n, :n], vt, out=o[:, :n, :n])
+            np.matmul(z[:m, :, n:], ut, out=o[:, :, n:])
+            o[:, n:, :n] = o[:, :n, n:].transpose(0, 2, 1)
+
+    blocks = range(0, t.size, tau)
+    cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))(0)
+    spans = np.array_split(blocks, min(len(cpus), len(blocks)) or 1)
+    with ThreadPoolExecutor(max(1, len(spans) - 1)) as pool:
+        workers = pool.map(run, spans[:-1])
+        run(spans[-1])
+        list(workers)  # raises a worker's exception here
     return out

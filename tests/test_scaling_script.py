@@ -26,8 +26,9 @@ def test_scaling_table_on_a_small_ladder(capsys):
     for stage in ("extended_node_lagrangian", "_design_paths"):
         assert rows[stage][:2] == ["-", "-"]  # extended only
         assert rows[stage][3].endswith("x)")
-    node_only = rows["node_lagrangian"]
-    assert node_only[1].endswith("x)") and node_only[2:] == ["-", "-"]
+    for stage in ("node_lagrangian", "propagate_covariance"):
+        node_only = rows[stage]
+        assert node_only[1].endswith("x)") and node_only[2:] == ["-", "-"]
     loop_only = rows["loop_lagrangian"]
     assert loop_only[0] == loop_only[3] == "-" and len(loop_only) == 4
     assert loop_only[2].endswith("x)")

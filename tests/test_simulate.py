@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -34,7 +37,7 @@ from fluxq import (
 )
 from fluxq.lagrangian import QuadraticLagrangian, Representation
 from fluxq.quantize import HBAR, SingularKineticMatrix
-from fluxq.simulate import _series
+from fluxq.simulate import _mode_rotation, _series
 
 from conftest import extended, ladder as _ladder, load
 
@@ -356,6 +359,158 @@ def test_covariance_calls_return_fresh_writeable_arrays():
     assert np.array_equal(first, second)
     first[...] = 0.0
     assert np.array_equal(second, propagate_covariance(modes, h, state, times))
+
+
+def _per_point_covariance(modes, state, times):
+    """propagate_covariance one time point per iteration into fixed
+    buffers: the reference whose per-element arithmetic the blocked kernel
+    must reproduce bit for bit."""
+    t = np.asarray(times, dtype=float)
+    n = modes.dim
+    v, u, cov = modes.modes, modes.momentum_modes, state.cov
+    s = np.empty((2, n, 2, n))
+    s[0, :, 0] = u.T @ cov[:n, :n] @ u
+    s[0, :, 1] = u.T @ cov[:n, n:] @ v
+    s[1, :, 0] = s[0, :, 1].T
+    s[1, :, 1] = v.T @ cov[n:, n:] @ v
+    r = np.empty((t.size, 2, 2, n))
+    r[:, 0, 0], r[:, 0, 1], r[:, 1, 0] = (e.T for e in _mode_rotation(modes.omegas, t))
+    r[:, 1, 1] = r[:, 0, 0]
+    vt, ut = np.ascontiguousarray(v.T), np.ascontiguousarray(u.T)
+    rs, y = np.empty_like(s), np.empty_like(s)
+    z = np.empty((2 * n, 2 * n))
+    out = np.empty((t.size, *cov.shape))
+    for i in range(t.size):
+        np.einsum("rsk,skql->rkql", r[i], s, out=rs)
+        np.einsum("ksl,qsl->kql", rs[0], r[i], out=y[0])
+        np.einsum("ksl,sl->kl", rs[1], r[i, 1], out=y[1, :, 1])
+        np.matmul(v, y[0].reshape(n, 2 * n), out=z[:n])
+        np.matmul(u, y[1, :, 1], out=z[n:, n:])
+        np.matmul(z[:n, :n], vt, out=out[i, :n, :n])
+        np.matmul(z[:, n:], ut, out=out[i, :, n:])
+        out[i, n:, :n] = out[i, :n, n:].T
+    return out
+
+
+def _block_size(modes):
+    """Time points per block of propagate_covariance: each of a block's
+    three buffers holds at most 512 KB, one time point taking 4 n^2
+    doubles."""
+    return max(1, 2**19 // (32 * modes.dim**2))
+
+
+def _on_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _count_thread_starts(monkeypatch):
+    starts = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        starts.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return starts
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+@pytest.mark.parametrize("name", ["ladder32", "zero_mode"])
+def test_blocked_covariance_is_bit_identical_to_the_per_point_kernel(
+    name, cpus, monkeypatch
+):
+    """Around one block, at 53 and at 200 time points, on any number of
+    CPUs: the blocks and spans change no bit."""
+    h, modes = _covariance_case(name)
+    state = _random_psd_state(modes, h, np.random.default_rng(5))
+    tau = _block_size(modes)
+    _on_cpus(monkeypatch, cpus)
+    for nt in sorted({0, 1, tau - 1, tau, tau + 1, 53, 200}):
+        times = np.linspace(0.0, 4e-9, nt)
+        expected = _per_point_covariance(modes, state, times)
+        assert np.array_equal(propagate_covariance(modes, h, state, times), expected), nt
+
+
+def test_covariance_spans_under_frequent_thread_switches(monkeypatch):
+    """More spans than cores, with the interpreter switching threads every
+    microsecond: each span writes only its own time points."""
+    h, modes = _covariance_case("ladder32")
+    state = _random_psd_state(modes, h, np.random.default_rng(5))
+    times = np.linspace(0.0, 4e-9, 20 * _block_size(modes) + 3)
+    expected = _per_point_covariance(modes, state, times)
+    _on_cpus(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        covs = propagate_covariance(modes, h, state, times)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(covs, expected)
+
+
+@pytest.mark.parametrize("cpus", [2, 8])
+def test_covariance_spans_start_one_thread_each_and_leave_none(cpus, monkeypatch):
+    h, modes = _covariance_case("ladder32")
+    state = _random_psd_state(modes, h, np.random.default_rng(5))
+    tau = _block_size(modes)
+    _on_cpus(monkeypatch, cpus)
+    starts = _count_thread_starts(monkeypatch)
+    before = threading.active_count()
+    propagate_covariance(modes, h, state, np.linspace(0.0, 4e-9, 10 * tau))
+    # the caller runs the last span; the pool may reuse a thread whose span
+    # ended before the next was submitted
+    assert 1 <= len(starts) <= cpus - 1
+    assert threading.active_count() == before
+    assert not any(thread.is_alive() for thread in starts)
+
+
+@pytest.mark.parametrize("cpus, blocks", [(1, 10), (8, 1), (8, 0)])
+def test_covariance_on_one_span_starts_no_thread(cpus, blocks, monkeypatch):
+    """One CPU, or no more time points than one block: the caller runs the
+    only span."""
+    h, modes = _covariance_case("ladder32")
+    state = _random_psd_state(modes, h, np.random.default_rng(5))
+    times = np.linspace(0.0, 4e-9, blocks * _block_size(modes))
+    _on_cpus(monkeypatch, cpus)
+    starts = _count_thread_starts(monkeypatch)
+    covs = propagate_covariance(modes, h, state, times)
+    assert starts == []
+    assert np.array_equal(covs, _per_point_covariance(modes, state, times))
+
+
+def test_covariance_spans_without_affinity_use_the_cpu_count(monkeypatch):
+    h, modes = _covariance_case("ladder32")
+    state = _random_psd_state(modes, h, np.random.default_rng(5))
+    times = np.linspace(0.0, 4e-9, 10 * _block_size(modes))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    starts = _count_thread_starts(monkeypatch)
+    covs = propagate_covariance(modes, h, state, times)
+    assert 1 <= len(starts) <= 2
+    assert np.array_equal(covs, _per_point_covariance(modes, state, times))
+
+
+def test_covariance_worker_exception_reaches_the_caller(monkeypatch):
+    """A span that fails on a worker thread raises in the caller, after
+    every thread has ended."""
+    h, modes = _covariance_case("ladder32")
+    state = _random_psd_state(modes, h, np.random.default_rng(5))
+    times = np.linspace(0.0, 4e-9, 10 * _block_size(modes))
+    caller = threading.current_thread()
+    matmul = np.matmul
+
+    def failing_off_the_caller(*args, **kwargs):
+        if threading.current_thread() is not caller:
+            raise MemoryError("worker span failed")
+        return matmul(*args, **kwargs)
+
+    _on_cpus(monkeypatch, 2)
+    before = threading.active_count()
+    monkeypatch.setattr(np, "matmul", failing_off_the_caller)
+    with pytest.raises(MemoryError, match="worker span failed"):
+        propagate_covariance(modes, h, state, times)
+    assert threading.active_count() == before
 
 
 def test_flux_law_node_rep(passive_lc):
