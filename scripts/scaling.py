@@ -18,7 +18,9 @@ own column each representation's Lagrangian from the augmentation:
 augmentation record, and `extended_node_lagrangian` with its
 `_design_paths`; and in the node column `propagate_covariance` of the
 `ground_state` over 8 time points (a 64 MB result at n = 512; its time
-spans run on threads, one per CPU of the process).  The table gives each
+spans run on threads, one per CPU of the process), `initial_state` from
+the CLI's default initial conditions and `_series`, the voltages and
+currents of `fluxq simulate`, over its default 2000 samples.  The table gives each
 stage's median over the processes in ms and as a multiple of the `eigh` in
 the same column; a last line gives the median and quartiles over the
 processes of each one's node CLI `modes` time as a multiple of its own
@@ -49,8 +51,10 @@ from fluxq import (  # noqa: E402
     Representation,
     augment_geometric,
     cli,
+    evolve_modes,
     extended_node_lagrangian,
     ground_state,
+    initial_state,
     legendre_transform,
     loop_lagrangian,
     mode_attribution,
@@ -63,6 +67,7 @@ from fluxq import (  # noqa: E402
     validate_circuit,
 )
 from fluxq.lagrangian import _design_paths  # noqa: E402
+from fluxq.simulate import _series  # noqa: E402
 from perfbench.workloads import ladder, netlist_text  # noqa: E402
 
 STAGES = (
@@ -73,6 +78,8 @@ STAGES = (
     "normal_modes",
     "ground_state",
     "propagate_covariance",
+    "initial_state",
+    "_series",
     "topology_report",
     "mode_attribution",
     "parse_netlist + validate",
@@ -164,6 +171,18 @@ def measure(n: int, seed: int, repeats: int) -> dict[str, dict[str, float]]:
                     propagate_covariance,
                     repeats,
                     lambda: (q.modes, q.hamiltonian, state, np.linspace(0.0, 4e-9, 8)),
+                )
+                ics = cli._default_ics(circuit)
+                times["initial_state"] = _best_ms(
+                    initial_state, repeats, lambda: (q.observed, q.lagrangian, ics)
+                )
+                grid = np.linspace(0.0, cli.RunConfig.tmax, cli.RunConfig.samples)
+                x0, p0 = initial_state(q.observed, q.lagrangian, ics)
+                trajectory = evolve_modes(
+                    q.hamiltonian, q.modes, x0, p0, grid, lagrangian=q.lagrangian
+                )
+                times["_series"] = _best_ms(
+                    _series, repeats, lambda: (circuit, q.lagrangian, trajectory)
                 )
             elif rep is Representation.LOOP_CHARGE:
                 times["loop_lagrangian"] = _best_ms(

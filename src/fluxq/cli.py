@@ -19,8 +19,10 @@ Exit codes, each with a message on stderr and no traceback:
 3  unquantizable under the requested configuration, the kinetic matrix
    or loop inductance form too ill-conditioned to confirm its rank, M or
    the reduced matrix of the mode solve overflowing float64 (as with --cg
-   or --lg at 1e-300, or subnormal, where the value enters M or K), or any
-   other floating-point overflow or invalid operation in the numerics
+   or --lg at 1e-300, or subnormal, where the value enters M or K), an
+   eigenvalue of that matrix past K's zero modes not positive (a mode
+   that would read 0 Hz, as with --cg at 1e-16 of the capacitances), or
+   any other floating-point overflow or invalid operation in the numerics
 4  inconsistent initial conditions
 """
 from __future__ import annotations

@@ -126,9 +126,15 @@ class QuadraticLagrangian:
     def assignment_matrix(self, cids) -> np.ndarray:
         """The rows of A of the given component ids, in that order; raises
         ValueError for an id without a row."""
+        return self.A[self._term_rows(cids)]
+
+    def _term_rows(self, cids) -> list[int]:
+        """The row indices of the given component ids' terms, in that
+        order, into A, kinetic and values; raises ValueError for an id
+        without a row."""
         row = {cid: i for i, cid in enumerate(self.component_ids)}
         try:
-            return self.A[[row[cid] for cid in cids]]
+            return [row[cid] for cid in cids]
         except KeyError as exc:
             raise ValueError(
                 f"component {exc.args[0]!r} missing from the assignment"

@@ -61,7 +61,7 @@ _VALUE_UNIT = {ComponentKind.CAPACITOR: "F", ComponentKind.INDUCTOR: "H"}
 _IC_UNIT = {ComponentKind.CAPACITOR: "V", ComponentKind.INDUCTOR: "A"}
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Component:
     """Two-terminal lumped element.  Value is Farads or Henries (SI)."""
 
@@ -70,16 +70,6 @@ class Component:
     value: float
     terminals: tuple[str, str]
     geometric: bool = False
-
-    def __init__(self, id, kind, value, terminals, geometric=False):
-        # object.__setattr__ looked up once, not per field; a __dict__ update
-        # would leave the attributes in a dict, slower to read
-        set_ = object.__setattr__
-        set_(self, "id", id)
-        set_(self, "kind", kind)
-        set_(self, "value", value)
-        set_(self, "terminals", terminals)
-        set_(self, "geometric", geometric)
 
     @property
     def a(self) -> str:

@@ -251,7 +251,9 @@ def normal_modes(h: HamiltonianSystem) -> ModeDecomposition:
     eigendecompose F^{-1} K F^{-T}, back-transform.  Zero eigenvalues of K
     are legal zero modes, not errors; their count is the corank of K
     (M is positive definite here, so nonzero modes = rank K).  Raises
-    ReducedMatrixOverflow when the reduced matrix is not finite."""
+    ReducedMatrixOverflow when the reduced matrix is not finite, and
+    RankCrossCheckFailure when an eigenvalue past the zero modes is not
+    positive: a mode K's rank counts as oscillating would read 0 Hz."""
     f = h.mass_factor
     # unchecked solves: an overflow to inf or nan anywhere is caught below
     kt = _solve_lower(f, _solve_lower(f, np.array(h.k, order="F")).T).T
@@ -268,6 +270,9 @@ def normal_modes(h: HamiltonianSystem) -> ModeDecomposition:
     momenta.flags.writeable = False
     v = _solve_lower(f, u, trans=1)  # in U's storage
     zero_count = h.dim - _equilibrated_rank(h.k, _K_RANK_TOL)
+    if zero_count < h.dim and evals[zero_count] <= 0.0:
+        nonpositive = int(np.count_nonzero(evals <= 0.0))
+        raise RankCrossCheckFailure("reduced stiffness matrix", zero_count, nonpositive)
     clipped = np.clip(evals, 0.0, None)
     clipped[:zero_count] = 0.0
     return ModeDecomposition(np.sqrt(clipped), v, zero_count, momenta)
@@ -277,7 +282,7 @@ def _vacuum_factors(modes: ModeDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """V and U = momentum_modes over the oscillating modes, scaled by
     sqrt(hbar / 2 omega) and sqrt(hbar omega / 2): the vacuum's x and p
     covariance factors, their row norms its spreads."""
-    z = modes.dim - np.count_nonzero(modes.omegas)  # omegas ascend from z zeros
+    z = modes.zero_mode_count  # omegas ascend from z zeros
     w = modes.omegas[z:]
     vs = np.multiply(modes.modes[:, z:], np.sqrt(HBAR / (2.0 * w)), order="F")
     return vs, np.multiply(modes.momentum_modes[:, z:], np.sqrt(HBAR * w / 2.0), order="F")

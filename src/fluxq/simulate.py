@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lagrangian import QuadraticLagrangian, Representation
-from .netlist import Circuit, ComponentKind
+from .netlist import Circuit
 from .quantize import GaussianState, HamiltonianSystem, ModeDecomposition, normal_modes
 
 _IC_RESIDUAL_TOL = 1e-9
@@ -49,10 +49,6 @@ class Trajectory:
     lagrangian: QuadraticLagrangian | None = None
 
 
-def _is_flux_type(rep: Representation) -> bool:
-    return rep in (Representation.NODE_FLUX, Representation.EXTENDED_NODE_FLUX)
-
-
 def _lstsq_with_check(rows: np.ndarray, rhs: np.ndarray, what: str):
     # no rows (nothing pinned): lstsq returns zeros and a zero residual; no
     # columns (no coordinate): the residual is the whole right-hand side
@@ -74,12 +70,14 @@ def initial_state(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Map component initial conditions to canonical coordinates (x0, p0).
 
-    Node-flux type: inductor currents pin branch fluxes (phi = L i) and so
-    x0; capacitor voltages pin branch flux rates, giving xdot0 and
-    p0 = M xdot0.  Loop-charge: the dual (capacitor charges pin x0,
-    inductor currents pin xdot0).  Design components missing from `ics`
-    default to zero; geometric components are constrained only when
-    explicitly given, and any remaining freedom is resolved minimum-norm.
+    Each component's term in the Lagrangian decides its role: a potential
+    term's value times its initial condition pins its branch coordinate
+    (phi = L i for an inductor in the flux types, q = C v for a capacitor
+    in loop charge), so x0; a kinetic term's initial condition pins its
+    branch rate (a capacitor voltage, an inductor current), giving xdot0
+    and p0 = M xdot0.  Design components missing from `ics` default to
+    zero; geometric components are constrained only when explicitly given,
+    and any remaining freedom is resolved minimum-norm.
     """
     declared = dict(circuit.ics)
     if ics:
@@ -87,25 +85,12 @@ def initial_state(
     for cid in declared:
         circuit.component(cid)  # KeyError on unknown ids
 
-    def constraint(kind: ComponentKind, target):
-        pinned = [
-            c
-            for c in circuit.components
-            if c.kind is kind and (not c.geometric or c.id in declared)
-        ]
-        rows = lagrangian.assignment_matrix([c.id for c in pinned])
-        rhs = np.array([target(c, declared.get(c.id, 0.0)) for c in pinned])
-        return rows, rhs
-
-    # the component kind whose value stores the coordinate, and the other
-    stored, other = ComponentKind.INDUCTOR, ComponentKind.CAPACITOR
-    if not _is_flux_type(lagrangian.representation):
-        stored, other = other, stored
-    rows_x, rhs_x = constraint(stored, lambda c, ic: c.value * ic)
-    rows_v, rhs_v = constraint(other, lambda c, ic: ic)
-
-    x0 = _lstsq_with_check(rows_x, rhs_x, "coordinate")
-    xdot0 = _lstsq_with_check(rows_v, rhs_v, "velocity")
+    pinned = [c.id for c in circuit.components if not c.geometric or c.id in declared]
+    rows = lagrangian._term_rows(pinned)
+    a, kinetic, values = lagrangian.A[rows], lagrangian.kinetic[rows], lagrangian.values[rows]
+    ic = np.array([declared.get(cid, 0.0) for cid in pinned], dtype=float)
+    x0 = _lstsq_with_check(a[~kinetic], values[~kinetic] * ic[~kinetic], "coordinate")
+    xdot0 = _lstsq_with_check(a[kinetic], ic[kinetic], "velocity")
     p0 = lagrangian.M @ xdot0
     return x0, p0
 
@@ -231,22 +216,21 @@ def _series(
 
     The branch rate A @ velocities is the voltage (flux types) or the
     current (loop charge).  The other quantity is the branch value
-    A @ coords over the value where the component stores the coordinate
-    (inductor flux, capacitor charge), else the value times
-    A @ accelerations."""
+    A @ coords over the value where the component's term is potential
+    (inductor flux, capacitor charge), else, where it is kinetic, the value
+    times A @ accelerations."""
     if trajectory.lagrangian is not None and trajectory.lagrangian is not lagrangian:
         if trajectory.lagrangian.labels != lagrangian.labels:
             raise ValueError("trajectory does not match this coordinate system")
-    a = lagrangian.assignment_matrix([c.id for c in circuit.components])
-    values = np.array([c.value for c in circuit.components], dtype=float)
-    flux_type = _is_flux_type(lagrangian.representation)
-    stored = ComponentKind.INDUCTOR if flux_type else ComponentKind.CAPACITOR
-    by_value = np.array([c.kind is stored for c in circuit.components], dtype=bool)
+    rows = lagrangian._term_rows(c.id for c in circuit.components)
+    a, kinetic, values = lagrangian.A[rows], lagrangian.kinetic[rows], lagrangian.values[rows]
     rate = a @ trajectory.velocities
     other = np.empty_like(rate)
-    other[by_value] = (a[by_value] @ trajectory.coords) / values[by_value, None]
-    other[~by_value] = values[~by_value, None] * (a[~by_value] @ trajectory.accelerations)
-    return (rate, other) if flux_type else (other, rate)
+    other[~kinetic] = (a[~kinetic] @ trajectory.coords) / values[~kinetic, None]
+    other[kinetic] = values[kinetic, None] * (a[kinetic] @ trajectory.accelerations)
+    if lagrangian.representation is Representation.LOOP_CHARGE:
+        return other, rate
+    return rate, other
 
 
 def observables(

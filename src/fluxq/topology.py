@@ -136,16 +136,15 @@ class FundamentalLoop:
 
 @dataclass(frozen=True)
 class TopologyReport:
-    """Counts and passive variables of a circuit, with the stages later
+    """Node count and passive nodes of a circuit, with the stages later
     steps reuse: the spanning tree, its fundamental loops and the unit
     integer vectors of its capacitor-only loops (`witnesses`, as returned
-    by capacitor_only_cycles).  to_json_dict prints only the counts."""
+    by capacitor_only_cycles).  to_json_dict prints only counts; those of
+    components, loops and witnesses (the loop deficiency) are read off
+    the stages."""
 
     n: int
-    c: int
-    l: int
     passive_nodes: tuple[str, ...]
-    loop_deficiency: int
     witnesses: tuple[tuple[int, ...], ...]
     tree: SpanningTree
     loops: tuple[FundamentalLoop, ...]
@@ -153,10 +152,10 @@ class TopologyReport:
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
-            "c": self.c,
-            "l": self.l,
+            "c": len(self.tree.tree) + len(self.tree.chords),
+            "l": len(self.loops),
             "passive_nodes": list(self.passive_nodes),
-            "loop_deficiency": self.loop_deficiency,
+            "loop_deficiency": len(self.witnesses),
         }
 
 
@@ -441,14 +440,10 @@ def reduce_circuit(circuit: Circuit) -> Circuit:
 def topology_report(circuit: Circuit) -> TopologyReport:
     tree = build_spanning_tree(circuit)
     loops = fundamental_loops(circuit, tree)
-    cycles = capacitor_only_cycles(circuit, loops)
     return TopologyReport(
         n=len(circuit.nodes),
-        c=len(circuit.components),
-        l=len(loops),
         passive_nodes=tuple(sorted(passive_nodes(circuit))),
-        loop_deficiency=len(cycles),
-        witnesses=cycles,
+        witnesses=capacitor_only_cycles(circuit, loops),
         tree=tree,
         loops=loops,
     )

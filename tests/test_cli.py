@@ -388,6 +388,17 @@ def test_modes_floating_point_overflow_exit_code(capsys):
     assert err.count("\n") == 1
 
 
+def test_simulate_floating_point_overflow_exit_code(tmp_path, capsys):
+    # the 1e300 V initial condition overflows the norm of the velocity
+    # right-hand side, which no check of fluxq's own catches
+    netlist = tmp_path / "huge_ic.cir"
+    netlist.write_text("C1 1 0 1pF\nL1 1 0 1nH\n.ic C1 1e300V\n")
+    code, out, err = run(capsys, "simulate", str(netlist), "--samples", "4")
+    assert (code, out) == (3, "")
+    assert err.startswith("floating-point overflow under this configuration: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("netlist", [REDUCED, ACTIVE], ids=lambda p: Path(p).stem)
 def test_modes_extended_allpairs_with_inductive_chord(capsys, netlist):
     # loop 1's chord is an inductor beside a capacitor, and the geometric
@@ -899,6 +910,21 @@ def test_unconfirmed_loop_deficiency_exit_code(tmp_path, capsys):
     assert err.startswith(
         "not quantizable under this configuration: loop inductance form rank "
         "unconfirmed: "
+    )
+
+
+def test_a_zero_frequency_oscillating_mode_exit_code(capsys):
+    # the wheel's extended coordinates with a 1e-19 F rim: one eigenvalue of
+    # the reduced stiffness matrix that K's rank counts as a mode rounds to 0
+    code, out, err = run(
+        capsys, "modes", WHEEL, "--rep", "extended", "--geometric", "allpairs",
+        "--cg", "1e-19", "--lg", "1e-18", "--format", "json",
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "not quantizable under this configuration: reduced stiffness matrix "
+        "rank unconfirmed: structural null space dimension 0 disagrees with "
+        "numeric estimate 1\n"
     )
 
 

@@ -3,7 +3,7 @@ import re
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from fluxq import (
     Circuit,
@@ -274,6 +274,64 @@ def test_round_trip_property(circuit):
 def test_parse_is_deterministic(circuit):
     text = serialize_netlist(circuit)
     assert parse_netlist(text) == parse_netlist(text)
+
+
+_PREFIX = {"": 1.0, "a": 1e-18, "f": 1e-15, "p": 1e-12, "n": 1e-9, "u": 1e-6, "m": 1e-3}
+_UNIT = {ComponentKind.CAPACITOR: ("F", "V"), ComponentKind.INDUCTOR: ("H", "A")}
+_mantissas = st.one_of(
+    st.integers(1, 999).map(str),  # 2
+    st.tuples(st.integers(0, 99), st.integers(1, 999)).map("{0[0]}.{0[1]}".format),  # 4.7
+    st.tuples(st.integers(1, 9), st.integers(-20, 3)).map("{0[0]}e{0[1]}".format),  # 1e-12
+)
+
+
+@st.composite
+def _value_tokens(draw, unit: str, signed: bool = False):
+    """(token, SI value): a mantissa, an optional SI prefix and an optional unit."""
+    mantissa = draw(_mantissas)
+    if signed and draw(st.booleans()):
+        mantissa = "-" + mantissa
+    prefix = draw(st.sampled_from(list(_PREFIX)))
+    token = mantissa + prefix + draw(st.sampled_from(["", unit]))
+    return token, float(mantissa) * _PREFIX[prefix]
+
+
+@st.composite
+def netlist_texts(draw):
+    """(text, the Circuit it declares): components with SI-prefixed and
+    unit-suffixed values between named nodes and ground, spelled 0, GND or
+    gnd, then '.ic' directives for some of them."""
+    names = ["0", "GND", "gnd"] + [f"n{i}" for i in range(1, draw(st.integers(2, 5)))]
+    lines, comps, ics = [], [], {}
+    for i in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(list(ComponentKind)))
+        a, b = draw(
+            st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(
+                lambda ab: len({"0" if n.upper() in ("0", "GND") else n for n in ab}) == 2
+            )
+        )
+        token, value = draw(_value_tokens(_UNIT[kind][0]))
+        cid = draw(st.sampled_from([kind.value, kind.value.lower()])) + str(i)
+        lines.append(f"{cid} {a} {b} {token}")
+        ends = tuple("0" if n.upper() == "GND" else n for n in (a, b))
+        comps.append(Component(cid, kind, value, ends))
+    for c in draw(st.lists(st.sampled_from(comps), unique=True)):
+        token, value = draw(_value_tokens(_UNIT[c.kind][1], signed=True))
+        lines.append(f"{draw(st.sampled_from(['.ic', '.IC']))} {c.id} {token}")
+        ics[c.id] = value
+    nodes = dict.fromkeys(t for c in comps for t in c.terminals)
+    if "0" in nodes:
+        nodes = {"0": None, **nodes}
+    return "\n".join(lines) + "\n", Circuit(tuple(nodes), tuple(comps), ics)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(netlist_texts())
+def test_prefixed_netlists_parse_and_round_trip(case):
+    text, expected = case
+    circuit = parse_netlist(text)
+    assert circuit == expected
+    assert parse_netlist(serialize_netlist(circuit)) == circuit
 
 
 def test_validate_rejects_overflowing_value():

@@ -255,6 +255,42 @@ def test_zero_modes_are_legal():
         ground_state(modes, h)
 
 
+# Cg/C = 1e-16 on the passive sweep's class, and the wheel's rim under
+# Cg = 1e-19 and 1e-22 F: K's rank counts modes whose eigenvalue rounds to
+# zero or below
+_SINGULAR_END = [
+    *(
+        (f"sweep{i}", rep.value, "minimal", 1e-28, 1e-25)
+        for i in range(20)
+        for rep in Representation
+    ),
+    ("wheel", "extended", "allpairs", 1e-19, 1e-18),
+    ("wheel", "extended", "allpairs", 1e-22, 1e-21),
+]
+
+
+@pytest.mark.parametrize("name, rep, mode, cg, lg", _SINGULAR_END)
+def test_every_zero_frequency_is_a_counted_zero_mode(name, rep, mode, cg, lg):
+    if name == "wheel":
+        circuit = load("wheel.cir")
+    else:
+        circuit = passive_class_circuit(int(name[len("sweep"):]), np.random.default_rng(7))
+    policy = GeometricPolicy(GeometricMode(mode), cg, lg)
+    try:
+        modes = quantize_circuit(circuit, Representation(rep), policy).modes
+    except RankCrossCheckFailure:
+        return
+    assert np.count_nonzero(modes.omegas == 0.0) == modes.zero_mode_count
+
+
+def test_a_mode_of_the_rank_of_k_at_zero_is_refused(wheel):
+    policy = GeometricPolicy(GeometricMode.ALL_PAIRS, 1e-19, 1e-18)
+    with pytest.raises(RankCrossCheckFailure) as err:
+        quantize_circuit(wheel, Representation.EXTENDED_NODE_FLUX, policy)
+    assert (err.value.structural, err.value.numeric) == (0, 1)
+    assert str(err.value).startswith("reduced stiffness matrix rank unconfirmed")
+
+
 def test_ground_state_single_mode(reduced_lc):
     h = legendre_transform(node_system(reduced_lc))
     modes = normal_modes(h)

@@ -26,7 +26,7 @@ def test_scaling_table_on_a_small_ladder(capsys):
     for stage in ("extended_node_lagrangian", "_design_paths"):
         assert rows[stage][:2] == ["-", "-"]  # extended only
         assert rows[stage][3].endswith("x)")
-    for stage in ("node_lagrangian", "propagate_covariance"):
+    for stage in ("node_lagrangian", "propagate_covariance", "initial_state", "_series"):
         node_only = rows[stage]
         assert node_only[1].endswith("x)") and node_only[2:] == ["-", "-"]
     loop_only = rows["loop_lagrangian"]
