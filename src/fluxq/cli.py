@@ -16,10 +16,11 @@ Exit codes, each with a message on stderr and no traceback:
    --lg not positive and finite while augmenting, --samples below 1,
    --tmax not positive and finite, or so large that the fastest mode's
    phase omega*t overflows float64, or --out cannot be opened to write
-3  unquantizable under the requested configuration, the kinetic matrix
-   or loop inductance form too ill-conditioned to confirm its rank, M or
-   the reduced matrix of the mode solve overflowing float64 (as with --cg
-   or --lg at 1e-300, or subnormal, where the value enters M or K), an
+3  unquantizable under --geometric off (minimal and allpairs make every
+   valid circuit structurally quantizable), the kinetic matrix or loop
+   inductance form too ill-conditioned to confirm its rank, M or the
+   reduced matrix of the mode solve overflowing float64 (as with --cg or
+   --lg at 1e-300, or subnormal, where the value enters M or K), an
    eigenvalue of that matrix past K's zero modes not positive (a mode
    that would read 0 Hz, as with --cg at 1e-16 of the capacitances), or
    any other floating-point overflow or invalid operation in the numerics
@@ -42,7 +43,6 @@ from .lagrangian import (
     GeometricMode,
     GeometricPolicy,
     Representation,
-    loop_lagrangian,
     node_lagrangian,
 )
 from .netlist import (
@@ -170,11 +170,10 @@ def _indented_json(value, depth: int = 0) -> str:
 def cmd_analyze(config: RunConfig) -> int:
     circuit = _load_circuit(config)
     report = topology_report(circuit)
+    # the witnesses span the design loop M's null space, confirmed numerically
     quantizable = {
         "node": diagnose_quantizability(node_lagrangian(circuit)).quantizable,
-        "loop": diagnose_quantizability(
-            loop_lagrangian(circuit, report.loops)
-        ).quantizable,
+        "loop": not report.witnesses,
     }
     reduced = reduce_circuit(circuit)
     reducible = reduced is not circuit

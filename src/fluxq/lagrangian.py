@@ -60,10 +60,10 @@ class GeometricPolicy:
     """How to introduce geometric (parasitic) components.
 
     cap_mode selects the augmentation: OFF adds nothing; MINIMAL adds one
-    geometric capacitor per passive node (toward its tree parent) and a
-    self-inductance on every capacitor-only fundamental loop; ALL_PAIRS
-    adds a geometric capacitor between every unordered node pair and a
-    self-inductance on every loop.
+    geometric capacitor per inductor tree edge and one self-inductance per
+    capacitor chord's loop, as many as a grounded design circuit's node
+    and loop M have null directions; ALL_PAIRS adds a geometric capacitor
+    between every unordered node pair and a self-inductance on every loop.
     """
 
     cap_mode: GeometricMode = GeometricMode.MINIMAL
@@ -279,11 +279,13 @@ def augment_geometric(
     the loop and extended Lagrangians take as terms of their own; inserting
     them as series branches would create nodes the model does not contain.
 
-    The report must be the circuit's own topology_report: its spanning
-    tree places the MINIMAL capacitors, its fundamental loops index the
-    loop matrix, and its witnesses (the capacitor-only loops) carry the
-    MINIMAL self-inductances.  Raises ValueError when the report's tree
-    and chords do not partition the circuit's component ids.
+    The report must be the circuit's own topology_report.  Its tree takes
+    capacitors first, so it has one inductor edge per capacitor island
+    less one, the nullity of a grounded circuit's node M: MINIMAL puts a
+    capacitor across each, (child, parent).  Its fundamental loops index
+    the loop matrix, and its witnesses (the capacitor chords' loops) carry
+    the MINIMAL self-inductances.  Raises ValueError when the report's
+    tree and chords do not partition the circuit's component ids.
     """
     tree = report.tree
     if sorted(tree.tree + tree.chords) != sorted(c.id for c in circuit.components):
@@ -294,13 +296,11 @@ def augment_geometric(
         return circuit, AugmentationRecord((), np.zeros((0, l)), policy)
 
     if policy.cap_mode is GeometricMode.MINIMAL:
-        pairs = []
-        for node in report.passive_nodes:
-            neighbor = tree.parent_node.get(node)
-            if neighbor is None:  # the root, so the circuit has no ground
-                ends = {t for c in circuit.incident(node) for t in c.terminals}
-                neighbor = min(ends - {node})
-            pairs.append((node, neighbor))
+        pairs = sorted(
+            (node, tree.parent_node[node])
+            for node, cid in tree.parent_component.items()
+            if circuit.component(cid).kind is ComponentKind.INDUCTOR
+        )
         cycles = report.witnesses
         kinetic_rows = np.array(cycles, dtype=float).reshape(len(cycles), l)
     else:  # ALL_PAIRS

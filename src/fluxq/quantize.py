@@ -23,12 +23,11 @@ import numpy as np
 import scipy.linalg
 
 from .lagrangian import QuadraticLagrangian, Representation
-from .topology import RankCrossCheckFailure, _equilibrated_rank
+from .topology import _RANK_TOL, RankCrossCheckFailure, _equilibrated_rank
 
 HBAR = 1.054571817e-34  # J s
 
-# relative singular-value thresholds of the equilibrated M and K
-_M_RANK_TOL = 1e-12
+# relative singular-value threshold of the equilibrated K (of M: _RANK_TOL)
 _K_RANK_TOL = 1e-10
 # zero threshold of the row reduction, relative to the largest entry
 _RREF_TOL = 1e-9
@@ -219,7 +218,7 @@ def diagnose_quantizability(lagrangian: QuadraticLagrangian) -> QuantizabilityDi
             arr = -arr
         null_vectors.append(arr)
 
-    numeric_null = lagrangian.dim - _equilibrated_rank(lagrangian.M, _M_RANK_TOL)
+    numeric_null = lagrangian.dim - _equilibrated_rank(lagrangian.M, _RANK_TOL)
     if numeric_null != len(null_vectors):
         raise RankCrossCheckFailure("kinetic matrix", len(null_vectors), numeric_null)
 

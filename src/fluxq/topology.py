@@ -12,7 +12,7 @@ import scipy.linalg
 
 from .netlist import GROUND, Circuit, Component, ComponentKind
 
-# relative eigenvalue threshold of the equilibrated loop inductance form
+# relative eigenvalue threshold of an equilibrated kinetic matrix M
 _RANK_TOL = 1e-12
 # rounding margin c n^2 eps of the Cholesky full-rank certificate
 _CERTIFICATE_C = 4.0

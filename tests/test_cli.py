@@ -78,6 +78,20 @@ def test_analyze_reduced(capsys):
     assert payload["reduction"] is None
 
 
+def test_series_lc_quantizes_in_every_representation(tmp_path, capsys):
+    # C1's island, nodes 1 and 2, reaches ground only through inductors:
+    # MINIMAL's geometric capacitor across the tree inductor L1 grounds it
+    netlist = tmp_path / "series_lc.cir"
+    netlist.write_text("C1 1 2 1p\nL1 1 0 1n\nL2 2 0 1n\n")
+    lowest = []
+    for rep in ("node", "loop", "extended"):
+        code, out, err = run(capsys, "modes", str(netlist), "--rep", rep, "--format", "json")
+        assert (code, err) == (0, "")
+        lowest.append(json.loads(out)["frequencies_ghz"][0])
+    assert lowest[0] == pytest.approx(3.5588, rel=1e-4)
+    assert lowest == pytest.approx([lowest[1]] * 3, rel=1e-6)
+
+
 def test_analyze_wheel(capsys):
     code, out, _ = run(capsys, "analyze", WHEEL)
     payload = json.loads(out)
@@ -380,8 +394,9 @@ def test_modes_kinetic_matrix_overflow_exit_code(capsys):
     )
 
 
-def test_modes_floating_point_overflow_exit_code(capsys):
-    # M stays finite at 6e307 F, but products in the mode attribution overflow
+def test_modes_mass_root_overflow_exit_code(capsys):
+    # M's entries stay finite at 6e307 F (1.2e308), but its largest
+    # eigenvalue, 3 x 6e307, overflows in the attribution's root of M
     code, out, err = run(capsys, "modes", ACTIVE, "--geometric", "allpairs", "--cg", "6e307")
     assert (code, out) == (3, "")
     assert err.startswith("not quantizable under this configuration: kinetic matrix")

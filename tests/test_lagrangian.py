@@ -13,6 +13,7 @@ from fluxq import (
     Representation,
     augment_geometric,
     build_spanning_tree,
+    diagnose_quantizability,
     extended_node_lagrangian,
     fundamental_loops,
     legendre_transform,
@@ -245,9 +246,11 @@ def test_augment_rejects_a_report_of_another_circuit(passive_lc, reduced_lc, mod
         augment_geometric(passive_lc, foreign, GeometricPolicy(cap_mode=mode))
 
 
-def test_augment_minimal_joins_a_passive_root_to_its_least_neighbor():
-    # without ground the tree grows from the first node, passive "a" here,
-    # which has no tree parent to take its geometric capacitor
+def test_augment_minimal_bridges_each_inductor_tree_edge_without_ground():
+    # without ground the tree grows from the first node, "a" here; its one
+    # inductor edge is L1 (c to a), and the one geometric capacitor across
+    # it joins C1's island to "a", leaving the common mode as M's only null
+    # direction
     circuit = Circuit(
         ("a", "b", "c"),
         (
@@ -257,13 +260,15 @@ def test_augment_minimal_joins_a_passive_root_to_its_least_neighbor():
         ),
     )
     report = topology_report(circuit)
-    assert report.passive_nodes == ("a",) and "a" not in report.tree.parent_node
+    assert report.tree.parent_component == {"c": "L1", "b": "C1"}
     augmented, record = augment_geometric(circuit, report, MINIMAL)
     cg = Component(
-        "Cgab", ComponentKind.CAPACITOR, MINIMAL.default_cg, ("a", "b"), geometric=True
+        "Cgca", ComponentKind.CAPACITOR, MINIMAL.default_cg, ("c", "a"), geometric=True
     )
     assert record.added_capacitors == (cg,)
     assert augmented.components == circuit.components + (cg,)
+    (null,) = diagnose_quantizability(node_lagrangian(augmented)).null_space
+    np.testing.assert_allclose(null, np.full(3, 3**-0.5))
 
 
 def test_design_paths_between_nodes_the_circuit_does_not_join_raise():

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluxq import (
     GeometricMode,
@@ -15,6 +17,8 @@ from fluxq import (
     SingularKineticMatrix,
     augment_geometric,
     build_spanning_tree,
+    diagnose_quantizability,
+    extended_node_lagrangian,
     fundamental_loops,
     legendre_transform,
     loop_lagrangian,
@@ -26,6 +30,7 @@ from fluxq import (
 from fluxq.cli import main
 
 from conftest import extended, load
+from test_topology import _random_multigraph
 
 ROOT = Path(__file__).resolve().parent.parent
 PASSIVE = str(ROOT / "netlists" / "passive_lc.cir")
@@ -163,3 +168,38 @@ def test_mode_tables_script(capsys):
     # and adds the geometric one on the passive node 3
     assert tank["phi_2"] == passive["phi_2"] == "1.027"
     assert float(passive["phi_3"]) == pytest.approx(1.9e4, rel=0.05)
+
+
+# Cg/C = Lg/L = 1e-7: every component of _random_multigraph is 1e-12 (F or H)
+STRAY = GeometricPolicy(GeometricMode.MINIMAL, 1e-19, 1e-19)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 10_000))
+def test_minimal_quantizes_every_multigraph_in_three_representations(seed):
+    """MINIMAL adds as many geometric capacitors and self-inductances as the
+    design node and loop M have null directions, and then every circuit
+    quantizes in all three representations.  The design modes (below
+    1e14 rad/s; the strays' lie near 1e15 and above) agree in count, and
+    node and extended lie within 10 (Cg/C + Lg/L) of loop."""
+    circuit = _random_multigraph(np.random.default_rng(seed))
+    report = topology_report(circuit)
+    augmented, record = augment_geometric(circuit, report, STRAY)
+    node = diagnose_quantizability(node_lagrangian(circuit))
+    loop = diagnose_quantizability(loop_lagrangian(circuit, report.loops))
+    assert len(record.added_capacitors) == len(node.null_space)
+    assert len(record.loop_kinetic_rows) == len(loop.null_space)
+    # quantize_circuit's stages, sharing one report (as it does)
+    lags = (
+        node_lagrangian(augmented),
+        extended_node_lagrangian(circuit, report.loops, augmented, record),
+        loop_lagrangian(circuit, report.loops, record),
+    )
+    design = []
+    for lag in lags:
+        omegas = normal_modes(legendre_transform(lag)).omegas
+        design.append(omegas[(omegas > 0.0) & (omegas < 1e14)])
+    *fluxes, charges = design
+    for omegas in fluxes:
+        assert omegas.size == charges.size
+        np.testing.assert_allclose(omegas, charges, rtol=10 * (1e-7 + 1e-7))
