@@ -6,7 +6,10 @@
 Each of --processes child processes, started with one BLAS thread, builds
 the benchmark's ladder (`perfbench.workloads.ladder(n, default_rng(seed))`)
 and times in process, best of --repeats, for each representation: one
-`eigh` of F^-1 K F^-T (the mode solve's irreducible cost), `quantize_circuit`,
+`eigh` of F^-1 K F^-T (the mode solve's irreducible cost), one `eigh` of a
+symmetric matrix of the same size drawn from `default_rng(seed)` (a
+yardstick that does not move with the circuit's eigenvectors, which can
+reach subnormal magnitudes), `quantize_circuit`,
 its `legendre_transform` and `normal_modes`, `ground_state` (the full
 2n x 2n covariance, which the CLI does not form) and `topology_report`
 (with the rank test of the loop inductance form), `mode_attribution`,
@@ -19,8 +22,9 @@ augmentation record, and `extended_node_lagrangian` with its
 `_design_paths`; and in the node column `propagate_covariance` of the
 `ground_state` over 8 time points (a 64 MB result at n = 512; its time
 spans run on threads, one per CPU of the process), `initial_state` from
-the CLI's default initial conditions and `_series`, the voltages and
-currents of `fluxq simulate`, over its default 2000 samples.  The table gives each
+the CLI's default initial conditions, and `evolve_modes` from them and
+`_series`, the voltages and currents of `fluxq simulate`, over its default
+2000 samples.  The table gives each
 stage's median over the processes in ms and as a multiple of the `eigh` in
 the same column; a last line gives the median and quartiles over the
 processes of each one's node CLI `modes` time as a multiple of its own
@@ -72,6 +76,7 @@ from perfbench.workloads import ladder, netlist_text  # noqa: E402
 
 STAGES = (
     "eigh of F^-1 K F^-T",
+    "eigh of random symmetric",
     "quantize_circuit",
     "node_lagrangian",
     "legendre_transform",
@@ -79,6 +84,7 @@ STAGES = (
     "ground_state",
     "propagate_covariance",
     "initial_state",
+    "evolve_modes",
     "_series",
     "topology_report",
     "mode_attribution",
@@ -131,9 +137,12 @@ def measure(n: int, seed: int, repeats: int) -> dict[str, dict[str, float]]:
         for rep in Representation:
             q = quantize_circuit(circuit, rep, policy)
             kt = _reduced_stiffness(q.hamiltonian)
+            sym = np.random.default_rng(seed).standard_normal(kt.shape)
+            sym += sym.T
             payload = cli._mode_payload(cli.RunConfig("modes", path, rep=rep), circuit)
             times = {
                 "eigh of F^-1 K F^-T": _best_ms(np.linalg.eigh, repeats, lambda: (kt,)),
+                "eigh of random symmetric": _best_ms(np.linalg.eigh, repeats, lambda: (sym,)),
                 "quantize_circuit": _best_ms(
                     quantize_circuit, repeats, lambda: (circuit, rep, policy)
                 ),
@@ -178,9 +187,9 @@ def measure(n: int, seed: int, repeats: int) -> dict[str, dict[str, float]]:
                 )
                 grid = np.linspace(0.0, cli.RunConfig.tmax, cli.RunConfig.samples)
                 x0, p0 = initial_state(q.observed, q.lagrangian, ics)
-                trajectory = evolve_modes(
-                    q.hamiltonian, q.modes, x0, p0, grid, lagrangian=q.lagrangian
-                )
+                evolve = (q.hamiltonian, q.modes, x0, p0, grid, q.lagrangian)
+                times["evolve_modes"] = _best_ms(evolve_modes, repeats, lambda: evolve)
+                trajectory = evolve_modes(*evolve)
                 times["_series"] = _best_ms(
                     _series, repeats, lambda: (circuit, q.lagrangian, trajectory)
                 )

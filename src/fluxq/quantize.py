@@ -266,8 +266,11 @@ def normal_modes(h: HamiltonianSystem) -> ModeDecomposition:
     if info:  # the np.linalg.eigh call, bit for bit, without its wrapper
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     momenta = f @ np.ascontiguousarray(u)  # eigh's order: F U keeps its bits
-    momenta.flags.writeable = False
     v = _solve_lower(f, u, trans=1)  # in U's storage
+    # zeroed in place: subnormals slow each GEMM several-fold, and V's F order sets bits
+    for x in (v, momenta):
+        x[np.abs(x) < np.finfo(float).tiny] = 0.0
+    momenta.flags.writeable = False
     zero_count = h.dim - _equilibrated_rank(h.k, _K_RANK_TOL)
     if zero_count < h.dim and evals[zero_count] <= 0.0:
         nonpositive = int(np.count_nonzero(evals <= 0.0))

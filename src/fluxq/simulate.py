@@ -264,36 +264,39 @@ def propagate_covariance(
 ) -> np.ndarray:
     """Covariance matrices cov(t) = Phi(t) cov Phi(t)^T, shape (nt, 2n, 2n).
 
-    The covariance is moved into mode coordinates once, as S[r, k, s, l]
-    with r, s the x/p halves and k, l modes.  Per block of time points the
-    2x2 mode maps R rotate its rows, then its columns, and V and U = V^{-T}
-    map it back by stacked GEMMs.  Contiguous spans of blocks run on threads,
-    one per CPU, the last in the caller; no bit depends on the span count."""
+    The covariance is moved into mode coordinates once, mode-major as
+    S[k, r, s, l] with r, s the x/p halves and k, l modes.  Per block of time
+    points the 2x2 mode maps R rotate its rows by one batched GEMM, then its
+    columns, and V and U = V^{-T} map it back by stacked GEMMs.  Contiguous
+    spans of blocks run on threads, one per CPU, the last in the caller; no
+    bit depends on the span count."""
     t = np.asarray(times, dtype=float)
     n = modes.dim
     v = modes.modes
     u = modes.momentum_modes
     cov = state.cov
-    s = np.empty((2, n, 2, n))
-    s[0, :, 0] = u.T @ cov[:n, :n] @ u
-    s[0, :, 1] = u.T @ cov[:n, n:] @ v
-    s[1, :, 0] = s[0, :, 1].T
-    s[1, :, 1] = v.T @ cov[n:, n:] @ v
-    # r[i, :, :, k] is mode k's map [[c, a], [b, c]] at time i
+    sk = np.empty((n, 2, 2 * n))  # sk[k, r, s * n + l] = S[k, r, s, l]
+    sk[:, 0, :n] = u.T @ cov[:n, :n] @ u
+    sk[:, 0, n:] = u.T @ cov[:n, n:] @ v
+    sk[:, 1, :n] = sk[:, 0, n:].T
+    sk[:, 1, n:] = v.T @ cov[n:, n:] @ v
+    # r[i, :, :, k] = rk[i, k] is mode k's map [[c, a], [b, c]] at time i
     r = np.empty((t.size, 2, 2, n))
     r[:, 0, 0], r[:, 0, 1], r[:, 1, 0] = (e.T for e in _mode_rotation(modes.omegas, t))
     r[:, 1, 1] = r[:, 0, 0]
+    rk = np.ascontiguousarray(r.transpose(0, 3, 1, 2))
     vt, ut = np.ascontiguousarray(v.T), np.ascontiguousarray(u.T)
     out = np.empty((t.size, *cov.shape))
-    tau = max(1, 2**19 // s.nbytes)  # time points per block: 4 at n = 64
+    tau = max(1, 2**19 // sk.nbytes)  # time points per block: 4 at n = 64
 
     def run(starts: np.ndarray) -> None:
-        rs, y = np.empty((2, tau, *s.shape))
+        rs, y = np.empty((2, tau, 2, n, 2, n))  # rs[:, r, k] = (R_k S[k])[r]
         # z[:, :n] = V [Yxx | Yxp] and z[:, n:, n:] = U Ypp, so z[:, :, n:] = [Zxp; Zpp]
         z = np.empty((tau, 2 * n, 2 * n))
         for i in starts:
             ri, o, m = r[i : i + tau], out[i : i + tau], min(tau, t.size - i)
-            np.einsum("trsk,skql->trkql", ri, s, out=rs[:m])
+            rsk = rs[:m].reshape(m, 2, n, 2 * n).transpose(0, 2, 1, 3)
+            np.matmul(rk[i : i + tau], sk, out=rsk)
             # Y = (RS) R^T; the px block is never read
             np.einsum("tksl,tqsl->tkql", rs[:m, 0], ri, out=y[:m, 0])
             np.einsum("tksl,tsl->tkl", rs[:m, 1], ri[:, 1], out=y[:m, 1, :, 1])

@@ -118,6 +118,11 @@ def random_active_circuit(rng: np.random.Generator, max_nodes: int = 8) -> Circu
 def ladder(n: int, rng: np.random.Generator) -> Circuit:
     """Series inductors from ground through nodes 1..n, capacitors to ground
     on even nodes and a second one on every 4th; odd nodes are passive."""
+    return parse_netlist(ladder_netlist(n, rng))
+
+
+def ladder_netlist(n: int, rng: np.random.Generator) -> str:
+    """The netlist text of ladder(n, rng)."""
     lines, prev = [], "0"
     for i in range(1, n + 1):
         lines.append(f"L{i} {prev} {i} {1e-9 * rng.uniform(0.8, 1.2)!r}")
@@ -126,7 +131,7 @@ def ladder(n: int, rng: np.random.Generator) -> Circuit:
         if i % 4 == 0:
             lines.append(f"Cx{i} {i} 0 {2e-12 * rng.uniform(0.8, 1.2)!r}")
         prev = str(i)
-    return parse_netlist("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def passive_class_circuit(i: int, rng: np.random.Generator) -> Circuit:

@@ -3,7 +3,10 @@
 geometric mode, of `fluxq modes --format table` and `fluxq simulate
 --samples 64 --format json` in every representation under the minimal
 mode, and of `fluxq analyze`, `fluxq reduce` and `fluxq reduce --format
-json` over the bundled netlists.
+json` over the bundled netlists; and of `fluxq modes --format json` and
+`fluxq simulate` at its defaults (2000 samples, several CSV blocks) in
+every representation over `conftest.ladder(n, default_rng(7))` at 32 and
+128 nodes, whose geometric modes fall through subnormal magnitudes.
 
 Each case runs `cli.main` in process and hashes (exit code, stdout, stderr)
 with the netlist path replaced by `<netlist>`, so a change that claims
@@ -15,12 +18,15 @@ output, regenerate the table with
 import hashlib
 import io
 import itertools
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from conftest import ladder_netlist
 from fluxq.cli import main
 
 NETLISTS = Path(__file__).resolve().parent.parent / "netlists"
@@ -62,15 +68,30 @@ CASES.update(
         )
     }
 )
+# the seed-7 ladders at the CLI's default flags and samples
+LADDERS = (32, 128)
+CASES.update(
+    {
+        f"{command}-ladder{n}-{rep}": (command, f"ladder{n}", ("--rep", rep, *options))
+        for (command, options), n, rep in itertools.product(
+            (("modes", ("--format", "json")), ("simulate", ())), LADDERS, REPS
+        )
+    }
+)
 
 
 def _digest(case: str, capsys) -> str:
     command, name, options = CASES[case]
-    path = str(NETLISTS / name)
-    code = main([command, path, *options])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = NETLISTS / name
+        if name.startswith("ladder"):
+            path = Path(tmp) / f"{name}.cir"
+            n = int(name.removeprefix("ladder"))
+            path.write_text(ladder_netlist(n, np.random.default_rng(7)))
+        code = main([command, str(path), *options])
     captured = capsys.readouterr()
     blob = "\0".join((str(code), captured.out, captured.err))
-    return hashlib.sha256(blob.replace(path, "<netlist>").encode()).hexdigest()
+    return hashlib.sha256(blob.replace(str(path), "<netlist>").encode()).hexdigest()
 
 
 GOLDEN = {
@@ -182,6 +203,18 @@ GOLDEN = {
     "simulate-wheel.cir-node-minimal-json": "ed628b570172cddf152288e23a477206f6d7cfb2b18593bde8fefcde50ec9ae6",
     "simulate-wheel.cir-loop-minimal-json": "98d37bb14e2218cddb088d3cad551a80d20ec3b645a1b49abfab8f3e5becd4ea",
     "simulate-wheel.cir-extended-minimal-json": "f8cf720184cd335b99e10dc215a6e6d4dba6e41a14201c75c83e15e973b0fd3f",
+    "modes-ladder32-node": "4b63c929220c7984db8378b796a9b31420fdc3edd3d040359b26b08372c069b7",
+    "modes-ladder32-loop": "909bd6c3054b2019bfb9e3b51445b8a5841cde0279d239fa4257503be1faed9a",
+    "modes-ladder32-extended": "952262082e75048fb2c82f03a78e6e6304db3468d1854fcf564baad808e1d500",
+    "modes-ladder128-node": "f98ae5ddcf82bb2b7de9b987b208814ee6e34fa120d6ed194dbdcdbe2e7ec8f8",
+    "modes-ladder128-loop": "b92e52be51bdf53bfaee6bd1771ec8b3fccd3489b7d9a43938242e7f4f319ed0",
+    "modes-ladder128-extended": "a6e056966f1f0cbe15c9aa2003e3526a59ce95490e158165704b37c0f55e5278",
+    "simulate-ladder32-node": "b508ecd0c9425fc139f44db92679233055db43edd37f5f4bf16b648dff32b120",
+    "simulate-ladder32-loop": "be233b4d4af2844f3a6d0c0c477d04977d4fbad07f640ecb98931188642702a9",
+    "simulate-ladder32-extended": "aedd0dc11951f5ae4bd02be2e598a5cc1ca686c7fc380b65ed86b0af2328b9dc",
+    "simulate-ladder128-node": "952871b9012edad8043991dc06c65f6996cc117a697b8af9ce6969d959460a28",
+    "simulate-ladder128-loop": "e970ff3ef5a4f6b0e1b48464f495936944d2e809376ce233e24e05410c48a19b",
+    "simulate-ladder128-extended": "20351192c77441ab274a3022a24c8a0417a98a571a390d9ea65df438c64c0360",
 }
 
 

@@ -26,13 +26,16 @@ def test_scaling_table_on_a_small_ladder(capsys):
     for stage in ("extended_node_lagrangian", "_design_paths"):
         assert rows[stage][:2] == ["-", "-"]  # extended only
         assert rows[stage][3].endswith("x)")
-    for stage in ("node_lagrangian", "propagate_covariance", "initial_state", "_series"):
+    for stage in (
+        "node_lagrangian", "propagate_covariance", "initial_state", "evolve_modes", "_series"
+    ):
         node_only = rows[stage]
         assert node_only[1].endswith("x)") and node_only[2:] == ["-", "-"]
     loop_only = rows["loop_lagrangian"]
     assert loop_only[0] == loop_only[3] == "-" and len(loop_only) == 4
     assert loop_only[2].endswith("x)")
     for stage in (
+        "eigh of random symmetric",
         "quantize_circuit", "legendre_transform", "normal_modes", "ground_state",
         "topology_report",
         "mode_attribution", "parse_netlist + validate", "modes JSON", "CLI modes",

@@ -312,18 +312,22 @@ def _random_psd_state(modes, h, rng):
 
 
 def _covariance_case(name):
+    """ladder<n>: the seed-7 ladder, augmented, in node flux."""
     if name == "zero_mode":
         _, h, modes = node_setup(parse_netlist(ZERO_MODE_NETLIST))
     else:
-        _, _, h, modes = augmented_node_setup(_ladder(32, np.random.default_rng(7)))
+        circuit = _ladder(int(name.removeprefix("ladder")), np.random.default_rng(7))
+        _, _, h, modes = augmented_node_setup(circuit)
     return h, modes
 
 
-@pytest.mark.parametrize("name", ["ladder32", "zero_mode"])
+@pytest.mark.parametrize("name", ["ladder32", "ladder128", "zero_mode"])
 def test_covariance_matches_evolution_matrix_sandwich(name):
     """Every block of propagate_covariance against Phi(t) cov Phi(t)^T with
     Phi from evolution_matrix, to 1e-12 of the block's own scale, at 53
-    times; the px block is exactly the transpose of the xp block."""
+    times; the px block is exactly the transpose of the xp block.  The
+    128-node ladder's geometric modes reach subnormal magnitudes, which
+    normal_modes sets to zero."""
     h, modes = _covariance_case(name)
     dim = modes.dim
     state = _random_psd_state(modes, h, np.random.default_rng(5))
@@ -338,6 +342,20 @@ def test_covariance_matches_evolution_matrix_sandwich(name):
             scale = np.abs(expected[blk]).max()
             assert np.abs(cov[blk] - expected[blk]).max() <= 1e-12 * scale
     assert np.array_equal(covs[:, dim:, :dim], covs[:, :dim, dim:].transpose(0, 2, 1))
+
+
+def test_mode_matrices_of_a_localized_ladder_hold_no_subnormals():
+    """The 128-node ladder's eigenvectors fall below the smallest normal
+    double: those entries are zero in V and U, V stays in Fortran order and
+    U stays read-only."""
+    _, modes = _covariance_case("ladder128")
+    v, u = modes.modes, modes.momentum_modes
+    for x in (v, u):
+        assert not np.any((x != 0.0) & (np.abs(x) < np.finfo(float).tiny))
+    assert v.flags.f_contiguous and not v.flags.c_contiguous
+    assert not u.flags.writeable
+    with pytest.raises(ValueError):
+        u[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("name", ["ladder32", "zero_mode"])
@@ -376,12 +394,16 @@ def _per_point_covariance(modes, state, times):
     r = np.empty((t.size, 2, 2, n))
     r[:, 0, 0], r[:, 0, 1], r[:, 1, 0] = (e.T for e in _mode_rotation(modes.omegas, t))
     r[:, 1, 1] = r[:, 0, 0]
+    # the row rotation as the kernel forms it: per mode k, R_k times S's
+    # k-th rows in mode-major order, by one matmul over the modes
+    sk = np.ascontiguousarray(s.transpose(1, 0, 2, 3)).reshape(n, 2, 2 * n)
+    rk = np.ascontiguousarray(r.transpose(0, 3, 1, 2))
     vt, ut = np.ascontiguousarray(v.T), np.ascontiguousarray(u.T)
     rs, y = np.empty_like(s), np.empty_like(s)
     z = np.empty((2 * n, 2 * n))
     out = np.empty((t.size, *cov.shape))
     for i in range(t.size):
-        np.einsum("rsk,skql->rkql", r[i], s, out=rs)
+        np.matmul(rk[i], sk, out=rs.reshape(2, n, 2 * n).transpose(1, 0, 2))
         np.einsum("ksl,qsl->kql", rs[0], r[i], out=y[0])
         np.einsum("ksl,sl->kl", rs[1], r[i, 1], out=y[1, :, 1])
         np.matmul(v, y[0].reshape(n, 2 * n), out=z[:n])
